@@ -41,39 +41,29 @@ from .exact import (
     marginal_exact,
     volume_exact,
 )
-from .model import (
-    SHAPE_REVERSE_TREE,
-    SHAPE_TOTAL_ORDER,
-    SHAPE_TREE,
-    ConstraintSet,
-    check_consistency,
-    close_under_implication,
-    decompose,
-    flip_constraints,
-    part_skeleton,
-    polytope_dimension,
-)
+from .model import ConstraintSet, Prepared, check_consistency, polytope_dimension
 from .poly import PiecewisePolynomial
 from .sampler import SamplerConfig, estimate_topk, hit_and_run_sample
-from .sampler import _chain_means, _Walk  # shared stream for sampled interpolate
-from .stable import stable_interpolate
+from .sampler import _estimate_values  # shared stream for sampled interpolate
 from .topk import (
     SEMANTICS_GLOBAL,
     SEMANTICS_LOCAL,
     SEMANTICS_U,
-    _part_values,
     global_topk,
     local_topk,
     select,
     u_topk,
 )
 from .tree import (
-    interpolate_decomposed,
-    marginal_decomposed,
-    tree_from_part,
-    volume_tree,
-    _single_extension_value,
+    STABLE,
+    VALUES,
+    VOLUME,
     as_tree,
+    part_marginal,
+    part_values,
+    solve_part,
+    tree_values,
+    volume_tree,
 )
 
 __all__ = ["main", "run"]
@@ -110,100 +100,11 @@ def _marginal_json(pw: PiecewisePolynomial) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# engine dispatch helpers
-
-
-def _auto_values(cs: ConstraintSet, names: list[str], budget: int, threads: int) -> dict[str, Fraction]:
-    """Per-part engine choice: tree family when possible, exact otherwise."""
-    values: dict[str, Fraction] = {}
-    remaining: list[str] = []
-    for n in names:
-        v = cs.resolve(n)
-        if v.id in cs.exact_values:
-            values[n] = cs.exact_values[v.id]
-        else:
-            remaining.append(n)
-    if remaining:
-        d = decompose(cs)
-        by_part: dict[int, set[str]] = {}
-        for n in remaining:
-            by_part.setdefault(d.part_index[n], set()).add(n)
-        for part_no, wanted in sorted(by_part.items()):
-            values.update(_part_values(d.parts[part_no], wanted, budget, threads))
-    return values
-
-
-def _stable_values(cs: ConstraintSet, names: list[str]) -> dict[str, Fraction]:
-    values: dict[str, Fraction] = {}
-    remaining: list[str] = []
-    for n in names:
-        v = cs.resolve(n)
-        if v.id in cs.exact_values:
-            values[n] = cs.exact_values[v.id]
-        else:
-            remaining.append(n)
-    if remaining:
-        d = decompose(cs)
-        by_part: dict[int, set[str]] = {}
-        for n in remaining:
-            by_part.setdefault(d.part_index[n], set()).add(n)
-        for part_no, wanted in sorted(by_part.items()):
-            part = d.parts[part_no]
-            skel = part_skeleton(part)
-            if skel.shape == SHAPE_TOTAL_ORDER:
-                values.update({n: _single_extension_value(skel, n) for n in wanted})
-            elif skel.shape == SHAPE_TREE:
-                sa = stable_interpolate(tree_from_part(part))
-                values.update({n: sa.value_of(n) for n in wanted})
-            elif skel.shape == SHAPE_REVERSE_TREE:
-                sa = stable_interpolate(tree_from_part(flip_constraints(part)))
-                values.update({n: 1 - sa.value_of(n) for n in wanted})
-            else:
-                raise ShapeError(
-                    "no stable scheme exists for general-shaped components "
-                    f"(component of {sorted(wanted)[0]!r})"
-                )
-    return values
-
-
-def _sampled_values(cs: ConstraintSet, names: list[str], cfg: SamplerConfig, chains: int) -> tuple[dict[str, float], int]:
-    walk = _Walk(cs)
-    values: dict[str, float] = {}
-    needs = []
-    for n in names:
-        cls = walk.class_of[cs.resolve(n).id]
-        if cls.id in walk.quotient.exact_values:
-            values[n] = float(walk.quotient.exact_values[cls.id])
-        else:
-            needs.append(n)
-    used = 0
-    if needs:
-        means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
-        for n in needs:
-            cls = walk.class_of[cs.resolve(n).id]
-            values[n] = float(means[walk.column[cls.id]])
-    return values, used
-
-
-def _auto_volume(cs: ConstraintSet, budget: int, threads: int) -> Fraction:
-    total = Fraction(1)
-    for part in decompose(cs).parts:
-        skel = part_skeleton(part)
-        if skel.shape == SHAPE_TREE:
-            total *= volume_tree(tree_from_part(part))
-        elif skel.shape == SHAPE_REVERSE_TREE:
-            total *= volume_tree(tree_from_part(flip_constraints(part)))
-        else:
-            total *= volume_exact(part, budget=budget, threads=threads)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_check(cs: ConstraintSet, args) -> tuple[dict, int]:
-    report = check_consistency(close_under_implication(cs))
+def _cmd_check(prep: Prepared, args) -> tuple[dict, int]:
+    report = check_consistency(prep.closed)
     if report.ok:
         return {"consistent": True}, 0
     return (
@@ -216,16 +117,16 @@ def _cmd_check(cs: ConstraintSet, args) -> tuple[dict, int]:
     )
 
 
-def _cmd_close(cs: ConstraintSet, args) -> tuple[dict, int]:
+def _cmd_close(prep: Prepared, args) -> tuple[dict, int]:
     # run() has already rejected contradictory input.
-    return {"constraints": json.loads(fileio.dumps(close_under_implication(cs)))}, 0
+    return {"constraints": json.loads(fileio.dumps(prep.closed))}, 0
 
 
-def _cmd_decompose(cs: ConstraintSet, args) -> tuple[dict, int]:
-    d = decompose(cs)
+def _cmd_decompose(prep: Prepared, args) -> tuple[dict, int]:
+    prep.reject_user_ties()
+    d = prep.decomposition
     parts = []
-    for class_vars, part in zip(d.classes, d.parts):
-        skel = part_skeleton(part)
+    for class_vars, skel in zip(d.classes, d.skeletons):
         unknown_names = sorted(v.name for v in class_vars)
         pinned_names = sorted(
             v.name
@@ -240,59 +141,55 @@ def _cmd_decompose(cs: ConstraintSet, args) -> tuple[dict, int]:
             }
         )
     parts.sort(key=lambda p: p["unknowns"])
-    return {"parts": parts, "dimension": polytope_dimension(cs)}, 0
+    return {"parts": parts, "dimension": polytope_dimension(prep.ties.quotient)}, 0
 
 
-def _cmd_dim(cs: ConstraintSet, args) -> tuple[dict, int]:
-    return {"dimension": polytope_dimension(cs)}, 0
+def _cmd_dim(prep: Prepared, args) -> tuple[dict, int]:
+    return {"dimension": polytope_dimension(prep.ties.quotient)}, 0
 
 
-def _cmd_volume(cs: ConstraintSet, args) -> tuple[dict, int]:
+def _cmd_volume(prep: Prepared, args) -> tuple[dict, int]:
     if args.engine == "exact":
-        vol = volume_exact(cs, budget=args.max_extensions, threads=args.threads)
+        vol = volume_exact(prep.closed, budget=args.max_extensions, threads=args.threads)
     elif args.engine == "tree":
-        vol = volume_tree(as_tree(cs))
-    elif args.engine in ("auto", None):
-        vol = _auto_volume(cs, args.max_extensions, args.threads)
-    else:
-        raise MalformedInputError(
-            f"volume supports engines auto|exact|tree, not {args.engine!r}"
-        )
+        vol = volume_tree(as_tree(prep.closed))
+    else:  # auto
+        prep.reject_user_ties()
+        vol = Fraction(1)
+        for skel in prep.decomposition.skeletons:
+            vol *= solve_part(skel, VOLUME, budget=args.max_extensions, threads=args.threads)
     return {"volume": _value_json(vol)}, 0
 
 
-def _interpolate_targets(cs: ConstraintSet, var: str | None) -> list[str]:
-    if var is not None:
-        return [cs.resolve(var).name]
-    return sorted(v.name for v in cs.unknowns())
-
-
-def _cmd_interpolate(cs: ConstraintSet, args) -> tuple[dict, int]:
-    names = _interpolate_targets(cs, args.var)
+def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
+    cs = prep.source
+    if args.var is not None:
+        names = [cs.resolve(args.var).name]
+    else:
+        names = sorted(v.name for v in cs.unknowns())
     diagnostics: dict = {}
-    if args.scheme == "stable":
-        values = _stable_values(cs, names)
+    if args.scheme == "stable" or args.engine == "auto":
+        # Persistent user ties are refused once any requested variable
+        # is not pinned in the input.
+        if any(cs.resolve(n).id not in cs.exact_values for n in names):
+            prep.reject_user_ties()
+        query = STABLE if args.scheme == "stable" else VALUES
+        values = part_values(prep, names, query, args.max_extensions, args.threads)
     elif args.engine == "sample":
-        cfg = _sampler_config(args)
-        floats, used = _sampled_values(cs, names, cfg, args.chains)
-        diagnostics["samples"] = used
-        values = floats
+        values, diagnostics["samples"] = _estimate_values(
+            prep.closed, names, _sampler_config(args), args.chains
+        )
     elif args.engine == "exact":
         if len(names) == 1:
             values = {
                 names[0]: interpolate_exact(
-                    cs, names[0], budget=args.max_extensions, threads=args.threads
+                    prep.closed, names[0], budget=args.max_extensions, threads=args.threads
                 )
             }
-        else:
-            everything = interpolate_all(
-                cs, budget=args.max_extensions, threads=args.threads
-            )
-            values = {n: everything[n] for n in names}
-    elif args.engine == "tree":
-        values = {n: interpolate_decomposed(cs, n) for n in names}
-    else:  # auto
-        values = _auto_values(cs, names, args.max_extensions, args.threads)
+        else:  # every unknown
+            values = interpolate_all(prep.closed, budget=args.max_extensions, threads=args.threads)
+    else:  # tree
+        values = tree_values(prep, names)
     return (
         {"values": {n: _value_json(values[n]) for n in sorted(values)}},
         0,
@@ -300,69 +197,64 @@ def _cmd_interpolate(cs: ConstraintSet, args) -> tuple[dict, int]:
     )
 
 
-def _cmd_marginal(cs: ConstraintSet, args) -> tuple[dict, int]:
+def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
     if args.var is None:
         raise MalformedInputError("marginal requires --var")
+    name = prep.source.resolve(args.var).name
     if args.engine == "exact":
-        pw = marginal_exact(cs, args.var, budget=args.max_extensions)
+        pw = marginal_exact(prep.closed, name, budget=args.max_extensions)
     elif args.engine == "tree":
-        pw = marginal_decomposed(cs, args.var)
+        pw = part_marginal(prep, name)
     else:  # auto
         try:
-            pw = marginal_decomposed(cs, args.var)
+            pw = part_marginal(prep, name)
         except ShapeError:
-            pw = marginal_exact(cs, args.var, budget=args.max_extensions)
-    return {"variable": cs.resolve(args.var).name, "marginal": _marginal_json(pw)}, 0
+            pw = marginal_exact(
+                prep.ties.quotient, prep.target(name).name, budget=args.max_extensions
+            )
+    return {"variable": name, "marginal": _marginal_json(pw)}, 0
 
 
-def _cmd_topk(cs: ConstraintSet, args) -> tuple[dict, int]:
+def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
     if args.select is None:
         raise MalformedInputError("topk requires --select a,b,c")
     if args.k is None:
         raise MalformedInputError("topk requires --k")
     names = [s.strip() for s in args.select.split(",") if s.strip()]
-    sel = select(cs, names)
+    sel = select(prep.source, names)
     if args.engine == "sample":
         if args.semantics != SEMANTICS_LOCAL:
             raise MalformedInputError(
                 "sampled top-k supports the local semantics only"
             )
-        ranked = estimate_topk(cs, sel, args.k, _sampler_config(args), args.chains)
-        entries = [
-            {"variable": v.name, "value": _value_json(val)} for v, val in ranked
-        ]
-        return {
-            "semantics": args.semantics,
-            "k": args.k,
-            "variables": [e["variable"] for e in entries],
-            "entries": entries,
-        }, 0
-    fn = {
-        SEMANTICS_LOCAL: local_topk,
-        SEMANTICS_U: u_topk,
-        SEMANTICS_GLOBAL: global_topk,
-    }.get(args.semantics)
-    if fn is None:
-        raise MalformedInputError(
-            f"semantics must be local|u|global, not {args.semantics!r}"
-        )
-    result = fn(cs, sel, args.k, budget=args.max_extensions, threads=args.threads)
-    entries = [
-        {"variable": v.name, "value": _value_json(val)} for v, val in result.entries
-    ]
+        ranked = estimate_topk(prep.closed, sel, args.k, _sampler_config(args), args.chains)
+    else:
+        fn = {
+            SEMANTICS_LOCAL: local_topk,
+            SEMANTICS_U: u_topk,
+            SEMANTICS_GLOBAL: global_topk,
+        }.get(args.semantics)
+        if fn is None:
+            raise MalformedInputError(
+                f"semantics must be local|u|global, not {args.semantics!r}"
+            )
+        ranked = fn(
+            prep.closed, sel, args.k, budget=args.max_extensions, threads=args.threads
+        ).entries
+    entries = [{"variable": v.name, "value": _value_json(val)} for v, val in ranked]
     return {
-        "semantics": result.semantics,
-        "k": result.k,
+        "semantics": args.semantics,
+        "k": args.k,
         "variables": [e["variable"] for e in entries],
         "entries": entries,
     }, 0
 
 
-def _cmd_sample(cs: ConstraintSet, args) -> tuple[dict, int]:
+def _cmd_sample(prep: Prepared, args) -> tuple[dict, int]:
     cfg = _sampler_config(args)
     points = [
         {n: float(v) for n, v in sorted(p.as_dict().items())}
-        for p in hit_and_run_sample(cs, cfg, args.count)
+        for p in hit_and_run_sample(prep.closed, cfg, args.count)
     ]
     return {"count": len(points), "points": points}, 0
 
@@ -506,17 +398,17 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        cs = _load(args.input)
+        prep = Prepared(_load(args.input))
         if args.command != "check":
             # Gate every command on consistency up front so shortcuts that
             # read pinned values directly cannot answer for an empty polytope.
             # `check` is exempt: reporting inconsistency is its result.
-            report = check_consistency(close_under_implication(cs))
+            report = check_consistency(prep.closed)
             if not report.ok:
                 raise ContradictionError(
                     report.message, tuple(v.name for v in report.witness)
                 )
-        outcome = _COMMANDS[args.command](cs, args)
+        outcome = _COMMANDS[args.command](prep, args)
         if len(outcome) == 3:
             results, code, diagnostics = outcome
         else:

@@ -28,14 +28,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, MalformedInputError
-from .model import (
-    ConstraintSet,
-    VariableId,
-    _check_user_ties,
-    _cover_edges,
-    close_under_implication,
-    collapse_ties,
-)
+from .model import ConstraintSet, Prepared, VariableId, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
 DEFAULT_BUDGET = 10_000_000
@@ -155,11 +148,10 @@ class _Prep:
 
 
 def _prepare(cs: ConstraintSet, *, reject_user_ties: bool = False) -> _Prep:
-    closed = close_under_implication(cs)
-    tq = collapse_ties(closed)
+    prep = Prepared(cs)
     if reject_user_ties:
-        _check_user_ties(closed, tq)
-    quotient, class_of = tq.quotient, dict(tq.class_of)
+        prep.reject_user_ties()
+    quotient, class_of = prep.ties.quotient, dict(prep.ties.class_of)
     n = len(quotient.variables)
     children: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n

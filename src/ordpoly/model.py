@@ -11,17 +11,17 @@ On top of the closed form this module provides consistency checking (via
 reachability between pinned values), persistent-tie collapsing (strongly
 connected components), Hasse covers, polytope dimension, independence
 decomposition of the unknowns, and shape classification of the parts
-(total-order / tree / reverse-tree / general).
+(total-order / tree / reverse-tree / general).  ``Prepared`` runs these
+stages once per request and hands their results to every engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
-
-import networkx as nx
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ContradictionError,
@@ -199,12 +199,6 @@ class ConstraintSet:
     def unknowns(self) -> tuple[VariableId, ...]:
         return tuple(v for v in self.variables if v.id not in self.exact_values)
 
-    def sorted_exacts(self) -> list[tuple[Fraction, VariableId]]:
-        return sorted(
-            ((val, self.variables[i]) for i, val in self.exact_values.items()),
-            key=lambda pair: (pair[0], pair[1].id),
-        )
-
     def has_persistent_tie(self) -> bool:
         self._require_closed()
         return any(mask >> i & 1 for i, mask in enumerate(self._succ))
@@ -265,43 +259,73 @@ def _fresh_bound_names(taken: Iterable[str]) -> tuple[str, str]:
     return bot, top
 
 
+def _strong_components(adj: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Strongly connected components of the digraph ``i -> adj[i]``.
+
+    Iterative Tarjan (1972), so deep chains cannot overflow the recursion
+    limit.  Components are yielded in reverse topological order: every
+    component comes after all the components it reaches.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n  # n once the node's component is out, so min() skips it
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp: list[int] = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = n
+                    yield comp
+
+
 def _reachability(n: int, edges: set[tuple[int, int]]) -> list[int]:
     """Per-node successor bitsets for the transitive closure of ``edges``.
 
-    Condenses strongly connected components (cycles arise from equal pinned
-    values or contradictory input) and accumulates reachability in reverse
-    topological order, so the cost is linear in the number of edges rather
-    than cubic in the number of variables.  Members of a nontrivial
-    component reach every co-member, themselves included.
+    Strongly connected components (cycles arise from equal pinned values
+    or contradictory input) arrive after everything they reach, so each
+    one's bitset is the union over its outgoing edges, and the cost is
+    linear in the number of edges rather than cubic in the number of
+    variables.  Members of a nontrivial component reach every co-member,
+    themselves included.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edges)
-    comp_of: dict[int, int] = {}
-    members: list[list[int]] = []
-    for comp in nx.strongly_connected_components(graph):
-        idx = len(members)
-        members.append(sorted(comp))
-        for node in comp:
-            comp_of[node] = idx
-    cond = nx.DiGraph()
-    cond.add_nodes_from(range(len(members)))
-    cond.add_edges_from(
-        (comp_of[a], comp_of[b]) for a, b in edges if comp_of[a] != comp_of[b]
-    )
-    member_mask = [sum(1 << m for m in group) for group in members]
-    comp_succ = [0] * len(members)
-    for c in reversed(list(nx.topological_sort(cond))):
-        acc = 0
-        for d in cond.successors(c):
-            acc |= comp_succ[d] | member_mask[d]
-        comp_succ[c] = acc
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+    comp_of = [-1] * n
     succ = [0] * n
-    for idx, group in enumerate(members):
-        bits = comp_succ[idx]
-        if len(group) > 1:
-            bits |= member_mask[idx]
-        for m in group:
+    for number, comp in enumerate(_strong_components(adj)):
+        for m in comp:
+            comp_of[m] = number
+        bits = 0
+        for m in comp:
+            for w in adj[m]:
+                if comp_of[w] != number:
+                    bits |= succ[w] | 1 << w
+        if len(comp) > 1:
+            bits |= sum(1 << m for m in comp)
+        for m in comp:
             succ[m] = bits
     return succ
 
@@ -439,17 +463,24 @@ def collapse_ties(cs: ConstraintSet) -> TieQuotient:
     differ on a measure-zero set only).  Inconsistent input is rejected.
     """
     closed = close_under_implication(cs)
+    if not closed.has_persistent_tie():
+        # Already tie-free (a quotient, or a part split from one): the
+        # quotient is the set itself, at no further closure cost.  It is
+        # also consistent, since a contradiction closes a cycle through
+        # the chain of pinned values.
+        identity = {v.id: v for v in closed.variables}
+        singletons = {v.id: (v,) for v in closed.variables}
+        return TieQuotient(closed, MappingProxyType(identity), MappingProxyType(singletons))
     report = check_consistency(closed)
     if not report.ok:
         raise ContradictionError(report.message, tuple(v.name for v in report.witness))
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(closed.variables)))
-    graph.add_edges_from(closed._base_edges)
-    classes = sorted(
-        (sorted(scc) for scc in nx.strongly_connected_components(graph)),
-        key=lambda members: members[0],
-    )
+    # Tied variables reach each other, so a tie class is the set of
+    # variables that reach themselves with one and the same successor set
+    # (an untied variable i keys its own class as ~i < 0).
+    groups: dict[int, list[int]] = {}
+    for i, mask in enumerate(closed._succ):
+        groups.setdefault(mask if mask >> i & 1 else ~i, []).append(i)
+    classes = list(groups.values())
 
     member_class = {}
     for idx, members in enumerate(classes):
@@ -525,30 +556,6 @@ def _cover_edges(closed: ConstraintSet) -> frozenset[tuple[int, int]]:
     return frozenset(covers)
 
 
-def _check_user_ties(closed: ConstraintSet, tq: TieQuotient) -> None:
-    """Reject tie classes that merge two or more user variables.
-
-    Closing a set whose pinned values include 0 or 1 ties those variables
-    with the reserved bounds; such single-user-variable classes are an
-    implementation artifact and pass silently.  A class with two or more
-    user variables is a real persistent tie.
-    """
-    for members in tq.representatives.values():
-        user_members = [m for m in members if m.id not in closed.reserved]
-        if len(user_members) > 1:
-            names = ", ".join(sorted(m.name for m in user_members))
-            raise PersistentTieError(
-                f"persistent tie among {{{names}}}; collapse_ties first"
-            )
-
-
-def _tie_checked_quotient(cs: ConstraintSet) -> ConstraintSet:
-    closed = close_under_implication(cs)
-    tq = collapse_ties(closed)
-    _check_user_ties(closed, tq)
-    return tq.quotient
-
-
 def hasse(cs: ConstraintSet, include_bounds: bool = False) -> HasseDiagram:
     """Cover pairs of the closed order; rejects persistent user ties.
 
@@ -556,7 +563,9 @@ def hasse(cs: ConstraintSet, include_bounds: bool = False) -> HasseDiagram:
     With ``include_bounds`` the reserved 0/1 bound variables appear too;
     by default they are hidden.
     """
-    quotient = _tie_checked_quotient(cs)
+    prep = Prepared(cs)
+    prep.reject_user_ties()
+    quotient = prep.ties.quotient
     covers = _cover_edges(quotient)
     if include_bounds:
         return HasseDiagram(quotient.variables, covers)
@@ -575,20 +584,25 @@ class UninfluenceDecomposition:
     Two unknowns share a class when they are connected through cover edges
     that touch unknowns only; each part holds one class plus every pinned
     variable, so part volumes multiply to the whole volume and per-part
-    interpolation agrees with whole-set interpolation.
+    interpolation agrees with whole-set interpolation.  Parts are closed and
+    tie-free, so engines run on them without closing or collapsing again;
+    ``skeletons`` holds each part's skeleton, in part order.
     """
 
     classes: tuple[tuple[VariableId, ...], ...]
     parts: tuple[ConstraintSet, ...]
+    skeletons: tuple[PartSkeleton, ...] = field(repr=False)
     part_index: Mapping[str, int] = field(repr=False)
-
-    def part_of(self, name: str) -> ConstraintSet:
-        return self.parts[self.part_index[name]]
 
 
 def decompose(cs: ConstraintSet) -> UninfluenceDecomposition:
     """Split along the covering relation restricted to unknowns."""
-    quotient = _tie_checked_quotient(cs)
+    prep = Prepared(cs)
+    prep.reject_user_ties()
+    return prep.decomposition
+
+
+def _split(quotient: ConstraintSet) -> UninfluenceDecomposition:
     covers = _cover_edges(quotient)
     unknown_ids = [v.id for v in quotient.variables if v.id not in quotient.exact_values]
     parent = {i: i for i in unknown_ids}
@@ -610,36 +624,84 @@ def decompose(cs: ConstraintSet) -> UninfluenceDecomposition:
         groups.setdefault(find(i), []).append(i)
     ordered = sorted(groups.values(), key=lambda members: members[0])
 
-    visible_exact = [
-        quotient.variables[i]
-        for i in sorted(quotient.exact_values)
-        if i not in quotient.reserved
-    ]
-    classes = []
-    parts = []
-    part_index: dict[str, int] = {}
-    for part_no, members in enumerate(ordered):
-        class_vars = tuple(quotient.variables[i] for i in sorted(members))
-        classes.append(class_vars)
-        part_ids = set(members) | {v.id for v in visible_exact}
-        names = [quotient.variables[i].name for i in sorted(part_ids)]
-        # Projecting base edges (not the full closure) is enough: any closure
-        # relation between part members is witnessed by cover chains through
-        # the part's own class plus the chain of pinned variables, both of
-        # which survive the projection.
-        edges = [
-            (quotient.variables[a].name, quotient.variables[b].name)
-            for a, b in quotient._base_edges
-            if a in part_ids and b in part_ids
-        ]
-        exact = {v.name: quotient.exact_values[v.id] for v in visible_exact}
-        parts.append(ConstraintSet(names, edges, exact))
-        for v in class_vars:
-            part_index[v.name] = part_no
-
-    return UninfluenceDecomposition(
-        tuple(classes), tuple(parts), MappingProxyType(part_index)
+    classes = tuple(tuple(quotient.variables[i] for i in members) for members in ordered)
+    parts = tuple(
+        _restrict(quotient, sorted(set(members).union(quotient.exact_values)))
+        for members in ordered
     )
+    part_index = {v.name: no for no, class_vars in enumerate(classes) for v in class_vars}
+    return UninfluenceDecomposition(
+        classes,
+        parts,
+        tuple(part_skeleton(part) for part in parts),
+        MappingProxyType(part_index),
+    )
+
+
+def _restrict(quotient: ConstraintSet, ids: list[int]) -> ConstraintSet:
+    """The closed, tie-free restriction of ``quotient`` to a part's ``ids``
+    (one class of unknowns plus every pinned variable, bounds included).
+
+    Any order between part members is witnessed by cover chains through the
+    class and the chain of pinned variables, all inside the part, so the
+    quotient's closure is projected, never recomputed.
+    """
+    if len(ids) == len(quotient.variables):
+        return quotient
+    index = {old: new for new, old in enumerate(ids)}
+    mask = sum(1 << i for i in ids)
+    succ = [sum(1 << index[j] for j in _bits(quotient._succ[i] & mask)) for i in ids]
+    return ConstraintSet._assemble(
+        tuple(VariableId(new, quotient.variables[old].name) for new, old in enumerate(ids)),
+        tuple(
+            (index[a], index[b])
+            for a, b in quotient._base_edges
+            if a in index and b in index
+        ),
+        {index[i]: value for i, value in quotient.exact_values.items()},
+        closed=True,
+        reserved=frozenset(index[i] for i in quotient.reserved),
+        succ=succ,
+    )
+
+
+class Prepared:
+    """One request's pipeline, each stage run at most once: the input is
+    closed on construction, its tie quotient and its parts (with skeletons)
+    are built on first use, and engines read them from here.  Checking
+    consistency is the caller's step; collapsing rejects a contradiction."""
+
+    def __init__(self, cs: ConstraintSet):
+        self.source = cs
+        self.closed = close_under_implication(cs)
+
+    @cached_property
+    def ties(self) -> TieQuotient:
+        return collapse_ties(self.closed)
+
+    @cached_property
+    def decomposition(self) -> UninfluenceDecomposition:
+        return _split(self.ties.quotient)
+
+    def reject_user_ties(self) -> None:
+        """Reject tie classes that merge two or more user variables.
+
+        Closing a set whose pinned values include 0 or 1 ties those
+        variables with the reserved bounds; such single-user-variable
+        classes are an implementation artifact and pass silently.  A class
+        with two or more user variables is a real persistent tie.
+        """
+        for members in self.ties.representatives.values():
+            user_members = [m for m in members if m.id not in self.closed.reserved]
+            if len(user_members) > 1:
+                names = ", ".join(sorted(m.name for m in user_members))
+                raise PersistentTieError(
+                    f"persistent tie among {{{names}}}; collapse_ties first"
+                )
+
+    def target(self, x: VarLike) -> VariableId:
+        """The quotient class of a variable of the source set."""
+        return self.ties.quotient_of(self.source, x)
 
 
 def polytope_dimension(cs: ConstraintSet) -> int:
@@ -665,12 +727,6 @@ class PartSkeleton:
     children: Mapping[int, tuple[int, ...]]
     parents: Mapping[int, tuple[int, ...]]
     shape: str
-
-    def node_by_name(self, name: str) -> VariableId:
-        for v in self.nodes:
-            if v.name == name:
-                return v
-        raise MalformedInputError(f"variable {name!r} is not part of this component")
 
 
 def part_skeleton(part: ConstraintSet) -> PartSkeleton:
@@ -748,7 +804,7 @@ def _shape_of(
 
 def classify_shape(cs: ConstraintSet) -> list[str]:
     """Shape tag for each decomposition part, in decomposition order."""
-    return [part_skeleton(p).shape for p in decompose(cs).parts]
+    return [skel.shape for skel in decompose(cs).skeletons]
 
 
 def flip_constraints(cs: ConstraintSet) -> ConstraintSet:

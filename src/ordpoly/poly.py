@@ -172,21 +172,6 @@ POLY_ONE = Polynomial.constant(1)
 POLY_T = Polynomial.of([0, 1])
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product; degree adds unless an operand is zero."""
-    return p * q
-
-
-def poly_antideriv(p: Polynomial) -> Polynomial:
-    """Antiderivative with zero constant term."""
-    return p.antideriv()
-
-
-def poly_integrate(p: Polynomial, a: RationalLike, b: RationalLike) -> Fraction:
-    """Exact definite integral of ``p`` over [a, b]; requires a <= b."""
-    return p.integrate(a, b)
-
-
 def order_statistic_density(rank: int, n: int, a: Fraction, b: Fraction) -> Polynomial:
     """Density of the ``rank``-th smallest of ``n`` uniform samples on [a, b].
 

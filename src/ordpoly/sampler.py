@@ -29,7 +29,7 @@ import numpy as np
 
 from ._kernels import CHORD_EPS, STALLED, stepper
 from .errors import MalformedInputError, SamplerError
-from .model import ConstraintSet, VariableId, _bits, close_under_implication, collapse_ties
+from .model import ConstraintSet, Prepared, VariableId, _bits
 from .topk import SelectionPredicate
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 POINT_TOLERANCE = 1e-12
+# Each chain is one thread.  The cap is fixed rather than taken from the
+# machine because estimates depend on the chain count (chain c is seeded
+# seed + c).
+MAX_CHAINS = 64
 _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
 
@@ -110,12 +114,12 @@ class _Walk:
     """Quotient geometry shared by every sampler entry point."""
 
     def __init__(self, cs: ConstraintSet):
-        closed = close_under_implication(cs)
-        tq = collapse_ties(closed)
-        q = tq.quotient
+        prep = Prepared(cs)
+        q = prep.ties.quotient
+        self.closed = prep.closed
         self.quotient = q
-        self.class_of = tq.class_of
-        self.visible = closed.visible()
+        self.class_of = prep.ties.class_of
+        self.visible = prep.closed.visible()
         self.unknown_ids = [v.id for v in q.variables if v.id not in q.exact_values]
         self.column = {qid: c for c, qid in enumerate(self.unknown_ids)}
         self.dimension = len(self.unknown_ids)
@@ -244,7 +248,7 @@ def hit_and_run_sample(
         for _ in range(count):
             yield unique
         return
-    check = _point_checker(cs)
+    check = _point_checker(walk.closed)
     coords = _raw_samples(walk, cfg, count, cfg.seed)
     for row in coords:
         point = walk.point_from(row)
@@ -252,9 +256,14 @@ def hit_and_run_sample(
         yield point
 
 
-def _point_checker(cs: ConstraintSet):
-    """Validator enforcing the emission tolerance on every constraint."""
-    _, edges, exact = cs.user_view()
+def _point_checker(closed: ConstraintSet):
+    """Validator enforcing the emission tolerance on every constraint (the
+    closed set's direct edges: the input's pairs plus the pinned chain)."""
+    names = {v.id: v.name for v in closed.visible()}
+    edges = sorted(
+        (names[a], names[b]) for a, b in closed._base_edges if a in names and b in names
+    )
+    exact = {names[i]: value for i, value in closed.exact_values.items() if i in names}
 
     def check(point: SamplePoint) -> None:
         vals = point.as_dict()
@@ -275,6 +284,8 @@ def _chain_means(
     walk: _Walk, cfg: SamplerConfig, total: int, chains: int
 ) -> tuple[np.ndarray, int]:
     """Column means over ``total`` samples split across chains."""
+    if chains > MAX_CHAINS:
+        raise MalformedInputError(f"chains must be at most {MAX_CHAINS}, got {chains}")
     chains = max(1, min(chains, total))
     counts = [total // chains + (1 if c < total % chains else 0) for c in range(chains)]
 
@@ -290,17 +301,31 @@ def _chain_means(
     return sums / total, total
 
 
+def _estimate_values(
+    cs: ConstraintSet, xs: Iterable, cfg: SamplerConfig, chains: int
+) -> tuple[dict, int]:
+    """Estimates of several variables from one shared stream, plus the
+    number of samples drawn.  A variable whose tie class is pinned is that
+    constant; when all are, nothing is sampled."""
+    walk = _Walk(cs)
+    pinned = walk.quotient.exact_values
+    classes = {x: walk.class_of[cs.resolve(x).id] for x in xs}
+    values = {x: float(pinned[c.id]) for x, c in classes.items() if c.id in pinned}
+    if len(values) == len(classes):
+        return values, 0
+    means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
+    for x, c in classes.items():
+        if c.id not in pinned:
+            values[x] = float(means[walk.column[c.id]])
+    return values, used
+
+
 def estimate_expected_value(
     cs: ConstraintSet, x, cfg: SamplerConfig | None = None, chains: int = 1
 ) -> EstimateResult:
     """Monte-Carlo estimate of E[x] from N Hoeffding-sized samples."""
-    cfg = cfg or SamplerConfig()
-    walk = _Walk(cs)
-    cls = walk.class_of[cs.resolve(x).id]
-    if cls.id in walk.quotient.exact_values:
-        return EstimateResult(float(walk.quotient.exact_values[cls.id]), 0)
-    means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
-    return EstimateResult(float(means[walk.column[cls.id]]), used)
+    values, used = _estimate_values(cs, [x], cfg or SamplerConfig(), chains)
+    return EstimateResult(values[x], used)
 
 
 def estimate_topk(
@@ -320,23 +345,8 @@ def estimate_topk(
         names = list(selection)
     if not names:
         return []
-    cfg = cfg or SamplerConfig()
-    walk = _Walk(cs)
     chosen = sorted((cs.resolve(n) for n in names), key=lambda v: v.name)
-    values: dict[VariableId, float] = {}
-    needs_sampling = False
-    for v in chosen:
-        cls = walk.class_of[v.id]
-        if cls.id in walk.quotient.exact_values:
-            values[v] = float(walk.quotient.exact_values[cls.id])
-        else:
-            needs_sampling = True
-    if needs_sampling:
-        means, _ = _chain_means(walk, cfg, cfg.sample_count(), chains)
-        for v in chosen:
-            cls = walk.class_of[v.id]
-            if cls.id not in walk.quotient.exact_values:
-                values[v] = float(means[walk.column[cls.id]])
+    values, _ = _estimate_values(cs, chosen, cfg or SamplerConfig(), chains)
     ranked = sorted(chosen, key=lambda v: (-values[v], v.name))
     return [(v, values[v]) for v in ranked[:k]]
 

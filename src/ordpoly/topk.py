@@ -32,19 +32,9 @@ from .errors import (
     LimitExceededError,
     MalformedInputError,
 )
-from .exact import DEFAULT_BUDGET, _count_extensions, _prepare, _Prep, _walk, interpolate_all
-from .model import (
-    SHAPE_GENERAL,
-    SHAPE_REVERSE_TREE,
-    SHAPE_TOTAL_ORDER,
-    SHAPE_TREE,
-    ConstraintSet,
-    VariableId,
-    decompose,
-    flip_constraints,
-    part_skeleton,
-)
-from .tree import _single_extension_value, interpolate_tree, tree_from_part
+from .exact import DEFAULT_BUDGET, _count_extensions, _prepare, _Prep, _walk
+from .model import ConstraintSet, Prepared, VariableId
+from .tree import part_values
 
 __all__ = [
     "SEMANTICS_LOCAL",
@@ -151,22 +141,6 @@ def _with_estimate_hint(err: BudgetExceededError) -> BudgetExceededError:
 # local semantics: ranked expected values
 
 
-def _part_values(part: ConstraintSet, wanted: set[str], budget: int, threads: int) -> dict[str, Fraction]:
-    """Expected values of ``wanted`` unknowns inside one decomposition part."""
-    skel = part_skeleton(part)
-    if skel.shape == SHAPE_TREE:
-        t = tree_from_part(part)
-        return {n: interpolate_tree(t, n) for n in wanted}
-    if skel.shape == SHAPE_REVERSE_TREE:
-        t = tree_from_part(flip_constraints(part))
-        return {n: 1 - interpolate_tree(t, n) for n in wanted}
-    if skel.shape == SHAPE_TOTAL_ORDER:
-        return {n: _single_extension_value(skel, n) for n in wanted}
-    assert skel.shape == SHAPE_GENERAL
-    vals = interpolate_all(part, budget=budget, threads=threads)
-    return {n: vals[n] for n in wanted}
-
-
 def local_topk(
     cs: ConstraintSet,
     sel: SelectionPredicate | Iterable[str],
@@ -177,22 +151,15 @@ def local_topk(
     """The k selected variables with the highest expected values."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    values: dict[str, Fraction] = {}
-    by_part: dict[int, set[str]] = {}
-    decomposition = None
-    for v in chosen:
-        if v.id in cs.exact_values:
-            values[v.name] = cs.exact_values[v.id]
-            continue
-        if decomposition is None:
-            decomposition = decompose(cs)
-        by_part.setdefault(decomposition.part_index[v.name], set()).add(v.name)
-    try:
-        for part_no, wanted in sorted(by_part.items()):
-            part = decomposition.parts[part_no]
-            values.update(_part_values(part, wanted, budget, threads))
-    except BudgetExceededError as err:
-        raise _with_estimate_hint(err) from None
+    values = {v.name: cs.exact_values[v.id] for v in chosen if v.id in cs.exact_values}
+    unknowns = [v.name for v in chosen if v.id not in cs.exact_values]
+    if unknowns:
+        prep = Prepared(cs)
+        prep.reject_user_ties()
+        try:
+            values.update(part_values(prep, unknowns, budget=budget, threads=threads))
+        except BudgetExceededError as err:
+            raise _with_estimate_hint(err) from None
     ranked = sorted(chosen, key=lambda v: (-values[v.name], v.name))
     entries = tuple((v, values[v.name]) for v in ranked[:k])
     return TopKResult(SEMANTICS_LOCAL, k, entries)

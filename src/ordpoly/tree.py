@@ -20,8 +20,9 @@ leaf of value v.  On each interval between consecutive pinned values the
 marginal is one polynomial, so it is recovered exactly by evaluating at
 enough rational sample points and interpolating.
 
-Reverse-tree-shaped sets (the mirror image) are handled by flipping
-v -> 1 - v, and independent components by the decomposition dispatcher.
+Reverse-tree-shaped parts are solved on the tree of their mirror image
+v -> 1 - v, and ``solve_part`` picks the engine for each decomposition
+part by its shape.
 """
 
 from __future__ import annotations
@@ -30,19 +31,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MalformedInputError, ShapeError
+from .exact import DEFAULT_BUDGET, interpolate_all, volume_exact
 from .model import (
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
+    SHAPE_TOTAL_ORDER,
+    SHAPE_TREE,
     ConstraintSet,
     PartSkeleton,
+    Prepared,
     VariableId,
     _tree_violation,
-    collapse_ties,
     decompose,
-    flip_constraints,
     part_skeleton,
 )
 from .poly import (
@@ -183,21 +186,21 @@ class SubtreeVolumeFn:
 
 def as_tree(cs: ConstraintSet) -> ConstraintTree:
     """Build a ConstraintTree from a constraint set with one component."""
-    parts = decompose(cs).parts
-    if len(parts) != 1:
+    d = decompose(cs)
+    if len(d.parts) != 1:
         raise ShapeError(
-            f"constraint set splits into {len(parts)} independent components; "
+            f"constraint set splits into {len(d.parts)} independent components; "
             "build one tree per decomposition part"
         )
-    return tree_from_part(parts[0])
+    return _validated_tree(d.skeletons[0])
 
 
 def tree_from_part(part: ConstraintSet) -> ConstraintTree:
     """Validate one decomposition part as a tree, or explain why not."""
-    return _tree_from_skeleton(part_skeleton(part))
+    return _validated_tree(part_skeleton(part))
 
 
-def _tree_from_skeleton(skel: PartSkeleton) -> ConstraintTree:
+def _validated_tree(skel: PartSkeleton) -> ConstraintTree:
     node_ids = [v.id for v in skel.nodes]
     exact_ids = set(skel.quotient.exact_values)
     violation = _tree_violation(node_ids, skel.children, skel.parents, exact_ids)
@@ -211,18 +214,29 @@ def _tree_from_skeleton(skel: PartSkeleton) -> ConstraintTree:
                 "on the flipped tree, and flip the results back"
             )
         raise ShapeError(f"not tree-shaped: {violation}")
+    return _build_tree(skel)
 
+
+def _build_tree(skel: PartSkeleton, mirrored: bool = False) -> ConstraintTree:
+    """The tree of a tree-shaped skeleton, or with ``mirrored`` of the mirror
+    image v -> 1 - v of a reverse-tree one (children and parents swap, each
+    pinned alpha becomes 1 - alpha; ``source`` stays the unmirrored part)."""
+    down = skel.parents if mirrored else skel.children
+    node_ids = [v.id for v in skel.nodes]
     by_id = {v.id: v for v in skel.nodes}
     children = {
-        by_id[i]: tuple(by_id[c] for c in skel.children[i]) for i in node_ids
+        by_id[i]: tuple(by_id[c] for c in down[i]) for i in node_ids
     }
     parent = {
-        by_id[c]: by_id[i] for i in node_ids for c in skel.children[i]
+        by_id[c]: by_id[i] for i in node_ids for c in down[i]
     }
     root = next(v for v in skel.nodes if v not in parent)
-    values = skel.quotient.exact_values
+    values = {
+        i: 1 - value if mirrored else value
+        for i, value in skel.quotient.exact_values.items()
+    }
     leaf_values = {
-        by_id[i]: values[i] for i in node_ids if not skel.children[i] and i != root.id
+        by_id[i]: values[i] for i in node_ids if not down[i] and i != root.id
     }
 
     min_leaf: dict[VariableId, Fraction] = {}
@@ -393,80 +407,155 @@ def interpolate_tree(t: ConstraintTree, x) -> Fraction:
 
 
 def _single_extension_value(skel: PartSkeleton, name: str) -> Fraction:
-    """Expected value in a totally ordered part (exactly one extension)."""
-    order: list[int] = []
-    current = [v.id for v in skel.nodes if not skel.parents[v.id]]
-    while current:
-        assert len(current) == 1, "totally ordered part expected"
-        i = current[0]
-        order.append(i)
-        current = list(skel.children[i])
+    """Expected value in a totally ordered part (exactly one extension):
+    evenly spaced between the nearest pinned values below and above."""
+    order = [next(v.id for v in skel.nodes if not skel.parents[v.id])]
+    while skel.children[order[-1]]:
+        order.append(skel.children[order[-1]][0])
     values = skel.quotient.exact_values
-    names = {i: skel.quotient.variables[i].name for i in order}
-    positions = [pos for pos, i in enumerate(order) if i in values]
-    k = next(pos for pos, i in enumerate(order) if names[i] == name)
-    p = max(pos for pos in positions if pos < k)
-    q = min(pos for pos in positions if pos > k)
+    k = next(pos for pos, i in enumerate(order) if skel.quotient.variables[i].name == name)
+    p = max(pos for pos in range(k) if order[pos] in values)
+    q = min(pos for pos in range(k + 1, len(order)) if order[pos] in values)
     alpha, beta = values[order[p]], values[order[q]]
-    n = q - p - 1
-    return alpha + Fraction(k - p, n + 1) * (beta - alpha)
+    return alpha + Fraction(k - p, q - p) * (beta - alpha)
+
+
+VOLUME = "volume"
+VALUES = "values"
+MARGINAL = "marginal"
+STABLE = "stable"
+
+
+def solve_part(
+    skel: PartSkeleton,
+    query: str,
+    names: Sequence[str] = (),
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+):
+    """Answer ``query`` on one decomposition part by the engine its shape
+    allows: the volume (VOLUME), ``{name: value}`` for the unknowns ``names``
+    (VALUES, STABLE), or the marginal density of ``names[0]`` (MARGINAL).
+
+    Reverse-tree parts are solved on the tree of their mirror image.  A
+    total order has one linear extension, hence closed-form values; its
+    skeleton is a tree, which gives its marginal, and its volume goes to
+    the exact engine under the extension budget, as a general part's does.
+    """
+    shape = skel.shape
+    if shape == SHAPE_TOTAL_ORDER and query in (VALUES, STABLE):
+        return {n: _single_extension_value(skel, n) for n in names}
+    if shape in (SHAPE_TREE, SHAPE_REVERSE_TREE) or (
+        shape == SHAPE_TOTAL_ORDER and query == MARGINAL
+    ):
+        mirrored = shape == SHAPE_REVERSE_TREE
+        t = _build_tree(skel, mirrored)
+        if query == VOLUME:
+            return volume_tree(t)
+        if query == MARGINAL:
+            pw = marginal_tree(t, names[0])
+            if not mirrored:
+                return pw
+            # density of 1-X: reflect each piece through t -> 1-t
+            breakpoints = tuple(1 - b for b in reversed(pw.breakpoints))
+            pieces = tuple(
+                p.compose_affine(Fraction(1), Fraction(-1)) for p in reversed(pw.pieces)
+            )
+            return PiecewisePolynomial(breakpoints, pieces).canonical()
+        if query == STABLE:
+            from .stable import stable_interpolate  # stable.py imports this module
+
+            assignment = stable_interpolate(t)
+            solved = {n: assignment.value_of(n) for n in names}
+        else:
+            solved = {n: interpolate_tree(t, n) for n in names}
+        return {n: 1 - v for n, v in solved.items()} if mirrored else solved
+    if query == VOLUME:
+        return volume_exact(skel.part, budget=budget, threads=threads)
+    if query == VALUES:
+        everything = interpolate_all(skel.part, budget=budget, threads=threads)
+        return {n: everything[n] for n in names}
+    if query == MARGINAL:
+        raise ShapeError(
+            f"the component containing {names[0]!r} is not (reverse-)tree-shaped; "
+            "use marginal_exact"
+        )
+    raise ShapeError(
+        "no stable scheme exists for general-shaped components "
+        f"(component of {min(names)!r})"
+    )
+
+
+def part_values(
+    prep: Prepared,
+    names: Sequence,
+    query: str = VALUES,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+) -> dict:
+    """Expected (with STABLE, stable-scheme) values of source variables.  A
+    pinned tie class gives its value; the rest are grouped by part and each
+    part is solved once, in part order, so the first failing part raises."""
+    pinned = prep.ties.quotient.exact_values
+    values = {}
+    wanted: dict[int, dict] = {}
+    for x in names:
+        target = prep.target(x)
+        if target.id in pinned:
+            values[x] = pinned[target.id]
+        else:
+            part_no = prep.decomposition.part_index[target.name]
+            wanted.setdefault(part_no, {})[x] = target.name
+    for part_no in sorted(wanted):
+        targets = wanted[part_no]
+        solved = solve_part(
+            prep.decomposition.skeletons[part_no],
+            query,
+            sorted(set(targets.values())),
+            budget,
+            threads,
+        )
+        values.update((x, solved[name]) for x, name in targets.items())
+    return values
+
+
+def tree_values(prep: Prepared, names: Sequence) -> dict:
+    """Expected values without the exact engine: a variable in a
+    general-shaped part raises ``ShapeError`` (the first such in ``names``).
+    """
+    d = prep.decomposition
+    for x in names:
+        name = prep.target(x).name
+        if name in d.part_index and d.skeletons[d.part_index[name]].shape == SHAPE_GENERAL:
+            raise ShapeError(
+                f"the component containing {name!r} is general-shaped; "
+                "use the exact engine (interpolate_exact) or the sampler"
+            )
+    return part_values(prep, names)
+
+
+def part_marginal(prep: Prepared, x) -> PiecewisePolynomial:
+    """Marginal density of ``x`` from its decomposition part (tree shapes)."""
+    target = prep.target(x)
+    if target.id in prep.ties.quotient.exact_values:
+        raise MalformedInputError(
+            f"{target.name!r} is pinned; only unknowns have a density"
+        )
+    d = prep.decomposition
+    return solve_part(d.skeletons[d.part_index[target.name]], MARGINAL, [target.name])
 
 
 def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
     """Expected value of ``x`` via its decomposition part.
 
     Pinned variables return their value; tree-shaped parts use the tree
-    engine; reverse-tree-shaped parts are flipped (v -> 1-v), solved, and
-    flipped back; totally ordered parts have a single linear extension and
+    engine; reverse-tree-shaped parts are solved on their mirror image
+    (v -> 1-v); totally ordered parts have a single linear extension and
     a closed form.  General parts raise ``ShapeError``.
     """
-    tq = collapse_ties(cs)
-    target = tq.quotient_of(cs, x)
-    pinned = tq.quotient.exact_values.get(target.id)
-    if pinned is not None:
-        return pinned
-    part = decompose(tq.quotient).part_of(target.name)
-    skel = part_skeleton(part)
-    if skel.shape == SHAPE_GENERAL:
-        raise ShapeError(
-            f"the component containing {target.name!r} is general-shaped; "
-            "use the exact engine (interpolate_exact) or the sampler"
-        )
-    node_ids = [v.id for v in skel.nodes]
-    exact_ids = set(skel.quotient.exact_values)
-    if _tree_violation(node_ids, skel.children, skel.parents, exact_ids) is None:
-        return interpolate_tree(_tree_from_skeleton(skel), target.name)
-    if skel.shape == SHAPE_REVERSE_TREE:
-        flipped = flip_constraints(part)
-        return 1 - interpolate_tree(tree_from_part(flipped), target.name)
-    # Totally ordered with interior pinned values: one extension, closed form.
-    return _single_extension_value(skel, target.name)
+    return tree_values(Prepared(cs), [x])[x]
 
 
 def marginal_decomposed(cs: ConstraintSet, x) -> PiecewisePolynomial:
     """Marginal density of ``x`` via its decomposition part (tree shapes)."""
-    tq = collapse_ties(cs)
-    target = tq.quotient_of(cs, x)
-    if target.id in tq.quotient.exact_values:
-        raise MalformedInputError(
-            f"{target.name!r} is pinned; only unknowns have a density"
-        )
-    part = decompose(tq.quotient).part_of(target.name)
-    skel = part_skeleton(part)
-    node_ids = [v.id for v in skel.nodes]
-    exact_ids = set(skel.quotient.exact_values)
-    if _tree_violation(node_ids, skel.children, skel.parents, exact_ids) is None:
-        return marginal_tree(_tree_from_skeleton(skel), target.name)
-    if _tree_violation(node_ids, skel.parents, skel.children, exact_ids) is None:
-        flipped = marginal_tree(tree_from_part(flip_constraints(part)), target.name)
-        # density of 1-X: reflect each piece through t -> 1-t
-        breakpoints = tuple(1 - b for b in reversed(flipped.breakpoints))
-        pieces = tuple(
-            p.compose_affine(Fraction(1), Fraction(-1))
-            for p in reversed(flipped.pieces)
-        )
-        return PiecewisePolynomial(breakpoints, pieces).canonical()
-    raise ShapeError(
-        f"the component containing {target.name!r} is not (reverse-)tree-shaped; "
-        "use marginal_exact"
-    )
+    return part_marginal(Prepared(cs), x)

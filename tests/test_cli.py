@@ -7,12 +7,15 @@ the exit code, and the error channel.
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ordpoly import cli, fileio
+import ordpoly
+from ordpoly import cli, fileio, model, sampler
 
 
 def run_cli(argv, stdin_text=None):
@@ -448,3 +451,66 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         code, _, _ = run_cli(["--help"])
         assert code == 0
+
+    def test_chain_count_above_cap_is_exit_3(self, tmp_path, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_threads)
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        code, out, err = run_cli(["interpolate", path, "--engine", "sample", "--chains", "3000"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "malformed"
+
+
+# A tree part (a, b, c) and a reverse-tree part (x, y, z) sharing the pins.
+TREE_AND_MIRROR = {
+    "variables": ["lo", "a", "b", "c", "h1", "h2", "lo2", "lo3", "x", "y", "z", "top"],
+    "order": [
+        ["lo", "a"], ["a", "b"], ["a", "c"], ["b", "h1"], ["c", "h2"],
+        ["lo2", "x"], ["lo3", "y"], ["x", "z"], ["y", "z"], ["z", "top"],
+    ],
+    "exact": {"lo": "1/10", "h1": "7/10", "h2": "4/5", "lo2": "1/5", "lo3": "3/10", "top": "9/10"},
+}
+
+
+class TestPipelineRunsOnce:
+    """A request closes and tie-collapses its input once: at most two
+    closure passes, the input's and its tie quotient's."""
+
+    @pytest.mark.parametrize(
+        "doc, engine, var",
+        [(TREE_AND_MIRROR, "auto", "z"), (DIAMOND_HALF, "auto", "y"), (DIAMOND_HALF, "exact", "y")],
+        ids=["tree-and-mirror", "general-dag", "exact-engine"],
+    )
+    @pytest.mark.parametrize("command", ["volume", "interpolate", "marginal"])
+    def test_at_most_two_closure_passes(self, tmp_path, monkeypatch, doc, engine, var, command):
+        passes = []
+        reachability = model._reachability
+
+        def counted(*args):
+            passes.append(args)
+            return reachability(*args)
+
+        monkeypatch.setattr(model, "_reachability", counted)
+        path = write_doc(tmp_path, "doc.json", doc)
+        argv = [command, path, "--engine", engine]
+        if command == "marginal":
+            argv += ["--var", var]
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+        assert len(passes) <= 2
+
+
+def test_library_import_leaves_networkx_unloaded():
+    # networkx is a test-only dependency (the oracles use it)
+    probe = "import sys, ordpoly, ordpoly.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=Path(ordpoly.__file__).parents[1],
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

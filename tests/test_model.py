@@ -27,6 +27,7 @@ from ordpoly import (
     polytope_dimension,
 )
 from ordpoly import fileio
+from ordpoly.model import _reachability, _strong_components
 
 F = Fraction
 
@@ -107,6 +108,76 @@ class TestClosure:
                 (a, b) for a in g for b in nx.descendants(g, a)
             }
             assert closure == set(cs.order_edges)
+
+
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+    return adj
+
+
+def _condensation_reachability(n, edges):
+    """Reference closure: networkx SCCs, then a pass over the condensation
+    in reverse topological order."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    cond = nx.condensation(g)
+    comp_succ = {}
+    for c in reversed(list(nx.topological_sort(cond))):
+        acc = 0
+        for d in cond.successors(c):
+            for m in cond.nodes[d]["members"]:
+                acc |= 1 << m
+            acc |= comp_succ[d]
+        comp_succ[c] = acc
+    succ = [0] * n
+    for c in cond.nodes:
+        members = cond.nodes[c]["members"]
+        bits = comp_succ[c]
+        if len(members) > 1:
+            bits |= sum(1 << m for m in members)
+        for m in members:
+            succ[m] = bits
+    return succ
+
+
+digraphs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+
+class TestStrongComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs)
+    def test_matches_networkx(self, graph):
+        import networkx as nx
+
+        n, edges = graph
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        comps = list(_strong_components(_adjacency(n, edges)))
+        assert {frozenset(c) for c in comps} == {
+            frozenset(c) for c in nx.strongly_connected_components(g)
+        }
+        # reverse topological order: each component after all it reaches
+        position = {m: k for k, comp in enumerate(comps) for m in comp}
+        assert all(position[a] >= position[b] for a, b in edges)
+        assert _reachability(n, set(edges)) == _condensation_reachability(n, edges)
+
+    def test_deep_cycle_needs_no_recursion(self):
+        n = 5000
+        edges = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}
+        comps = list(_strong_components(_adjacency(n, edges)))
+        assert len(comps) == 1 and sorted(comps[0]) == list(range(n))
+        assert _reachability(n, edges) == [(1 << n) - 1] * n
 
 
 class TestConsistency:

@@ -19,6 +19,7 @@ from ordpoly import (
     local_topk,
     rejection_sample_mean,
 )
+from ordpoly import sampler
 from ordpoly._kernels import numba_available
 
 F = Fraction
@@ -55,6 +56,20 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(MalformedInputError):
             SamplerConfig(**kwargs)
+
+
+class TestChainCap:
+    def test_chains_above_cap_fail_before_any_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_threads)
+        cs = ConstraintSet(["a", "b"], [("a", "b")], {})
+        for chains in (sampler.MAX_CHAINS + 1, 3000):
+            with pytest.raises(MalformedInputError):
+                estimate_expected_value(cs, "a", SamplerConfig(), chains=chains)
+            with pytest.raises(MalformedInputError):
+                estimate_topk(cs, ["a", "b"], 1, SamplerConfig(), chains=chains)
 
 
 class TestFeasibility:

@@ -153,6 +153,19 @@ class TestMarginal:
             == marginal_exact(cs, "u").canonical()
         )
 
+    def test_mirrored_parts_match_enumeration(self):
+        # reverse-tree parts are solved on the mirrored skeleton
+        rng = random.Random(17)
+        for _ in range(12):
+            cs = flip_constraints(gen.to_cs(gen.tree_doc(rng, rng.randint(1, 6))))
+            whole = interpolate_all(cs)
+            for u in cs.unknowns():
+                assert interpolate_decomposed(cs, u.name) == whole[u.name]
+                assert (
+                    marginal_decomposed(cs, u.name).canonical()
+                    == marginal_exact(cs, u.name).canonical()
+                )
+
     def test_breakpoints_are_pin_values(self):
         t = as_tree(lemma_tree())
         pw = marginal_tree(t, "x_a").canonical()
