@@ -62,6 +62,7 @@ from .tree import (
     part_marginal,
     part_values,
     solve_part,
+    tree_marginal,
     tree_values,
     volume_tree,
 )
@@ -204,14 +205,9 @@ def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
     if args.engine == "exact":
         pw = marginal_exact(prep.closed, name, budget=args.max_extensions)
     elif args.engine == "tree":
-        pw = part_marginal(prep, name)
+        pw = tree_marginal(prep, name)
     else:  # auto
-        try:
-            pw = part_marginal(prep, name)
-        except ShapeError:
-            pw = marginal_exact(
-                prep.ties.quotient, prep.target(name).name, budget=args.max_extensions
-            )
+        pw = part_marginal(prep, name, args.max_extensions, args.threads)
     return {"variable": name, "marginal": _marginal_json(pw)}, 0
 
 
@@ -446,7 +442,14 @@ def run(argv: Sequence[str]) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Reader gone: stdout to devnull, so the exit-time flush cannot raise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -190,28 +190,6 @@ def order_statistic_density(rank: int, n: int, a: Fraction, b: Fraction) -> Poly
     return (u ** (rank - 1)) * (one_minus_u ** (n - rank)) * (coef / w)
 
 
-def interpolating_polynomial(
-    points: Sequence[tuple[RationalLike, RationalLike]]
-) -> Polynomial:
-    """The unique polynomial of degree < len(points) through the points.
-
-    Exact Lagrange interpolation; the abscissas must be pairwise distinct.
-    """
-    xs = [parse_rational(x) for x, _ in points]
-    ys = [parse_rational(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate interpolation node")
-    # Newton form: divided differences keep intermediate degrees minimal.
-    coef = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = Polynomial()
-    for i in reversed(range(len(xs))):
-        poly = poly * Polynomial.of([-xs[i], 1]) + Polynomial.constant(coef[i])
-    return poly
-
-
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Piecewise polynomial over [0, 1], zero outside its breakpoint span.
@@ -275,6 +253,19 @@ class PiecewisePolynomial:
             ),
             Fraction(0),
         )
+
+    def cumulative(self) -> "PiecewisePolynomial":
+        """t -> integral of f from the first breakpoint to t, over
+        [b0, 1]; beyond the last breakpoint it stays at the total mass."""
+        bps, pieces, acc = self.breakpoints, [], Fraction(0)
+        for p, a, b in zip(self.pieces, bps, bps[1:]):
+            anti = p.antideriv()
+            pieces.append(anti + Polynomial.constant(acc - anti(a)))
+            acc += anti(b) - anti(a)
+        if pieces and bps[-1] < 1:
+            pieces.append(Polynomial.constant(acc))
+            bps += (Fraction(1),)
+        return PiecewisePolynomial(bps, tuple(pieces))
 
     def scale(self, k: RationalLike) -> "PiecewisePolynomial":
         k = parse_rational(k)

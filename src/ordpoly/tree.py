@@ -10,15 +10,20 @@ parent, is a single polynomial
 
 where the product runs over x's unknown children and m_x is the smallest
 pinned leaf value in x's subtree (the polynomial is valid on [0, m_x] and
-the true volume is zero beyond).  The whole volume is the root child's
+the true volume is zero beyond).  The whole volume V is the root child's
 polynomial evaluated at the root value — quadratic time overall, no
 extension enumeration.
 
-Marginals factor as V(C | x=v) = V'_x(v) * prod_i V_{x_i}(v), where the
-environment factor V'_x re-solves the tree with x turned into a pinned
-leaf of value v.  On each interval between consecutive pinned values the
-marginal is one polynomial, so it is recovered exactly by evaluating at
-enough rational sample points and interpolating.
+Expected values are volume ratios: with a fresh unknown z <= 1 above x,
+E[x] = 1 - V'/V, where V' = vol(P and x <= z) redoes the bottom-up step
+on x and its ancestors with one extra factor (1 - v) at x.
+
+Marginals factor as f_x(v) = Out_x(v) * prod_i V_{x_i}(v) / V, where
+Out_x(v) is the volume of the tree without x's subtree and x pinned at v.
+It is built exactly top-down from Out = 1 on [root value, 1] at the root
+child: Out_c(v) is the integral from the root value to v of Out_p(w)
+times the volumes of c's siblings at w (a pinned leaf caps w at its
+value), piecewise polynomial with breakpoints at pinned values.
 
 Reverse-tree-shaped parts are solved on the tree of their mirror image
 v -> 1 - v, and ``solve_part`` picks the engine for each decomposition
@@ -34,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import MalformedInputError, ShapeError
-from .exact import DEFAULT_BUDGET, interpolate_all, volume_exact
+from .exact import DEFAULT_BUDGET, interpolate_all, marginal_exact, volume_exact
 from .model import (
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
@@ -48,13 +53,7 @@ from .model import (
     decompose,
     part_skeleton,
 )
-from .poly import (
-    POLY_ONE,
-    PiecewisePolynomial,
-    Polynomial,
-    interpolating_polynomial,
-    pw_expectation,
-)
+from .poly import POLY_ONE, PiecewisePolynomial, Polynomial
 
 # ---------------------------------------------------------------------------
 # integer-scaled polynomials
@@ -240,15 +239,7 @@ def _build_tree(skel: PartSkeleton, mirrored: bool = False) -> ConstraintTree:
     }
 
     min_leaf: dict[VariableId, Fraction] = {}
-
-    # Iterative bottom-up (deep chains overflow the recursion limit).
-    stack = [root]
-    post: list[VariableId] = []
-    while stack:
-        v = stack.pop()
-        post.append(v)
-        stack.extend(children[v])
-    for v in reversed(post):
+    for v in reversed(_top_down(root, children)):
         if v in leaf_values:
             min_leaf[v] = leaf_values[v]
         else:
@@ -274,29 +265,41 @@ def _build_tree(skel: PartSkeleton, mirrored: bool = False) -> ConstraintTree:
 # volume
 
 
-def _volume_polys(t: ConstraintTree) -> dict[VariableId, _IPoly]:
-    """Bottom-up V_x(v') for every unknown node, children before parents."""
-    stack = [t.root]
-    post: list[VariableId] = []
+def _top_down(root: VariableId, children) -> list[VariableId]:
+    """Every node below ``root``, parents before children (iterative: deep
+    chains overflow the recursion limit)."""
+    stack = [root]
+    order: list[VariableId] = []
     while stack:
         v = stack.pop()
-        post.append(v)
-        stack.extend(t.children[v])
+        order.append(v)
+        stack.extend(children[v])
+    return order
+
+
+def _node_step(factors: Sequence[_IPoly], upper: Fraction) -> _IPoly:
+    """One node of the bottom-up pass: v' -> integral from v' to ``upper``
+    of the product of ``factors``."""
+    prod = _IP_ONE
+    for f in factors:
+        prod = _ip_mul(prod, f)
+    anti = _ip_antideriv(prod)
+    top = _ip_eval(anti, upper)
+    coeffs, den = anti
+    scale = top.denominator
+    out = [-c * scale for c in coeffs]
+    out[0] = top.numerator * den
+    return _ip_normalize(out, den * scale)
+
+
+def _volume_polys(t: ConstraintTree) -> dict[VariableId, _IPoly]:
+    """Bottom-up V_x(v') for every unknown node, children before parents."""
     polys: dict[VariableId, _IPoly] = {}
-    for v in reversed(post):
-        if not t.is_unknown(v):
-            continue
-        prod = _IP_ONE
-        for c in t.children[v]:
-            if c in polys:
-                prod = _ip_mul(prod, polys[c])
-        anti = _ip_antideriv(prod)
-        upper = _ip_eval(anti, t.min_leaf_below[v])
-        coeffs, den = anti
-        scale = upper.denominator
-        out = [-c * scale for c in coeffs]
-        out[0] = upper.numerator * den
-        polys[v] = _ip_normalize(out, den * scale)
+    for v in reversed(_top_down(t.root, t.children)):
+        if t.is_unknown(v):
+            polys[v] = _node_step(
+                [polys[c] for c in t.children[v] if c in polys], t.min_leaf_below[v]
+            )
     return polys
 
 
@@ -315,91 +318,75 @@ def volume_tree(t: ConstraintTree) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# marginal and interpolation
+# expected values and marginals
+
+_IP_ONE_MINUS_V: _IPoly = ([1, -1], 1)
 
 
-def _env_volume(
-    t: ConstraintTree,
-    fpolys: Mapping[VariableId, Polynomial],
-    x: VariableId,
-    v: Fraction,
-) -> Fraction:
-    """Volume of the tree with subtree(x) removed and x pinned to v."""
-    node = x
-    carried_poly: Polynomial | None = None  # replaces node's cached poly
-    carried_m = v
-    while node != t.root_child:
-        p = t.parent[node]
-        prod = POLY_ONE
-        bound = carried_m
-        for c in t.children[p]:
-            if c == node:
-                if carried_poly is not None:
-                    prod = prod * carried_poly
-            elif c in t.leaf_values:
-                bound = min(bound, t.leaf_values[c])
-            else:
-                prod = prod * fpolys[c]
-                bound = min(bound, t.min_leaf_below[c])
-        anti = prod.antideriv()
-        poly = Polynomial.constant(anti(bound)) - anti
-        carried_poly, carried_m, node = poly, bound, p
-    if carried_poly is None:
-        return Fraction(1)
-    return carried_poly(t.root_value)
+def _path_up(t: ConstraintTree, x) -> list[VariableId]:
+    """Unknown node ``x`` and its ancestors up to the root child."""
+    path = [t.node(x)]
+    if not t.is_unknown(path[0]):
+        raise MalformedInputError(
+            f"{path[0].name!r} is pinned; only unknown nodes have a density"
+        )
+    while path[-1] != t.root_child:
+        path.append(t.parent[path[-1]])
+    return path
+
+
+def _expected_values(t: ConstraintTree, names: Sequence) -> dict:
+    """``{x: E[x]}`` as 1 - V'/V, V' being the volume with a fresh unknown
+    z <= 1 above x: the bottom-up step redone on x and its ancestors."""
+    polys = _volume_polys(t)
+    total = _ip_eval(polys[t.root_child], t.root_value)
+    values = {}
+    for x in names:
+        path = _path_up(t, x)
+        # (1 - v) joins x's own factors; above x it replaces the path child's.
+        poly, below = _IP_ONE_MINUS_V, None
+        for v in path:
+            factors = [polys[c] for c in t.children[v] if c in polys and c != below]
+            poly, below = _node_step([*factors, poly], t.min_leaf_below[v]), v
+        value = 1 - _ip_eval(poly, t.root_value) / total
+        assert t.root_value < value < t.min_leaf_below[path[0]], "expected value off support"
+        values[x] = value
+    return values
+
+
+def interpolate_tree(t: ConstraintTree, x) -> Fraction:
+    """Exact expected value of unknown node ``x``."""
+    return _expected_values(t, [x])[x]
+
+
+def _factor(t: ConstraintTree, polys: Mapping, nodes) -> PiecewisePolynomial:
+    """v -> product of the subtree volumes of ``nodes`` (unknowns, or pinned
+    leaves as indicators of v <= value), zero beyond the smallest cap."""
+    prod = _IP_ONE
+    cap = Fraction(1)
+    for c in nodes:
+        cap = min(cap, t.min_leaf_below[c])
+        if c in polys:
+            prod = _ip_mul(prod, polys[c])
+    return PiecewisePolynomial((Fraction(0), cap), (_ip_to_polynomial(prod),))
 
 
 def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
     """Exact marginal density of unknown node ``x``; mass exactly 1.
 
-    Support is [root value, m_x]; on each interval between consecutive
-    pinned values the density is one polynomial, recovered by exact
-    evaluation at rational sample points followed by interpolation.
+    Support is [root value, m_x]; the density is Out_x(v) times the
+    subtree volumes of x's children, over the volume, with the outside
+    factor Out_x integrated exactly top-down along the root-to-x path.
     """
-    xv = t.node(x)
-    if not t.is_unknown(xv):
-        raise MalformedInputError(
-            f"{xv.name!r} is pinned; only unknown nodes have a density"
-        )
-    total = volume_tree(t)
-    fpolys = {v: _ip_to_polynomial(p) for v, p in _volume_polys(t).items()}
-
-    lo, hi = t.root_value, t.min_leaf_below[xv]
-    cuts = {lo, hi}
-    cuts.update(v for v in t.leaf_values.values() if lo < v < hi)
-    grid = sorted(cuts)
-
-    child_factors = [
-        fpolys[c] for c in t.children[xv] if c not in t.leaf_values
-    ]
-    degree_cap = len(t.unknown_nodes()) + 1
-
-    def density_at(v: Fraction) -> Fraction:
-        val = _env_volume(t, fpolys, xv, v)
-        for f in child_factors:
-            val *= f(v)
-        return val / total
-
-    breakpoints: list[Fraction] = [Fraction(0)] if lo > 0 else []
-    pieces: list[Polynomial] = [Polynomial()] if lo > 0 else []
-    breakpoints.append(lo)
-    for a, b in zip(grid, grid[1:]):
-        count = degree_cap + 2
-        points = []
-        for j in range(1, count + 1):
-            s = a + (b - a) * Fraction(j, count + 1)
-            points.append((s, density_at(s)))
-        pieces.append(interpolating_polynomial(points))
-        breakpoints.append(b)
-    if hi < 1:
-        pieces.append(Polynomial())
-        breakpoints.append(Fraction(1))
-    return PiecewisePolynomial(tuple(breakpoints), tuple(pieces)).canonical()
-
-
-def interpolate_tree(t: ConstraintTree, x) -> Fraction:
-    """Exact expected value of unknown node ``x``."""
-    return pw_expectation(marginal_tree(t, x))
+    path = _path_up(t, x)
+    polys = _volume_polys(t)
+    total = _ip_eval(polys[t.root_child], t.root_value)
+    outside = PiecewisePolynomial((t.root_value, Fraction(1)), (POLY_ONE,))
+    for c in reversed(path[:-1]):
+        siblings = [s for s in t.children[t.parent[c]] if s != c]
+        outside = (outside * _factor(t, polys, siblings)).canonical().cumulative()
+    density = outside * _factor(t, polys, t.children[path[0]])
+    return density.scale(1 / total).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +427,8 @@ def solve_part(
     Reverse-tree parts are solved on the tree of their mirror image.  A
     total order has one linear extension, hence closed-form values; its
     skeleton is a tree, which gives its marginal, and its volume goes to
-    the exact engine under the extension budget, as a general part's does.
+    the exact engine under the extension budget, as a general part's
+    volume, values and marginal do.
     """
     shape = skel.shape
     if shape == SHAPE_TOTAL_ORDER and query in (VALUES, STABLE):
@@ -468,7 +456,7 @@ def solve_part(
             assignment = stable_interpolate(t)
             solved = {n: assignment.value_of(n) for n in names}
         else:
-            solved = {n: interpolate_tree(t, n) for n in names}
+            solved = _expected_values(t, names)
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
     if query == VOLUME:
         return volume_exact(skel.part, budget=budget, threads=threads)
@@ -476,10 +464,7 @@ def solve_part(
         everything = interpolate_all(skel.part, budget=budget, threads=threads)
         return {n: everything[n] for n in names}
     if query == MARGINAL:
-        raise ShapeError(
-            f"the component containing {names[0]!r} is not (reverse-)tree-shaped; "
-            "use marginal_exact"
-        )
+        return marginal_exact(skel.part, names[0], budget=budget, threads=threads)
     raise ShapeError(
         "no stable scheme exists for general-shaped components "
         f"(component of {min(names)!r})"
@@ -519,30 +504,46 @@ def part_values(
     return values
 
 
-def tree_values(prep: Prepared, names: Sequence) -> dict:
-    """Expected values without the exact engine: a variable in a
-    general-shaped part raises ``ShapeError`` (the first such in ``names``).
-    """
+def _refuse_general_parts(prep: Prepared, names: Sequence, why: str) -> None:
+    """Raise ``ShapeError`` for the first of ``names`` in a general part."""
     d = prep.decomposition
     for x in names:
         name = prep.target(x).name
         if name in d.part_index and d.skeletons[d.part_index[name]].shape == SHAPE_GENERAL:
-            raise ShapeError(
-                f"the component containing {name!r} is general-shaped; "
-                "use the exact engine (interpolate_exact) or the sampler"
-            )
+            raise ShapeError(f"the component containing {name!r} is {why}")
+
+
+def tree_values(prep: Prepared, names: Sequence) -> dict:
+    """Expected values without the exact engine: a variable in a
+    general-shaped part raises ``ShapeError`` (the first such in ``names``).
+    """
+    _refuse_general_parts(
+        prep, names, "general-shaped; use the exact engine (interpolate_exact) or the sampler"
+    )
     return part_values(prep, names)
 
 
-def part_marginal(prep: Prepared, x) -> PiecewisePolynomial:
-    """Marginal density of ``x`` from its decomposition part (tree shapes)."""
+def part_marginal(
+    prep: Prepared, x, budget: int = DEFAULT_BUDGET, threads: int = 1
+) -> PiecewisePolynomial:
+    """Marginal density of ``x`` from its decomposition part alone: the
+    tree engine on tree shapes, the exact engine on a general part."""
     target = prep.target(x)
     if target.id in prep.ties.quotient.exact_values:
         raise MalformedInputError(
             f"{target.name!r} is pinned; only unknowns have a density"
         )
     d = prep.decomposition
-    return solve_part(d.skeletons[d.part_index[target.name]], MARGINAL, [target.name])
+    return solve_part(
+        d.skeletons[d.part_index[target.name]], MARGINAL, [target.name], budget, threads
+    )
+
+
+def tree_marginal(prep: Prepared, x) -> PiecewisePolynomial:
+    """Marginal density without the exact engine: a variable in a
+    general-shaped part raises ``ShapeError``."""
+    _refuse_general_parts(prep, [x], "not (reverse-)tree-shaped; use marginal_exact")
+    return part_marginal(prep, x)
 
 
 def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
@@ -557,5 +558,6 @@ def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
 
 
 def marginal_decomposed(cs: ConstraintSet, x) -> PiecewisePolynomial:
-    """Marginal density of ``x`` via its decomposition part (tree shapes)."""
-    return part_marginal(Prepared(cs), x)
+    """Marginal density of ``x`` via its decomposition part (tree shapes;
+    general parts raise ``ShapeError``)."""
+    return tree_marginal(Prepared(cs), x)

@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen end-to-end criteria, one test each.
+"""Acceptance gate: fifteen end-to-end criteria, one test each.
 
 Every test prints exactly one line ``[criterion NN] PASS/FAIL — detail``
 (replayed in the terminal summary section by conftest) and enforces the
@@ -41,6 +41,7 @@ from ordpoly import (
     local_topk,
     marginal_exact,
     marginal_tree,
+    pw_expectation,
     rejection_sample_mean,
     stable_interpolate,
     u_sequence_probabilities,
@@ -450,3 +451,22 @@ def test_c14_stable_scheme():
         )
 
     criterion("14", body, budget_s=60.0)
+
+
+def test_c15_tree_engine_scale():
+    def body():
+        rng = random.Random(15)
+        t = as_tree(gen.to_cs(gen.tree_doc(rng, 150)))
+        unknowns = t.unknown_nodes()
+        values = {u: interpolate_tree(t, u) for u in unknowns}
+        for u, value in values.items():
+            assert t.root_value < value < t.min_leaf_below[u], (u.name, value)
+        probes = rng.sample(unknowns, 5)
+        for u in probes:
+            assert pw_expectation(marginal_tree(t, u)) == values[u]
+        return (
+            f"{len(t.variables)}-node tree: all {len(unknowns)} expected values inside "
+            "(root value, m_u); 5 marginals have exactly those means"
+        )
+
+    criterion("15", body, budget_s=30.0)

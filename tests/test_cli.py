@@ -7,6 +7,7 @@ the exit code, and the error channel.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -241,6 +242,31 @@ class TestMarginal:
         code, _, err = run_cli(["marginal", path])
         assert code == 3
         assert json.loads(err)["error"] == "malformed"
+
+    def test_auto_solves_only_the_variables_part(self, tmp_path):
+        # Two K2,2 blocks between the same pins: 4 extensions each, 1120
+        # for the whole set, so only a per-part solve fits a budget of 100.
+        def blocks(*tags):
+            names = ["lo", "hi"]
+            order = []
+            for b in tags:
+                low, high = [f"{b}1", f"{b}2"], [f"{b}3", f"{b}4"]
+                names += low + high
+                order += [["lo", x] for x in low] + [[y, "hi"] for y in high]
+                order += [[x, y] for x in low for y in high]
+            return {"variables": names, "order": order, "exact": {"lo": "1/10", "hi": "9/10"}}
+
+        both = write_doc(tmp_path, "both.json", blocks("a", "b"))
+        one = write_doc(tmp_path, "one.json", blocks("a"))
+        budget = ["--var", "a1", "--max-extensions", "100"]
+        code, out, err = run_cli(["marginal", both, *budget])
+        assert code == 0, err
+        _, ref, _ = run_cli(["marginal", one, *budget, "--engine", "exact"])
+        assert json.loads(out)["results"] == json.loads(ref)["results"]
+        code, _, err = run_cli(["marginal", both, *budget, "--engine", "exact"])
+        assert code == 2 and json.loads(err)["lower_bound"] > 100
+        code, _, err = run_cli(["marginal", both, *budget, "--engine", "tree"])
+        assert code == 2 and json.loads(err)["error"] == "limit"
 
 
 class TestTopk:
@@ -500,6 +526,31 @@ class TestPipelineRunsOnce:
         code, _, err = run_cli(argv)
         assert code == 0, err
         assert len(passes) <= 2
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # `ordpoly close big.json | head -1`: the reader is gone before the
+    # response (larger than a pipe buffer) is written.
+    n = 80
+    doc = {"variables": [f"u{i}" for i in range(n)], "order": [[f"u{i}", f"u{i + 1}"] for i in range(n - 1)]}
+    path = write_doc(tmp_path, "chain.json", doc)
+    _, out, _ = run_cli(["close", path])
+    assert len(out) > 64 * 1024
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordpoly", "close", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(ordpoly.__file__).parents[1],
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
 
 
 def test_library_import_leaves_networkx_unloaded():

@@ -9,7 +9,6 @@ from ordpoly import (
     PiecewisePolynomial,
     Polynomial,
     format_rational,
-    interpolating_polynomial,
     order_statistic_density,
     parse_rational,
     pw_expectation,
@@ -104,13 +103,6 @@ class TestPiecewise:
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
             PiecewisePolynomial((F(1), F(0)), (poly(1),))
-
-
-class TestInterpolatingPolynomial:
-    def test_reconstructs_quadratic(self):
-        target = poly(1, -2, 3)
-        pts = [(F(k, 3), target(F(k, 3))) for k in range(3)]
-        assert interpolating_polynomial(pts) == target
 
 
 class TestRationalStrings:

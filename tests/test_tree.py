@@ -154,10 +154,17 @@ class TestMarginal:
         )
 
     def test_mirrored_parts_match_enumeration(self):
-        # reverse-tree parts are solved on the mirrored skeleton
+        # Trees and their mirror images (reverse-tree parts are solved on
+        # the mirrored skeleton), half with the root pinned at 0, with
+        # pinned leaves under most internal nodes so they cut supports.
         rng = random.Random(17)
-        for _ in range(12):
-            cs = flip_constraints(gen.to_cs(gen.tree_doc(rng, rng.randint(1, 6))))
+        for k in range(24):
+            names, order, exact = gen.tree_doc(rng, rng.randint(1, 6), extra_leaf_p=0.6)
+            if k % 4 < 2:
+                exact["r"] = F(0)
+            cs = gen.to_cs((names, order, exact))
+            if k % 2:
+                cs = flip_constraints(cs)
             whole = interpolate_all(cs)
             for u in cs.unknowns():
                 assert interpolate_decomposed(cs, u.name) == whole[u.name]
