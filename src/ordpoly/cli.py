@@ -7,6 +7,12 @@ are machine-readable JSON on stderr with exit codes 1 (contradiction),
 report on stdout and exits 1 when the set is contradictory — finding a
 contradiction is that command's job, not a failure of it.
 
+Variables forced equal by the constraints (persistent ties) are one rule
+across engines: per-variable value queries (interpolate, marginal, local
+top-k, sample) answer on the tie quotient, where tied variables share
+their class's value; queries about the polytope or the order (volume,
+u/global top-k, decompose) refuse them with exit 3.
+
 Values are reported as {"exact": "p/q", "approx": "..."} — the exact
 string appears whenever an exact engine ran; the approx rendering (12
 significant digits, round-half-even) is always present.  Variables are
@@ -151,14 +157,14 @@ def _cmd_dim(prep: Prepared, args) -> tuple[dict, int]:
 
 def _cmd_volume(prep: Prepared, args) -> tuple[dict, int]:
     if args.engine == "exact":
-        vol = volume_exact(prep.closed, budget=args.max_extensions, threads=args.threads)
+        vol = volume_exact(prep.closed, budget=args.max_extensions)
     elif args.engine == "tree":
         vol = volume_tree(as_tree(prep.closed))
     else:  # auto
         prep.reject_user_ties()
         vol = Fraction(1)
         for skel in prep.decomposition.skeletons:
-            vol *= solve_part(skel, VOLUME, budget=args.max_extensions, threads=args.threads)
+            vol *= solve_part(skel, VOLUME, budget=args.max_extensions)
     return {"volume": _value_json(vol)}, 0
 
 
@@ -170,12 +176,8 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
         names = sorted(v.name for v in cs.unknowns())
     diagnostics: dict = {}
     if args.scheme == "stable" or args.engine == "auto":
-        # Persistent user ties are refused once any requested variable
-        # is not pinned in the input.
-        if any(cs.resolve(n).id not in cs.exact_values for n in names):
-            prep.reject_user_ties()
         query = STABLE if args.scheme == "stable" else VALUES
-        values = part_values(prep, names, query, args.max_extensions, args.threads)
+        values = part_values(prep, names, query, args.max_extensions)
     elif args.engine == "sample":
         values, diagnostics["samples"] = _estimate_values(
             prep.closed, names, _sampler_config(args), args.chains
@@ -183,12 +185,10 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
     elif args.engine == "exact":
         if len(names) == 1:
             values = {
-                names[0]: interpolate_exact(
-                    prep.closed, names[0], budget=args.max_extensions, threads=args.threads
-                )
+                names[0]: interpolate_exact(prep.closed, names[0], budget=args.max_extensions)
             }
         else:  # every unknown
-            values = interpolate_all(prep.closed, budget=args.max_extensions, threads=args.threads)
+            values = interpolate_all(prep.closed, budget=args.max_extensions)
     else:  # tree
         values = tree_values(prep, names)
     return (
@@ -207,7 +207,7 @@ def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
     elif args.engine == "tree":
         pw = tree_marginal(prep, name)
     else:  # auto
-        pw = part_marginal(prep, name, args.max_extensions, args.threads)
+        pw = part_marginal(prep, name, args.max_extensions)
     return {"variable": name, "marginal": _marginal_json(pw)}, 0
 
 
@@ -234,9 +234,7 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             raise MalformedInputError(
                 f"semantics must be local|u|global, not {args.semantics!r}"
             )
-        ranked = fn(
-            prep.closed, sel, args.k, budget=args.max_extensions, threads=args.threads
-        ).entries
+        ranked = fn(prep.closed, sel, args.k, budget=args.max_extensions).entries
     entries = [{"variable": v.name, "value": _value_json(val)} for v, val in ranked]
     return {
         "semantics": args.semantics,
@@ -282,14 +280,6 @@ def _sampler_config(args) -> SamplerConfig:
     )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ORDPOLY_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3 (malformed input), not argparse's default 2,
     which is reserved for budget/limit failures."""
@@ -333,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_default_threads(),
-            help="exact-engine/chain parallelism (env ORDPOLY_THREADS)",
+            default=1,
+            help="accepted for compatibility; has no effect",
         )
         if name in ("volume", "interpolate", "marginal", "topk"):
             engines = {

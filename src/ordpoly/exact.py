@@ -15,17 +15,21 @@ Whole-polytope answers are volume-weighted sums of fragment answers over
 all extensions.  The number of extensions can be astronomically large, so
 every enumerating entry point takes a budget and aborts with
 ``BudgetExceededError`` (carrying a proven lower bound) instead of
-hanging; the guard pre-counts prefixes level by level, which aborts in
-milliseconds even when the true count is in the trillions.
+hanging.  Every fold reaches the walk through one guarded iterator,
+``_extensions``: it pre-counts prefixes level by level before the first
+extension is produced, which aborts in milliseconds even when the true
+count is in the trillions, and when pre-counting would need too much
+memory it counts the extensions as they are produced instead.  Each fold
+tallies only what its query reads: volume tracks no unknown, one
+expected value or marginal tracks one, ``interpolate_all`` tracks all.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, MalformedInputError
 from .model import ConstraintSet, Prepared, VariableId, _cover_edges
@@ -136,16 +140,6 @@ class _Prep:
     widths: list[Fraction]
     unknown_ids: list[int]
 
-    @property
-    def bottom(self) -> int:
-        return self.exact_chain[0]
-
-    def first_choices(self) -> list[int]:
-        """Elements that may immediately follow the bottom bound."""
-        return sorted(
-            c for c in self.children[self.bottom] if self.indeg[c] == 1
-        )
-
 
 def _prepare(cs: ConstraintSet, *, reject_user_ties: bool = False) -> _Prep:
     prep = Prepared(cs)
@@ -184,15 +178,14 @@ def _quotient_class(cs: ConstraintSet, prep: _Prep, x) -> VariableId:
 # the enumeration walk
 
 
-def _walk(prep: _Prep, prefix: Sequence[int] = ()):
+def _walk(prep: _Prep):
     """Yield every linear extension, depth-first, deterministically.
 
     Yields ``(order, volume, assign, sizes)`` where ``order`` is the id
     sequence, ``assign`` maps each unknown id to (interval, rank within
     fragment) and ``sizes[j]`` is the fragment size in interval j.  The
     yielded structures are REUSED between iterations; consumers must copy
-    anything they keep.  ``prefix`` pins the first placements, which is how
-    the extension space is partitioned for parallel folding.
+    anything they keep.
     """
     n = len(prep.quotient.variables)
     children = prep.children
@@ -236,24 +229,14 @@ def _walk(prep: _Prep, prefix: Sequence[int] = ()):
             sizes[got[0]] -= 1
         order.pop()
 
-    avail = sorted(i for i in range(n) if indeg[i] == 0)
-    for v in prefix:
-        if v not in avail:
-            raise ValueError(f"prefix element {v} is not available")
-        ready = place(v)
-        avail = [a for a in avail if a != v] + sorted(ready)
-
-    base_depth = len(order)
-    if base_depth == n:
-        yield order, vstack[-1], assign, sizes
-        return
-
-    frames: list[tuple[list[int], int]] = [(avail, 0)]
+    frames: list[tuple[list[int], int]] = [
+        (sorted(i for i in range(n) if indeg[i] == 0), 0)
+    ]
     while frames:
         cands, i = frames[-1]
         if i >= len(cands):
             frames.pop()
-            if len(order) > base_depth:
+            if order:
                 unplace(order[-1])
             continue
         frames[-1] = (cands, i + 1)
@@ -273,7 +256,8 @@ def _walk(prep: _Prep, prefix: Sequence[int] = ()):
 def _count_extensions(prep: _Prep, budget: int) -> int | None:
     """Exact extension count, or None when pre-counting would need too
     much memory.  Raises ``BudgetExceededError`` as soon as any level's
-    prefix count (a lower bound on the total) exceeds the budget."""
+    prefix count (a lower bound on the total) exceeds the budget, the
+    last level (the count itself) included."""
     n = len(prep.quotient.variables)
     parent_mask = [0] * n
     for a in range(n):
@@ -304,91 +288,55 @@ def _count_extensions(prep: _Prep, budget: int) -> int | None:
     return sum(level.values())
 
 
+def _extensions(prep: _Prep, budget: int) -> Iterator:
+    """The walk behind the budget guard; the only way folds reach ``_walk``.
+
+    The pre-count runs on the call, not at the first ``next()``, so an
+    over-budget set fails before anything is produced.  When pre-counting
+    gives up, extension ``budget + 1`` raises instead.
+    """
+    if _count_extensions(prep, budget) is not None:
+        return _walk(prep)
+    return _counted(_walk(prep), budget)
+
+
+def _counted(walk: Iterator, budget: int) -> Iterator:
+    for count, item in enumerate(walk, start=1):
+        if count > budget:
+            raise BudgetExceededError(budget, count)
+        yield item
+
+
 def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linear extensions, guarded by the budget."""
     prep = _prepare(cs, reject_user_ties=True)
     known = _count_extensions(prep, budget)
     if known is not None:
         return known
-    count = 0
-    for _ in _walk(prep):
-        count += 1
-        if count > budget:
-            raise BudgetExceededError(budget, count)
-    return count
+    return sum(1 for _ in _extensions(prep, budget))
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-@dataclass
-class _Aggregate:
-    volume: Fraction
-    count: int
-    # unknown id -> {(interval, rank, fragment size): summed volume}
-    acc: dict[int, dict[tuple[int, int, int], Fraction]]
-    rank_sum: dict[int, int] | None
-
-
-def _fold_walk(
-    prep: _Prep, prefix: Sequence[int], budget: int | None = None
-) -> _Aggregate:
-    unknowns = prep.unknown_ids
-    pure_order = len(prep.widths) == 1
+def _aggregate(
+    prep: _Prep, budget: int, track: Iterable[int]
+) -> tuple[Fraction, dict[int, dict[tuple[int, int, int], Fraction]]]:
+    """Total volume, and for each tracked unknown id the summed volume per
+    (interval, rank, fragment size) it takes."""
     total = Fraction(0)
-    count = 0
-    acc: dict[int, dict[tuple[int, int, int], Fraction]] = {u: {} for u in unknowns}
-    rank_sum = dict.fromkeys(unknowns, 0) if pure_order else None
-    for _order, vol, assign, sizes in _walk(prep, prefix):
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceededError(budget, count)
+    acc: dict[int, dict[tuple[int, int, int], Fraction]] = {u: {} for u in track}
+    for _order, vol, assign, sizes in _extensions(prep, budget):
         total += vol
-        for u in unknowns:
+        for u, bucket in acc.items():
             j, r = assign[u]
             key = (j, r, sizes[j])
-            bucket = acc[u]
             if key in bucket:
                 bucket[key] += vol
             else:
                 bucket[key] = vol
-        if rank_sum is not None:
-            for u in unknowns:
-                rank_sum[u] += assign[u][1]
-    return _Aggregate(total, count, acc, rank_sum)
-
-
-def _aggregate(prep: _Prep, budget: int, threads: int = 1) -> _Aggregate:
-    known = _count_extensions(prep, budget)
-    if known is not None and known > budget:
-        raise BudgetExceededError(budget, known)
-    if known is None or threads <= 1:
-        # Unknown counts fall back to counting during the fold itself.
-        return _fold_walk(prep, (), None if known is not None else budget)
-    choices = prep.first_choices()
-    if len(choices) <= 1:
-        return _fold_walk(prep, ())
-    bottom = prep.bottom
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _fold_walk(prep, (bottom, c)), choices))
-    merged = _Aggregate(Fraction(0), 0, {u: {} for u in prep.unknown_ids}, None)
-    if parts and parts[0].rank_sum is not None:
-        merged.rank_sum = dict.fromkeys(prep.unknown_ids, 0)
-    for part in parts:
-        merged.volume += part.volume
-        merged.count += part.count
-        for u, bucket in part.acc.items():
-            out = merged.acc[u]
-            for key, vol in bucket.items():
-                if key in out:
-                    out[key] += vol
-                else:
-                    out[key] = vol
-        if merged.rank_sum is not None:
-            for u, s in part.rank_sum.items():
-                merged.rank_sum[u] += s
-    return merged
+    return total, acc
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +353,12 @@ def enumerate_extensions(
     instead of streaming forever.
     """
     prep = _prepare(cs, reject_user_ties=True)
-    known = _count_extensions(prep, budget)
-    if known is not None and known > budget:
-        raise BudgetExceededError(budget, known)
+    walk = _extensions(prep, budget)
 
     def generate() -> Iterator[LinearExtension]:
         variables = prep.quotient.variables
         exact_ids = set(prep.exact_chain)
-        count = 0
-        for order, _vol, _assign, _sizes in _walk(prep):
-            count += 1
-            if known is None and count > budget:
-                raise BudgetExceededError(budget, count)
+        for order, _vol, _assign, _sizes in walk:
             positions = tuple(i for i, v in enumerate(order) if v in exact_ids)
             yield LinearExtension(
                 order=tuple(variables[v] for v in order),
@@ -434,51 +376,33 @@ def extension_volumes(
 ) -> Iterator[tuple[tuple[str, ...], Fraction]]:
     """Debug table: (user-visible variable order, volume) per extension."""
     prep = _prepare(cs, reject_user_ties=True)
-    known = _count_extensions(prep, budget)
-    if known is not None and known > budget:
-        raise BudgetExceededError(budget, known)
-
-    def generate():
-        hidden = prep.quotient.reserved
-        variables = prep.quotient.variables
-        count = 0
-        for order, vol, _assign, _sizes in _walk(prep):
-            count += 1
-            if known is None and count > budget:
-                raise BudgetExceededError(budget, count)
-            names = tuple(variables[v].name for v in order if v not in hidden)
-            yield names, vol
-
-    return generate()
+    walk = _extensions(prep, budget)
+    hidden = prep.quotient.reserved
+    variables = prep.quotient.variables
+    return (
+        (tuple(variables[v].name for v in order if v not in hidden), vol)
+        for order, vol, _assign, _sizes in walk
+    )
 
 
-def volume_exact(
-    cs: ConstraintSet, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> Fraction:
+def volume_exact(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Volume of the admissible polytope in its free dimension."""
     prep = _prepare(cs, reject_user_ties=True)
-    return _aggregate(prep, budget, threads).volume
+    return _aggregate(prep, budget, ())[0]
 
 
-def interpolate_exact(
-    cs: ConstraintSet,
-    x,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> Fraction:
+def interpolate_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Expected value of ``x`` under the uniform pdf on the polytope."""
     prep = _prepare(cs)
     target = _quotient_class(cs, prep, x)
     pinned = prep.quotient.exact_values.get(target.id)
     if pinned is not None:
         return pinned
-    agg = _aggregate(prep, budget, threads)
-    return _expectation_from_acc(prep, agg, target.id)
+    volume, acc = _aggregate(prep, budget, [target.id])
+    return _expectation(prep, volume, acc[target.id])
 
 
-def interpolate_all(
-    cs: ConstraintSet, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> dict[str, Fraction]:
+def interpolate_all(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> dict[str, Fraction]:
     """Expected value of every non-pinned input variable, one enumeration."""
     prep = _prepare(cs)
     targets = [v for v in cs.variables if v.id not in cs.exact_values]
@@ -489,30 +413,27 @@ def interpolate_all(
             v.name: prep.quotient.exact_values[prep.class_of[v.id].id]
             for v in targets
         }
-    agg = _aggregate(prep, budget, threads)
+    volume, acc = _aggregate(prep, budget, prep.unknown_ids)
     out: dict[str, Fraction] = {}
     for v in targets:
         cls = prep.class_of[v.id]
         pinned = prep.quotient.exact_values.get(cls.id)
         out[v.name] = (
-            pinned if pinned is not None else _expectation_from_acc(prep, agg, cls.id)
+            pinned if pinned is not None else _expectation(prep, volume, acc[cls.id])
         )
     return out
 
 
-def _expectation_from_acc(prep: _Prep, agg: _Aggregate, uid: int) -> Fraction:
+def _expectation(
+    prep: _Prep, volume: Fraction, bucket: dict[tuple[int, int, int], Fraction]
+) -> Fraction:
     num = Fraction(0)
-    for (j, r, size), vol in agg.acc[uid].items():
+    for (j, r, size), vol in bucket.items():
         num += vol * (prep.values[j] + Fraction(r, size + 1) * prep.widths[j])
-    return num / agg.volume
+    return num / volume
 
 
-def marginal_exact(
-    cs: ConstraintSet,
-    x,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> PiecewisePolynomial:
+def marginal_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> PiecewisePolynomial:
     """Exact marginal density of ``x``: piecewise polynomial, mass 1.
 
     Per extension the fragment containing x contributes the rank-r
@@ -528,13 +449,13 @@ def marginal_exact(
             f"{prep.quotient.variables[target.id].name!r} is pinned to "
             f"{prep.quotient.exact_values[target.id]}; only unknowns have a density"
         )
-    agg = _aggregate(prep, budget, threads)
+    volume, acc = _aggregate(prep, budget, [target.id])
     per_interval: dict[int, Polynomial] = {}
-    for (j, r, size), vol in agg.acc[target.id].items():
+    for (j, r, size), vol in acc[target.id].items():
         density = order_statistic_density(
             r, size, prep.values[j], prep.values[j + 1]
         )
-        weighted = density * (vol / agg.volume)
+        weighted = density * (vol / volume)
         if j in per_interval:
             per_interval[j] = per_interval[j] + weighted
         else:
@@ -565,6 +486,8 @@ def expected_rank(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fractio
             f"pinned variables present: {sorted(visible_pinned)}"
         )
     target = _quotient_class(cs, prep, x)
-    agg = _aggregate(prep, budget)
-    assert agg.rank_sum is not None
-    return Fraction(agg.rank_sum[target.id], agg.count)
+    count = rank_sum = 0
+    for _order, _vol, assign, _sizes in _extensions(prep, budget):
+        count += 1
+        rank_sum += assign[target.id][1]
+    return Fraction(rank_sum, count)

@@ -12,17 +12,22 @@ implemented, all exact:
 * global: per variable, compute the probability that it ranks among the
   k highest selected values; return the k most probable variables.
 
-The u and global semantics aggregate over the linear-extension
-enumeration: within one extension's simplex fragment product, the
-coordinate order is almost surely the extension order, so every
-extension contributes its exact volume to one induced sequence.  The
+The u and global semantics fold once over the exact engine's guarded
+linear-extension enumeration: within one extension's simplex fragment
+product, the coordinate order is almost surely the extension order, so
+every extension contributes its exact volume to one induced sequence.
+A budget error from that fold carries a hint to ``estimate_topk``.  The
 semantics genuinely disagree, and only the local one satisfies the
 containment property (each answer a strict prefix of the next longer
 one); ``check_containment`` tests that property for any semantics.
+
+Local top-k asks for per-variable values, so like interpolation it
+answers on the tie quotient (tied variables share their class's value);
+u and global top-k ask about the order of the selected variables and
+refuse persistent user ties.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -32,7 +37,7 @@ from .errors import (
     LimitExceededError,
     MalformedInputError,
 )
-from .exact import DEFAULT_BUDGET, _count_extensions, _prepare, _Prep, _walk
+from .exact import DEFAULT_BUDGET, _extensions, _prepare, _Prep
 from .model import ConstraintSet, Prepared, VariableId
 from .tree import part_values
 
@@ -146,18 +151,16 @@ def local_topk(
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> TopKResult:
-    """The k selected variables with the highest expected values."""
+    """The k selected variables with the highest expected values; tied
+    variables share their tie class's value."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
     values = {v.name: cs.exact_values[v.id] for v in chosen if v.id in cs.exact_values}
     unknowns = [v.name for v in chosen if v.id not in cs.exact_values]
     if unknowns:
-        prep = Prepared(cs)
-        prep.reject_user_ties()
         try:
-            values.update(part_values(prep, unknowns, budget=budget, threads=threads))
+            values.update(part_values(Prepared(cs), unknowns, budget=budget))
         except BudgetExceededError as err:
             raise _with_estimate_hint(err) from None
     ranked = sorted(chosen, key=lambda v: (-values[v.name], v.name))
@@ -172,51 +175,8 @@ def local_topk(
 @dataclass
 class _SelTally:
     volume: Fraction
-    count: int
     sequences: dict[tuple[int, ...], Fraction] | None
     ranks: dict[int, dict[int, Fraction]] | None
-
-
-def _fold_selected(
-    prep: _Prep,
-    prefix: Sequence[int],
-    sel_ids: frozenset[int],
-    k: int | None,
-    want_sequences: bool,
-    want_ranks: bool,
-    budget: int | None,
-) -> _SelTally:
-    sequences: dict[tuple[int, ...], Fraction] | None = {} if want_sequences else None
-    ranks: dict[int, dict[int, Fraction]] | None = (
-        {i: {} for i in sel_ids} if want_ranks else None
-    )
-    volume = Fraction(0)
-    count = 0
-    for order, vol, _assign, _sizes in _walk(prep, prefix):
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceededError(budget, count)
-        volume += vol
-        descending = [i for i in reversed(order) if i in sel_ids]
-        if sequences is not None:
-            seq = tuple(descending if k is None else descending[:k])
-            if seq in sequences:
-                sequences[seq] += vol
-            else:
-                if len(sequences) >= _SEQUENCE_TABLE_LIMIT:
-                    raise LimitExceededError(
-                        f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
-                        "sequences; lower k or use estimate_topk"
-                    )
-                sequences[seq] = vol
-        if ranks is not None:
-            for r, i in enumerate(descending, start=1):
-                bucket = ranks[i]
-                if r in bucket:
-                    bucket[r] += vol
-                else:
-                    bucket[r] = vol
-    return _SelTally(volume, count, sequences, ranks)
 
 
 def _selected_tally(
@@ -226,59 +186,41 @@ def _selected_tally(
     want_sequences: bool,
     want_ranks: bool,
     budget: int,
-    threads: int,
 ) -> tuple[_Prep, _SelTally]:
     prep = _prepare(cs, reject_user_ties=True)
-    try:
-        known = _count_extensions(prep, budget)
-    except BudgetExceededError as err:
-        raise _with_estimate_hint(err) from None
-    if known is not None and known > budget:
-        raise _with_estimate_hint(BudgetExceededError(budget, known)) from None
     sel_ids = frozenset(
         prep.class_of[cs.resolve(v.name).id].id for v in chosen
     )
-    run_budget = None if known is not None else budget
+    sequences: dict[tuple[int, ...], Fraction] | None = {} if want_sequences else None
+    ranks: dict[int, dict[int, Fraction]] | None = (
+        {i: {} for i in sel_ids} if want_ranks else None
+    )
+    volume = Fraction(0)
     try:
-        if known is None or threads <= 1:
-            return prep, _fold_selected(
-                prep, (), sel_ids, k, want_sequences, want_ranks, run_budget
-            )
-        choices = prep.first_choices()
-        if len(choices) <= 1:
-            return prep, _fold_selected(
-                prep, (), sel_ids, k, want_sequences, want_ranks, None
-            )
-        bottom = prep.bottom
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _fold_selected(
-                        prep, (bottom, c), sel_ids, k, want_sequences, want_ranks, None
-                    ),
-                    choices,
-                )
-            )
+        for order, vol, _assign, _sizes in _extensions(prep, budget):
+            volume += vol
+            descending = [i for i in reversed(order) if i in sel_ids]
+            if sequences is not None:
+                seq = tuple(descending if k is None else descending[:k])
+                if seq in sequences:
+                    sequences[seq] += vol
+                else:
+                    if len(sequences) >= _SEQUENCE_TABLE_LIMIT:
+                        raise LimitExceededError(
+                            f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
+                            "sequences; lower k or use estimate_topk"
+                        )
+                    sequences[seq] = vol
+            if ranks is not None:
+                for r, i in enumerate(descending, start=1):
+                    bucket = ranks[i]
+                    if r in bucket:
+                        bucket[r] += vol
+                    else:
+                        bucket[r] = vol
     except BudgetExceededError as err:
         raise _with_estimate_hint(err) from None
-    merged = _SelTally(
-        Fraction(0),
-        0,
-        {} if want_sequences else None,
-        {i: {} for i in sel_ids} if want_ranks else None,
-    )
-    for part in parts:
-        merged.volume += part.volume
-        merged.count += part.count
-        if merged.sequences is not None:
-            for seq, vol in part.sequences.items():
-                merged.sequences[seq] = merged.sequences.get(seq, Fraction(0)) + vol
-        if merged.ranks is not None:
-            for i, bucket in part.ranks.items():
-                out = merged.ranks[i]
-                for r, vol in bucket.items():
-                    out[r] = out.get(r, Fraction(0)) + vol
-    return prep, merged
+    return prep, _SelTally(volume, sequences, ranks)
 
 
 def _sequence_argmax(
@@ -297,13 +239,12 @@ def u_topk(
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> TopKResult:
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
     prep, tally = _selected_tally(
-        cs, chosen, min(k, len(chosen)), True, False, budget, threads
+        cs, chosen, min(k, len(chosen)), True, False, budget
     )
     seq, prob = _sequence_argmax(prep, tally.sequences, tally.volume)
     entries = tuple((v, prob) for v in seq)
@@ -315,7 +256,6 @@ def u_sequence_probabilities(
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict[tuple[str, ...], Fraction]:
     """Probability of every possible descending length-k sequence.
 
@@ -326,7 +266,7 @@ def u_sequence_probabilities(
     _require_k(k)
     chosen = _selection_vars(cs, sel)
     prep, tally = _selected_tally(
-        cs, chosen, min(k, len(chosen)), True, False, budget, threads
+        cs, chosen, min(k, len(chosen)), True, False, budget
     )
     return {
         tuple(prep.quotient.variables[i].name for i in seq): vol / tally.volume
@@ -352,12 +292,11 @@ def global_topk(
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> TopKResult:
     """The k selected variables most likely to rank among the k highest."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(cs, chosen, None, False, True, budget, threads)
+    prep, tally = _selected_tally(cs, chosen, None, False, True, budget)
     scored = _global_ranking(prep, tally, chosen, k)
     return TopKResult(SEMANTICS_GLOBAL, k, tuple(scored[:k]))
 
@@ -371,7 +310,6 @@ def check_containment(
     sel: SelectionPredicate | Iterable[str],
     semantics: str,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ContainmentReport:
     """Test that the k-answer is a strict prefix of the (k+1)-answer for
     every k up to |selection| - 1."""
@@ -380,10 +318,10 @@ def check_containment(
     if m < 2:
         return ContainmentReport(semantics, True, None, (), ())
     if semantics == SEMANTICS_LOCAL:
-        full = local_topk(cs, chosen, m, budget, threads)
+        full = local_topk(cs, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        prep, tally = _selected_tally(cs, chosen, None, True, False, budget, threads)
+        prep, tally = _selected_tally(cs, chosen, None, True, False, budget)
         answers = []
         for k in range(1, m + 1):
             grouped: dict[tuple[int, ...], Fraction] = {}
@@ -393,7 +331,7 @@ def check_containment(
             seq_vars, _ = _sequence_argmax(prep, grouped, tally.volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
-        prep, tally = _selected_tally(cs, chosen, None, False, True, budget, threads)
+        prep, tally = _selected_tally(cs, chosen, None, False, True, budget)
         answers = [
             tuple(v.name for v, _ in _global_ranking(prep, tally, chosen, k)[:k])
             for k in range(1, m + 1)

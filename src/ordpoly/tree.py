@@ -418,7 +418,6 @@ def solve_part(
     query: str,
     names: Sequence[str] = (),
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ):
     """Answer ``query`` on one decomposition part by the engine its shape
     allows: the volume (VOLUME), ``{name: value}`` for the unknowns ``names``
@@ -459,12 +458,12 @@ def solve_part(
             solved = _expected_values(t, names)
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
     if query == VOLUME:
-        return volume_exact(skel.part, budget=budget, threads=threads)
+        return volume_exact(skel.part, budget=budget)
     if query == VALUES:
-        everything = interpolate_all(skel.part, budget=budget, threads=threads)
+        everything = interpolate_all(skel.part, budget=budget)
         return {n: everything[n] for n in names}
     if query == MARGINAL:
-        return marginal_exact(skel.part, names[0], budget=budget, threads=threads)
+        return marginal_exact(skel.part, names[0], budget=budget)
     raise ShapeError(
         "no stable scheme exists for general-shaped components "
         f"(component of {min(names)!r})"
@@ -476,7 +475,6 @@ def part_values(
     names: Sequence,
     query: str = VALUES,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict:
     """Expected (with STABLE, stable-scheme) values of source variables.  A
     pinned tie class gives its value; the rest are grouped by part and each
@@ -498,7 +496,6 @@ def part_values(
             query,
             sorted(set(targets.values())),
             budget,
-            threads,
         )
         values.update((x, solved[name]) for x, name in targets.items())
     return values
@@ -523,9 +520,7 @@ def tree_values(prep: Prepared, names: Sequence) -> dict:
     return part_values(prep, names)
 
 
-def part_marginal(
-    prep: Prepared, x, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> PiecewisePolynomial:
+def part_marginal(prep: Prepared, x, budget: int = DEFAULT_BUDGET) -> PiecewisePolynomial:
     """Marginal density of ``x`` from its decomposition part alone: the
     tree engine on tree shapes, the exact engine on a general part."""
     target = prep.target(x)
@@ -535,7 +530,7 @@ def part_marginal(
         )
     d = prep.decomposition
     return solve_part(
-        d.skeletons[d.part_index[target.name]], MARGINAL, [target.name], budget, threads
+        d.skeletons[d.part_index[target.name]], MARGINAL, [target.name], budget
     )
 
 

@@ -32,8 +32,14 @@ def distinct_fractions(
 ) -> list[Fraction]:
     """``count`` distinct fractions strictly between ``lo`` and ``hi``."""
     den = rng.choice(_DENOMINATORS)
-    first = int(lo * den) + 1
-    last = -int(-hi * den) - 1  # ceil(hi*den) - 1
+    while True:
+        first = int(lo * den) + 1
+        last = -int(-hi * den) - 1  # ceil(hi*den) - 1
+        if last - first + 1 >= count or lo >= hi:
+            break
+        # Too few numerators: refine the grid without another draw, so a
+        # denominator that already fits gives the same fractions as before.
+        den *= 2
     nums = rng.sample(range(first, last + 1), count)
     return sorted(Fraction(n, den) for n in nums)
 

@@ -489,6 +489,92 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "malformed"
 
 
+# a and b are forced equal; u sits above them.
+TIED_WITH_UNKNOWN = {
+    "variables": ["a", "b", "u"],
+    "order": [["a", "b"], ["b", "a"], ["a", "u"]],
+    "exact": {},
+}
+
+
+class TestPersistentTies:
+    """Per-variable value queries answer on the tie quotient, where tied
+    variables share their class's value; queries about the polytope or the
+    order refuse persistent ties."""
+
+    def test_value_queries_answer_on_the_quotient(self, tmp_path):
+        path = write_doc(tmp_path, "tied.json", TIED_WITH_UNKNOWN)
+        code, out, err = run_cli(["interpolate", path, "--engine", "exact"])
+        assert code == 0, err
+        exact = json.loads(out)["results"]["values"]
+        assert exact["a"] == exact["b"] == {"exact": "1/3", "approx": "0.333333333333"}
+        code, out, err = run_cli(["interpolate", path])
+        assert code == 0, err
+        assert json.loads(out)["results"]["values"] == exact
+        code, out, err = run_cli(["interpolate", path, "--scheme", "stable"])
+        assert code == 0, err
+        stable = json.loads(out)["results"]["values"]
+        assert stable["a"] == stable["b"]
+        code, out, err = run_cli(
+            ["topk", path, "--semantics", "local", "--k", "3", "--select", "a,b,u"]
+        )
+        assert code == 0, err
+        entries = json.loads(out)["results"]["entries"]
+        assert [e["variable"] for e in entries] == ["u", "a", "b"]
+        assert {e["variable"]: e["value"] for e in entries} == exact
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["volume"], ["topk", "--semantics", "u", "--k", "1", "--select", "a,u"]],
+        ids=["volume", "u-topk"],
+    )
+    def test_order_queries_refuse(self, tmp_path, argv):
+        path = write_doc(tmp_path, "tied.json", TIED_WITH_UNKNOWN)
+        code, out, err = run_cli([argv[0], path, *argv[1:]])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "persistent-tie"
+
+
+# Two sources below two sinks: a general part.
+K22 = {
+    "variables": ["a", "b", "c", "d"],
+    "order": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
+    "exact": {},
+}
+
+
+class TestThreadsFlag:
+    """--threads is accepted for compatibility and changes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume"],
+            ["volume", "--engine", "exact"],
+            ["interpolate"],
+            ["interpolate", "--engine", "exact"],
+            ["marginal", "--var", "c"],
+            ["topk", "--semantics", "u", "--k", "2", "--select", "a,b,c"],
+            ["topk", "--semantics", "global", "--k", "2", "--select", "a,b,c,d"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_thread_count_does_not_change_output(self, tmp_path, argv):
+        path = write_doc(tmp_path, "k22.json", K22)
+        outputs = []
+        for threads in ("1", "4"):
+            code, out, err = run_cli([argv[0], path, *argv[1:], "--threads", threads])
+            assert code == 0, err
+            outputs.append([line for line in out.splitlines() if '"elapsed_ms"' not in line])
+        assert outputs[0] == outputs[1]
+
+    def test_non_integer_is_exit_3(self, tmp_path):
+        path = write_doc(tmp_path, "k22.json", K22)
+        code, out, err = run_cli(["volume", path, "--threads", "abc"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "malformed"
+
+
 # A tree part (a, b, c) and a reverse-tree part (x, y, z) sharing the pins.
 TREE_AND_MIRROR = {
     "variables": ["lo", "a", "b", "c", "h1", "h2", "lo2", "lo3", "x", "y", "z", "top"],

@@ -21,9 +21,11 @@ from ordpoly import (
     interpolate_exact,
     marginal_exact,
     pw_expectation,
+    u_topk,
     volume_exact,
     volume_frag,
 )
+from ordpoly import exact
 
 F = Fraction
 
@@ -209,12 +211,35 @@ class TestBudget:
         cs = ConstraintSet([f"v{i}" for i in range(5)], [], {})
         assert count_extensions(cs, budget=120) == 120
 
+    def test_counting_branch_when_precount_gives_up(self, monkeypatch):
+        # With the per-level cap at 1 the pre-count gives up at once, so the
+        # guard counts extensions as the walk produces them.
+        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})  # 720 extensions
+        calls = {
+            "count_extensions": lambda b: count_extensions(cs, b),
+            "volume_exact": lambda b: volume_exact(cs, b),
+            "interpolate_all": lambda b: interpolate_all(cs, b),
+            "enumerate_extensions": lambda b: list(enumerate_extensions(cs, b)),
+            "extension_volumes": lambda b: list(extension_volumes(cs, b)),
+            "u_topk": lambda b: u_topk(cs, ["v0", "v1", "v2"], 2, b),
+        }
+        unpatched = {name: call(720) for name, call in calls.items()}
+        produced = []
+        walk = exact._walk
 
-class TestThreads:
-    def test_thread_count_does_not_change_results(self):
-        rng = random.Random(47)
-        for _ in range(8):
-            doc = gen.mixed_doc(rng, rng.randint(2, 6), rng.randint(0, 2))
-            cs = gen.to_cs(doc)
-            assert volume_exact(cs, threads=3) == volume_exact(cs, threads=1)
-            assert interpolate_all(cs, threads=3) == interpolate_all(cs, threads=1)
+        def counting_walk(prep):
+            for item in walk(prep):
+                produced.append(item)
+                yield item
+
+        monkeypatch.setattr(exact, "_LEVEL_MASK_CAP", 1)
+        monkeypatch.setattr(exact, "_walk", counting_walk)
+        for name, call in calls.items():
+            produced.clear()
+            with pytest.raises(BudgetExceededError) as exc_info:
+                call(719)
+            assert (exc_info.value.budget, exc_info.value.lower_bound) == (719, 720), name
+            assert len(produced) == 720, name
+            if name == "u_topk":
+                assert "estimate_topk" in str(exc_info.value)
+            assert call(720) == unpatched[name], name

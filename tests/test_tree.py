@@ -59,6 +59,17 @@ class TestStructure:
         with pytest.raises(ShapeError):
             as_tree(cs)
 
+    def test_generator_builds_large_trees(self):
+        # 250 unknowns need more distinct leaf values than any drawn
+        # denominator alone provides.
+        for seed in range(20):
+            doc = gen.tree_doc(random.Random(seed), 250)
+            leaf_values = [v for name, v in doc[2].items() if name != "r"]
+            assert len(set(leaf_values)) == len(leaf_values)
+            assert all(0 < v < 1 for v in leaf_values)
+            t = as_tree(gen.to_cs(doc))
+            assert len(t.unknown_nodes()) == 250
+
 
 class TestVolume:
     def test_lemma_tree_volume(self):
