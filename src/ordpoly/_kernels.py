@@ -1,163 +1,12 @@
-"""Hit-and-run stepping kernels.
+"""Compiled-kernel probe.
 
-Two interchangeable implementations of the same stepping loop: a
-numba-compiled scalar version (the default when numba imports) and a
-vectorized numpy version.  Setting the environment variable
-``ORDPOLY_NO_NUMBA`` to any non-empty value forces the numpy path.  Both
-consume identical pregenerated random rows in the same order and use the
-same IEEE-754 expressions, so the produced streams are bit-identical —
-``benchmarks/bench_sampler.py`` measures the speed difference.
-
-State advances one random row at a time: a row is a direction plus one
-uniform.  A row whose feasible chord is shorter than ``CHORD_EPS`` is
-rejected (the direction is consumed, the step does not advance); more
-than ``MAX_RETRIES`` consecutive rejections abort.
-
-Kernel status codes: ``OK`` (consumed all rows or finished all steps)
-and ``STALLED`` (retry cap hit).
+The hit-and-run stepping loop is plain numpy in ``sampler._raw_samples``;
+there is no compiled kernel.  ``numba_available`` remains only because the
+benchmark's environment report (``ordbench/run.py``) imports it.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-CHORD_EPS = 1e-14
-MAX_RETRIES = 100
-
-OK = 0
-STALLED = -2
-
-try:  # pragma: no cover - exercised through the public API
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 
 def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-def use_numba() -> bool:
-    """True when the compiled kernel should run (env flag wins)."""
-    return _HAVE_NUMBA and not os.environ.get("ORDPOLY_NO_NUMBA")
-
-
-def _steps_scalar(
-    x, dirs, unifs, pair_a, pair_b, box_lo, box_hi,
-    total_steps, burn_in, thinning, out, step, kept, retries,
-):
-    """Scalar stepping loop (the numba-compiled flavour).
-
-    Returns (rows_consumed, step, kept, retries, status).
-    """
-    n_dim = x.shape[0]
-    n_pairs = pair_a.shape[0]
-    rows = dirs.shape[0]
-    r = 0
-    while r < rows and step < total_steps:
-        t_lo = -np.inf
-        t_hi = np.inf
-        for i in range(n_dim):
-            di = dirs[r, i]
-            if di > 0.0:
-                cand_hi = (box_hi[i] - x[i]) / di
-                cand_lo = (box_lo[i] - x[i]) / di
-            elif di < 0.0:
-                cand_hi = (box_lo[i] - x[i]) / di
-                cand_lo = (box_hi[i] - x[i]) / di
-            else:
-                continue
-            if cand_hi < t_hi:
-                t_hi = cand_hi
-            if cand_lo > t_lo:
-                t_lo = cand_lo
-        for p in range(n_pairs):
-            a = pair_a[p]
-            b = pair_b[p]
-            g = dirs[r, a] - dirs[r, b]
-            if g == 0.0:
-                continue
-            q = (x[b] - x[a]) / g
-            if g > 0.0:
-                if q < t_hi:
-                    t_hi = q
-            else:
-                if q > t_lo:
-                    t_lo = q
-        if t_hi - t_lo < CHORD_EPS:
-            r += 1
-            retries += 1
-            if retries > MAX_RETRIES:
-                return r, step, kept, retries, STALLED
-            continue
-        t = t_lo + unifs[r] * (t_hi - t_lo)
-        for i in range(n_dim):
-            xi = x[i] + t * dirs[r, i]
-            if xi < box_lo[i]:
-                xi = box_lo[i]
-            elif xi > box_hi[i]:
-                xi = box_hi[i]
-            x[i] = xi
-        r += 1
-        retries = 0
-        step += 1
-        if step > burn_in and (step - burn_in) % thinning == 0:
-            for i in range(n_dim):
-                out[kept, i] = x[i]
-            kept += 1
-    return r, step, kept, retries, OK
-
-
-if _HAVE_NUMBA:  # pragma: no branch
-    _steps_compiled = _njit(cache=True, nogil=True)(_steps_scalar)
-
-
-def _steps_numpy(
-    x, dirs, unifs, pair_a, pair_b, box_lo, box_hi,
-    total_steps, burn_in, thinning, out, step, kept, retries,
-):
-    """Vectorized stepping loop; same row-consumption pattern and IEEE
-    expressions as ``_steps_scalar``."""
-    rows = dirs.shape[0]
-    has_pairs = pair_a.shape[0] > 0
-    r = 0
-    while r < rows and step < total_steps:
-        d = dirs[r]
-        moving = d != 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(d > 0.0, box_hi - x, box_lo - x) / d
-            down = np.where(d > 0.0, box_lo - x, box_hi - x) / d
-        t_hi = np.min(up, initial=np.inf, where=moving)
-        t_lo = np.max(down, initial=-np.inf, where=moving)
-        if has_pairs:
-            g = d[pair_a] - d[pair_b]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = (x[pair_b] - x[pair_a]) / g
-            t_hi = min(t_hi, np.min(q, initial=np.inf, where=g > 0.0))
-            t_lo = max(t_lo, np.max(q, initial=-np.inf, where=g < 0.0))
-        if t_hi - t_lo < CHORD_EPS:
-            r += 1
-            retries += 1
-            if retries > MAX_RETRIES:
-                return r, step, kept, retries, STALLED
-            continue
-        t = t_lo + unifs[r] * (t_hi - t_lo)
-        x += t * d
-        np.clip(x, box_lo, box_hi, out=x)
-        r += 1
-        retries = 0
-        step += 1
-        if step > burn_in and (step - burn_in) % thinning == 0:
-            out[kept] = x
-            kept += 1
-    return r, step, kept, retries, OK
-
-
-def stepper():
-    """The active kernel implementation."""
-    if use_numba():
-        return _steps_compiled
-    return _steps_numpy
+    """Always False: no stepping loop is compiled."""
+    return False

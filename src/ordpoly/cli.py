@@ -360,7 +360,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
             p.add_argument("--thinning", type=int, default=None)
-            p.add_argument("--chains", type=int, default=1)
+            p.add_argument(
+                "--chains",
+                type=int,
+                default=1,
+                help="independent chains run one after another, seeded "
+                "seed ... seed+N-1 (at most 64; sample accepts and ignores it)",
+            )
     return ap
 
 

@@ -313,7 +313,7 @@ def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
     known = _count_extensions(prep, budget)
     if known is not None:
         return known
-    return sum(1 for _ in _extensions(prep, budget))
+    return sum(1 for _ in _counted(_walk(prep), budget))
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,20 @@ thinning control.
 
 Ties collapse before sampling (tied variables share one coordinate) and
 pinned variables are constants, so the walk runs in the genuinely free
-dimensions only.  All sampling is in 64-bit floats; sampled streams are
-deterministic per seed, and parallel chains derive their seeds as
-seed + chain index, merging estimates by sample-count-weighted average.
+dimensions only.  The walk is one numpy loop in one thread, in 64-bit
+floats; sampled streams are deterministic per seed.  Independent chains
+run one after another, chain c seeded seed + c, and their samples are
+pooled into one mean.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import CHORD_EPS, STALLED, stepper
 from .errors import MalformedInputError, SamplerError
 from .model import ConstraintSet, Prepared, VariableId, _bits
 from .topk import SelectionPredicate
@@ -44,9 +43,12 @@ __all__ = [
 ]
 
 POINT_TOLERANCE = 1e-12
-# Each chain is one thread.  The cap is fixed rather than taken from the
-# machine because estimates depend on the chain count (chain c is seeded
-# seed + c).
+CHORD_EPS = 1e-14
+MAX_RETRIES = 100
+# Chains run one after another and each pays its own burn-in, so the cap
+# bounds the work one request can ask for.  It is fixed rather than taken
+# from the machine because estimates depend on the chain count (chain c is
+# seeded seed + c).
 MAX_CHAINS = 64
 _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
@@ -209,30 +211,58 @@ def interior_point(cs: ConstraintSet) -> SamplePoint:
 
 
 def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.ndarray:
-    """``count`` thinned post-burn-in points as a (count, dimension) array."""
-    d = walk.dimension
-    burn_in, thinning = cfg.resolved(d)
+    """``count`` thinned post-burn-in points as a (count, dimension) array.
+
+    The walk consumes pregenerated random rows one at a time: a row is a
+    direction plus one uniform.  A row whose feasible chord is shorter than
+    ``CHORD_EPS`` is rejected (the row is consumed, the step does not
+    advance); more than ``MAX_RETRIES`` consecutive rejections abort.
+    """
+    burn_in, thinning = cfg.resolved(walk.dimension)
     total_steps = burn_in + count * thinning
     rng = np.random.default_rng(seed)
     x = walk.interior()
-    out = np.empty((count, d))
-    kernel = stepper()
+    out = np.empty((count, walk.dimension))
+    box_lo, box_hi = walk.box_lo, walk.box_hi
+    pair_a, pair_b = walk.pair_a, walk.pair_b
+    has_pairs = pair_a.shape[0] > 0
     step = kept = retries = 0
-    while step < total_steps:
-        rows = min(_CHUNK_ROWS, (total_steps - step) + _RETRY_ROW_PAD)
-        dirs = rng.standard_normal((rows, d))
-        unifs = rng.random(rows)
-        _, step, kept, retries, status = kernel(
-            x, dirs, unifs, walk.pair_a, walk.pair_b,
-            walk.box_lo, walk.box_hi,
-            total_steps, burn_in, thinning, out, step, kept, retries,
-        )
-        if status == STALLED:
-            raise SamplerError(
-                f"no feasible chord after {retries} direction retries "
-                f"(chord tolerance {CHORD_EPS})"
-            )
-    assert kept == count, "stepper must emit exactly the requested points"
+    # zero direction or pair-difference entries divide to inf/nan; the where=
+    # masks below drop them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while step < total_steps:
+            rows = min(_CHUNK_ROWS, (total_steps - step) + _RETRY_ROW_PAD)
+            dirs = rng.standard_normal((rows, walk.dimension))
+            unifs = rng.random(rows)
+            for d, u in zip(dirs, unifs):
+                if step == total_steps:
+                    break
+                moving = d != 0.0
+                up = np.where(d > 0.0, box_hi - x, box_lo - x) / d
+                down = np.where(d > 0.0, box_lo - x, box_hi - x) / d
+                t_hi = np.min(up, initial=np.inf, where=moving)
+                t_lo = np.max(down, initial=-np.inf, where=moving)
+                if has_pairs:
+                    g = d[pair_a] - d[pair_b]
+                    q = (x[pair_b] - x[pair_a]) / g
+                    t_hi = min(t_hi, np.min(q, initial=np.inf, where=g > 0.0))
+                    t_lo = max(t_lo, np.max(q, initial=-np.inf, where=g < 0.0))
+                if t_hi - t_lo < CHORD_EPS:
+                    retries += 1
+                    if retries > MAX_RETRIES:
+                        raise SamplerError(
+                            f"no feasible chord after {retries} direction retries "
+                            f"(chord tolerance {CHORD_EPS})"
+                        )
+                    continue
+                x += (t_lo + u * (t_hi - t_lo)) * d
+                np.clip(x, box_lo, box_hi, out=x)
+                retries = 0
+                step += 1
+                if step > burn_in and (step - burn_in) % thinning == 0:
+                    out[kept] = x
+                    kept += 1
+    assert kept == count, "the walk must emit exactly the requested points"
     return out
 
 
@@ -289,15 +319,9 @@ def _chain_means(
     chains = max(1, min(chains, total))
     counts = [total // chains + (1 if c < total % chains else 0) for c in range(chains)]
 
-    def run(c: int) -> np.ndarray:
-        return _raw_samples(walk, cfg, counts[c], cfg.seed + c)
-
-    if chains == 1:
-        sums = run(0).sum(axis=0)
-    else:
-        with ThreadPoolExecutor(max_workers=chains) as pool:
-            blocks = list(pool.map(run, range(chains)))
-        sums = np.sum([b.sum(axis=0) for b in blocks], axis=0)
+    sums = np.zeros(walk.dimension)
+    for c, n in enumerate(counts):
+        sums += _raw_samples(walk, cfg, n, cfg.seed + c).sum(axis=0)
     return sums / total, total
 
 

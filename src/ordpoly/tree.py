@@ -464,10 +464,7 @@ def solve_part(
         return {n: everything[n] for n in names}
     if query == MARGINAL:
         return marginal_exact(skel.part, names[0], budget=budget)
-    raise ShapeError(
-        "no stable scheme exists for general-shaped components "
-        f"(component of {min(names)!r})"
-    )
+    raise ShapeError("no stable scheme exists for general-shaped components")
 
 
 def part_values(
@@ -490,13 +487,15 @@ def part_values(
             part_no = prep.decomposition.part_index[target.name]
             wanted.setdefault(part_no, {})[x] = target.name
     for part_no in sorted(wanted):
+        skel = prep.decomposition.skeletons[part_no]
         targets = wanted[part_no]
-        solved = solve_part(
-            prep.decomposition.skeletons[part_no],
-            query,
-            sorted(set(targets.values())),
-            budget,
-        )
+        if query == STABLE and skel.shape == SHAPE_GENERAL:
+            first = min(prep.source.resolve(x).name for x in targets)
+            raise ShapeError(
+                "no stable scheme exists for general-shaped components "
+                f"(component of {first!r})"
+            )
+        solved = solve_part(skel, query, sorted(set(targets.values())), budget)
         values.update((x, solved[name]) for x, name in targets.items())
     return values
 

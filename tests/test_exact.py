@@ -232,14 +232,26 @@ class TestBudget:
                 produced.append(item)
                 yield item
 
+        precounts = []
+        precount = exact._count_extensions
+
+        def counting_precount(prep, budget):
+            precounts.append(budget)
+            return precount(prep, budget)
+
         monkeypatch.setattr(exact, "_LEVEL_MASK_CAP", 1)
         monkeypatch.setattr(exact, "_walk", counting_walk)
+        monkeypatch.setattr(exact, "_count_extensions", counting_precount)
         for name, call in calls.items():
             produced.clear()
+            precounts.clear()
             with pytest.raises(BudgetExceededError) as exc_info:
                 call(719)
             assert (exc_info.value.budget, exc_info.value.lower_bound) == (719, 720), name
             assert len(produced) == 720, name
+            assert precounts == [719], name
             if name == "u_topk":
                 assert "estimate_topk" in str(exc_info.value)
+            precounts.clear()
             assert call(720) == unpatched[name], name
+            assert precounts == [720], name

@@ -1,4 +1,4 @@
-"""Hit-and-run sampler: feasibility, determinism, accuracy, kernels."""
+"""Hit-and-run sampler: feasibility, determinism, accuracy."""
 import math
 import random
 from fractions import Fraction
@@ -20,7 +20,6 @@ from ordpoly import (
     rejection_sample_mean,
 )
 from ordpoly import sampler
-from ordpoly._kernels import numba_available
 
 F = Fraction
 
@@ -59,11 +58,7 @@ class TestConfig:
 
 
 class TestChainCap:
-    def test_chains_above_cap_fail_before_any_thread(self, monkeypatch):
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_threads)
+    def test_chains_above_cap_fail_before_any_thread(self):
         cs = ConstraintSet(["a", "b"], [("a", "b")], {})
         for chains in (sampler.MAX_CHAINS + 1, 3000):
             with pytest.raises(MalformedInputError):
@@ -127,14 +122,37 @@ class TestDeterminism:
         b = next(iter(hit_and_run_sample(cs, SamplerConfig(seed=2), 1)))
         assert a.as_dict() != b.as_dict()
 
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    def test_compiled_and_numpy_kernels_agree_bitwise(self, monkeypatch):
-        cs = two_chain()
-        monkeypatch.delenv("ORDPOLY_NO_NUMBA", raising=False)
-        fast = estimate_expected_value(cs, "x", SamplerConfig(seed=7)).value
-        monkeypatch.setenv("ORDPOLY_NO_NUMBA", "1")
-        slow = estimate_expected_value(cs, "x", SamplerConfig(seed=7)).value
-        assert fast == slow
+    def test_stream_is_pinned(self):
+        # The walk's exact float stream: any change to the random-row
+        # consumption or the chord arithmetic shows here.
+        cs = ConstraintSet(
+            ["a", "b", "c", "d"],
+            [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+            {"b": F(2, 5)},
+        )
+        pts = [pt.as_dict() for pt in hit_and_run_sample(cs, SamplerConfig(seed=42), 5)]
+        assert repr(pts) == (
+            "[{'a': 0.3760330328739468, 'b': 0.4, 'c': 0.49908160408758584, "
+            "'d': 0.6009130517445723}, "
+            "{'a': 0.311657806170193, 'b': 0.4, 'c': 0.5599580184003966, "
+            "'d': 0.8630606767776211}, "
+            "{'a': 0.23433846397314143, 'b': 0.4, 'c': 0.4014819624653838, "
+            "'d': 0.8648190823135635}, "
+            "{'a': 0.2108326215085761, 'b': 0.4, 'c': 0.25756513523929137, "
+            "'d': 0.9844786617576053}, "
+            "{'a': 0.11254905170707732, 'b': 0.4, 'c': 0.2595922192763249, "
+            "'d': 0.9091837677371134}]"
+        )
+        cfg = SamplerConfig(epsilon=0.2, burn_in=300, seed=42)
+        est = estimate_expected_value(cs, "c", cfg, chains=3)
+        assert repr(est) == "EstimateResult(value=0.5055236419509231, samples=185)"
+
+    def test_walk_without_feasible_chords_stalls(self, monkeypatch):
+        # every chord is shorter than this tolerance, so every row is rejected
+        monkeypatch.setattr(sampler, "CHORD_EPS", math.inf)
+        cs = ConstraintSet(["a", "b"], [], {})
+        with pytest.raises(SamplerError, match="no feasible chord"):
+            list(hit_and_run_sample(cs, SamplerConfig(seed=1, burn_in=5), 3))
 
 
 class TestEstimates:
