@@ -318,7 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-extensions",
             type=int,
             default=DEFAULT_BUDGET,
-            help="linear-extension budget for the exact engine",
+            help="exact-engine budget: under --engine exact, the number of "
+            "linear extensions enumerated; under auto (general parts) and "
+            "u/global top-k, the distinct downsets in one level of the "
+            "lattice, a lower bound on the extension count",
         )
         p.add_argument(
             "--threads",

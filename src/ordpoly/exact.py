@@ -22,6 +22,11 @@ count is in the trillions, and when pre-counting would need too much
 memory it counts the extensions as they are produced instead.  Each fold
 tallies only what its query reads: volume tracks no unknown, one
 expected value or marginal tracks one, ``interpolate_all`` tracks all.
+
+Enumeration serves ``--engine exact`` and the extension tables, and it is
+the reference the downset-lattice engine (``lattice``) is tested against;
+``auto`` on general parts and u/global top-k build the same tallies from
+the lattice, and read them through ``_expectation`` and ``_density``.
 """
 
 from __future__ import annotations
@@ -253,11 +258,18 @@ def _walk(prep: _Prep):
 # budget guard
 
 
+def _check_budget(budget: int) -> None:
+    """Reject a negative budget: it is malformed input, not a limit."""
+    if budget < 0:
+        raise MalformedInputError(f"the budget must be at least 0, got {budget}")
+
+
 def _count_extensions(prep: _Prep, budget: int) -> int | None:
     """Exact extension count, or None when pre-counting would need too
     much memory.  Raises ``BudgetExceededError`` as soon as any level's
     prefix count (a lower bound on the total) exceeds the budget, the
     last level (the count itself) included."""
+    _check_budget(budget)
     n = len(prep.quotient.variables)
     parent_mask = [0] * n
     for a in range(n):
@@ -450,8 +462,17 @@ def marginal_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Piecew
             f"{prep.quotient.exact_values[target.id]}; only unknowns have a density"
         )
     volume, acc = _aggregate(prep, budget, [target.id])
+    return _density(prep, volume, acc[target.id])
+
+
+def _density(
+    prep: _Prep, volume: Fraction, bucket: dict[tuple[int, int, int], Fraction]
+) -> PiecewisePolynomial:
+    """The marginal density from one unknown's (interval, rank, fragment
+    size) volumes: each bucket weighs its rank-r order-statistic density
+    on the interval by its share of the volume."""
     per_interval: dict[int, Polynomial] = {}
-    for (j, r, size), vol in acc[target.id].items():
+    for (j, r, size), vol in bucket.items():
         density = order_statistic_density(
             r, size, prep.values[j], prep.values[j + 1]
         )

@@ -314,9 +314,11 @@ def _chain_means(
     walk: _Walk, cfg: SamplerConfig, total: int, chains: int
 ) -> tuple[np.ndarray, int]:
     """Column means over ``total`` samples split across chains."""
-    if chains > MAX_CHAINS:
-        raise MalformedInputError(f"chains must be at most {MAX_CHAINS}, got {chains}")
-    chains = max(1, min(chains, total))
+    if not 1 <= chains <= MAX_CHAINS:
+        raise MalformedInputError(
+            f"chains must be between 1 and {MAX_CHAINS}, got {chains}"
+        )
+    chains = min(chains, total)
     counts = [total // chains + (1 if c < total % chains else 0) for c in range(chains)]
 
     sums = np.zeros(walk.dimension)

@@ -12,14 +12,15 @@ implemented, all exact:
 * global: per variable, compute the probability that it ranks among the
   k highest selected values; return the k most probable variables.
 
-The u and global semantics fold once over the exact engine's guarded
-linear-extension enumeration: within one extension's simplex fragment
-product, the coordinate order is almost surely the extension order, so
-every extension contributes its exact volume to one induced sequence.
-A budget error from that fold carries a hint to ``estimate_topk``.  The
-semantics genuinely disagree, and only the local one satisfies the
-containment property (each answer a strict prefix of the next longer
-one); ``check_containment`` tests that property for any semantics.
+Within one linear extension's simplex fragment product the coordinate
+order is almost surely the extension order, so every extension gives
+its exact volume to one induced sequence and one rank per selected
+variable.  The u and global semantics sum those volumes over the lattice
+of downsets (``lattice``) instead of enumerating extensions; a budget
+error from it carries a hint to ``estimate_topk``.  The semantics
+genuinely disagree, and only the local one satisfies the containment
+property (each answer a strict prefix of the next longer one);
+``check_containment`` tests that property for any semantics.
 
 Local top-k asks for per-variable values, so like interpolation it
 answers on the tie quotient (tied variables share their class's value);
@@ -37,7 +38,7 @@ from .errors import (
     LimitExceededError,
     MalformedInputError,
 )
-from .exact import DEFAULT_BUDGET, _extensions, _prepare, _Prep
+from .exact import DEFAULT_BUDGET, _prepare, _Prep
 from .model import ConstraintSet, Prepared, VariableId
 from .tree import part_values
 
@@ -169,7 +170,7 @@ def local_topk(
 
 
 # ---------------------------------------------------------------------------
-# u and global semantics: one enumeration pass over extensions
+# u and global semantics: one pass over the downset lattice
 
 
 @dataclass
@@ -184,43 +185,29 @@ def _selected_tally(
     chosen: Sequence[VariableId],
     k: int | None,
     want_sequences: bool,
-    want_ranks: bool,
     budget: int,
 ) -> tuple[_Prep, _SelTally]:
+    """The volume, plus either the volume of every descending sequence of
+    the top ``k`` selected variables (all of them when ``k`` is None) or,
+    without ``want_sequences``, every selected variable's volume per rank."""
+    from .lattice import rank_tally, sequence_tally  # first use, as in tree.solve_part
+
     prep = _prepare(cs, reject_user_ties=True)
-    sel_ids = frozenset(
-        prep.class_of[cs.resolve(v.name).id].id for v in chosen
-    )
-    sequences: dict[tuple[int, ...], Fraction] | None = {} if want_sequences else None
-    ranks: dict[int, dict[int, Fraction]] | None = (
-        {i: {} for i in sel_ids} if want_ranks else None
-    )
-    volume = Fraction(0)
+    sel_ids = [prep.class_of[cs.resolve(v.name).id].id for v in chosen]
     try:
-        for order, vol, _assign, _sizes in _extensions(prep, budget):
-            volume += vol
-            descending = [i for i in reversed(order) if i in sel_ids]
-            if sequences is not None:
-                seq = tuple(descending if k is None else descending[:k])
-                if seq in sequences:
-                    sequences[seq] += vol
-                else:
-                    if len(sequences) >= _SEQUENCE_TABLE_LIMIT:
-                        raise LimitExceededError(
-                            f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
-                            "sequences; lower k or use estimate_topk"
-                        )
-                    sequences[seq] = vol
-            if ranks is not None:
-                for r, i in enumerate(descending, start=1):
-                    bucket = ranks[i]
-                    if r in bucket:
-                        bucket[r] += vol
-                    else:
-                        bucket[r] = vol
+        if not want_sequences:
+            volume, ranks = rank_tally(prep, sel_ids, budget)
+            return prep, _SelTally(volume, None, ranks)
+        top = len(sel_ids) if k is None else k
+        volume, sequences = sequence_tally(prep, sel_ids, top, budget)
     except BudgetExceededError as err:
         raise _with_estimate_hint(err) from None
-    return prep, _SelTally(volume, sequences, ranks)
+    if len(sequences) > _SEQUENCE_TABLE_LIMIT:
+        raise LimitExceededError(
+            f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
+            "sequences; lower k or use estimate_topk"
+        )
+    return prep, _SelTally(volume, sequences, None)
 
 
 def _sequence_argmax(
@@ -243,9 +230,7 @@ def u_topk(
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(
-        cs, chosen, min(k, len(chosen)), True, False, budget
-    )
+    prep, tally = _selected_tally(cs, chosen, min(k, len(chosen)), True, budget)
     seq, prob = _sequence_argmax(prep, tally.sequences, tally.volume)
     entries = tuple((v, prob) for v in seq)
     return TopKResult(SEMANTICS_U, k, entries)
@@ -265,9 +250,7 @@ def u_sequence_probabilities(
     """
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(
-        cs, chosen, min(k, len(chosen)), True, False, budget
-    )
+    prep, tally = _selected_tally(cs, chosen, min(k, len(chosen)), True, budget)
     return {
         tuple(prep.quotient.variables[i].name for i in seq): vol / tally.volume
         for seq, vol in tally.sequences.items()
@@ -296,7 +279,7 @@ def global_topk(
     """The k selected variables most likely to rank among the k highest."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(cs, chosen, None, False, True, budget)
+    prep, tally = _selected_tally(cs, chosen, None, False, budget)
     scored = _global_ranking(prep, tally, chosen, k)
     return TopKResult(SEMANTICS_GLOBAL, k, tuple(scored[:k]))
 
@@ -321,7 +304,7 @@ def check_containment(
         full = local_topk(cs, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        prep, tally = _selected_tally(cs, chosen, None, True, False, budget)
+        prep, tally = _selected_tally(cs, chosen, None, True, budget)
         answers = []
         for k in range(1, m + 1):
             grouped: dict[tuple[int, ...], Fraction] = {}
@@ -331,7 +314,7 @@ def check_containment(
             seq_vars, _ = _sequence_argmax(prep, grouped, tally.volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
-        prep, tally = _selected_tally(cs, chosen, None, False, True, budget)
+        prep, tally = _selected_tally(cs, chosen, None, False, budget)
         answers = [
             tuple(v.name for v, _ in _global_ranking(prep, tally, chosen, k)[:k])
             for k in range(1, m + 1)

@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import MalformedInputError, ShapeError
-from .exact import DEFAULT_BUDGET, interpolate_all, marginal_exact, volume_exact
+from .exact import DEFAULT_BUDGET, _density, _expectation, _prepare
 from .model import (
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
@@ -425,8 +425,8 @@ def solve_part(
 
     Reverse-tree parts are solved on the tree of their mirror image.  A
     total order has one linear extension, hence closed-form values; its
-    skeleton is a tree, which gives its marginal, and its volume goes to
-    the exact engine under the extension budget, as a general part's
+    skeleton is a tree, which gives its marginal, and its volume comes
+    from the downset lattice under the budget, as a general part's
     volume, values and marginal do.
     """
     shape = skel.shape
@@ -457,14 +457,20 @@ def solve_part(
         else:
             solved = _expected_values(t, names)
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
+    if query == STABLE:
+        raise ShapeError("no stable scheme exists for general-shaped components")
+    # Imported on first use: most requests never reach a general part, and
+    # a CLI process pays for every module it imports.
+    from .lattice import aggregate
+
+    prep = _prepare(skel.part)
+    ids = {n: prep.quotient.resolve(n).id for n in names}
+    volume, acc = aggregate(prep, budget, ids.values(), shape)
     if query == VOLUME:
-        return volume_exact(skel.part, budget=budget)
-    if query == VALUES:
-        everything = interpolate_all(skel.part, budget=budget)
-        return {n: everything[n] for n in names}
+        return volume
     if query == MARGINAL:
-        return marginal_exact(skel.part, names[0], budget=budget)
-    raise ShapeError("no stable scheme exists for general-shaped components")
+        return _density(prep, volume, acc[ids[names[0]]])
+    return {n: _expectation(prep, volume, acc[i]) for n, i in ids.items()}
 
 
 def part_values(

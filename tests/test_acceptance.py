@@ -1,4 +1,4 @@
-"""Acceptance gate: fifteen end-to-end criteria, one test each.
+"""Acceptance gate: sixteen end-to-end criteria, one test each.
 
 Every test prints exactly one line ``[criterion NN] PASS/FAIL — detail``
 (replayed in the terminal summary section by conftest) and enforces the
@@ -470,3 +470,55 @@ def test_c15_tree_engine_scale():
         )
 
     criterion("15", body, budget_s=30.0)
+
+
+def test_c16_lattice_beyond_enumeration():
+    def body():
+        # K_{7,7}: every x_i <= every y_j, 7!·7! = 25,401,600 extensions of
+        # volume 1/14! each; the x's hold ranks 1..7 of 14 uniformly.
+        xs = [f"x{i}" for i in range(7)]
+        ys = [f"y{j}" for j in range(7)]
+        doc = {"variables": xs + ys, "order": [[x, y] for x in xs for y in ys]}
+        text = json.dumps(doc)
+        code, out, err = run_cli(["volume", "-"], text)
+        assert code == 0, err
+        volume = F(json.loads(out)["results"]["volume"]["exact"])
+        assert volume == F(math.factorial(7) ** 2, math.factorial(14))
+        code, out, err = run_cli(["interpolate", "-"], text)
+        assert code == 0, err
+        values = {n: F(v["exact"]) for n, v in json.loads(out)["results"]["values"].items()}
+        assert values == {**dict.fromkeys(xs, F(4, 15)), **dict.fromkeys(ys, F(11, 15))}
+        code, out, err = run_cli(["marginal", "-", "--var", "x0"], text)
+        assert code == 0, err
+        coeffs = [F(0)] * 14
+        for r in range(1, 8):
+            for i, c in enumerate(oracles.beta_rescaled_coeffs(r, 14, F(0), F(1))):
+                coeffs[i] += c / 7
+        want = PiecewisePolynomial((F(0), F(1)), (Polynomial.of(coeffs),)).canonical()
+        got = json.loads(out)["results"]["marginal"]
+        assert got["breakpoints"] == [str(b) for b in want.breakpoints]
+        assert got["pieces"] == [[str(c) for c in p.coeffs] for p in want.pieces]
+        code, _, err = run_cli(["volume", "-", "--engine", "exact"], text)
+        assert code == 2 and json.loads(err)["error"] == "budget"
+
+        # The 12-antichain: 12! extensions, every order equally likely.
+        names = [f"a{i:02d}" for i in range(12)]
+        anti = ConstraintSet(names, [], {})
+        for k in range(1, 13):
+            top = global_topk(anti, names, k)
+            assert top.names() == tuple(names[:k])
+            assert all(p == F(k, 12) for _, p in top.entries)
+        for k in range(1, 4):
+            probs = u_sequence_probabilities(anti, names, k)
+            each = F(math.factorial(12 - k), math.factorial(12))
+            assert len(probs) == math.factorial(12) // math.factorial(12 - k)
+            assert set(probs.values()) == {each}
+            top = u_topk(anti, names, k)
+            assert top.names() == tuple(names[:k]) and top.entries[0][1] == each
+        return (
+            "K_{7,7} (25401600 extensions): volume 7!7!/14!, E = 4/15 and 11/15, "
+            "x0's marginal the mean of ranks 1..7 of 14, --engine exact exits 2; "
+            "12-antichain: global k/12 at every k, u (12-k)!/12! for k <= 3"
+        )
+
+    criterion("16", body, budget_s=10.0)

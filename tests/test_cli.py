@@ -499,6 +499,26 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert json.loads(err)["error"] == "malformed"
 
+    def test_chain_count_below_one_is_exit_3(self, tmp_path):
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        for chains in (0, -2):
+            code, out, err = run_cli(
+                ["interpolate", path, "--engine", "sample", "--chains", str(chains)]
+            )
+            assert code == 3 and out == ""
+            assert json.loads(err)["error"] == "malformed"
+
+    def test_negative_budget_is_exit_3(self, tmp_path):
+        path = write_doc(tmp_path, "diamond.json", DIAMOND_HALF)
+        for argv in (
+            ["volume", path, "--engine", "exact"],
+            ["volume", path],
+            ["topk", path, "--semantics", "u", "--k", "1", "--select", "y,yp"],
+        ):
+            code, out, err = run_cli([*argv, "--max-extensions", "-1"])
+            assert code == 3 and out == "", argv
+            assert json.loads(err)["error"] == "malformed", argv
+
 
 # a and b are forced equal; u sits above them.
 TIED_WITH_UNKNOWN = {
@@ -652,10 +672,12 @@ def test_closed_stdout_is_not_an_error(tmp_path):
 
 def test_library_import_leaves_networkx_unloaded():
     # networkx is a test-only dependency (the oracles use it); the sampler
-    # needs neither a compiled kernel nor a thread pool
+    # needs neither a compiled kernel nor a thread pool; the lattice engine
+    # loads when a general part or u/global top-k first needs it
     probe = (
         "import sys, ordpoly, ordpoly.cli; "
-        "print([m for m in ('networkx', 'numba', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('networkx', 'numba', 'concurrent.futures', 'ordpoly.lattice') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -12,15 +12,18 @@ import oracles
 from ordpoly import (
     BudgetExceededError,
     ConstraintSet,
+    LimitExceededError,
     count_extensions,
     enumerate_extensions,
     expected_rank,
     expected_val_frag,
     extension_volumes,
+    global_topk,
     interpolate_all,
     interpolate_exact,
     marginal_exact,
     pw_expectation,
+    u_sequence_probabilities,
     u_topk,
     volume_exact,
     volume_frag,
@@ -221,7 +224,6 @@ class TestBudget:
             "interpolate_all": lambda b: interpolate_all(cs, b),
             "enumerate_extensions": lambda b: list(enumerate_extensions(cs, b)),
             "extension_volumes": lambda b: list(extension_volumes(cs, b)),
-            "u_topk": lambda b: u_topk(cs, ["v0", "v1", "v2"], 2, b),
         }
         unpatched = {name: call(720) for name, call in calls.items()}
         produced = []
@@ -250,8 +252,45 @@ class TestBudget:
             assert (exc_info.value.budget, exc_info.value.lower_bound) == (719, 720), name
             assert len(produced) == 720, name
             assert precounts == [719], name
-            if name == "u_topk":
-                assert "estimate_topk" in str(exc_info.value)
             precounts.clear()
             assert call(720) == unpatched[name], name
             assert precounts == [720], name
+
+    def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
+        # u and global top-k walk the downset lattice: on the 6-antichain
+        # its widest level holds C(6, 3) = 20 downsets, so budget 19 is
+        # refused (with the sampler hint) and budget 20 answers as the
+        # enumerator does over all 720 extensions; a low state cap names
+        # the set instead.
+        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})
+        sel = ["v0", "v1", "v2"]
+        sequences, ranks = {}, {}
+        for ext in enumerate_extensions(cs, 720):
+            top = tuple(v.name for v in reversed(ext.order) if v.name in sel)
+            sequences[top] = sequences.get(top, 0) + ext.volume()
+            for r, name in enumerate(top, start=1):
+                ranks[name, r] = ranks.get((name, r), 0) + ext.volume()
+        volume = sum(sequences.values())
+        for k in (1, 2, 3):
+            heads = {}
+            for top, vol in sequences.items():
+                heads[top[:k]] = heads.get(top[:k], 0) + vol
+            assert u_sequence_probabilities(cs, sel, k, 20) == {
+                top: vol / volume for top, vol in heads.items()
+            }
+            assert {v.name: p for v, p in global_topk(cs, sel, k, 20).entries} == {
+                name: sum(ranks[name, r] for r in range(1, k + 1)) / volume
+                for name in sel[:k]
+            }
+        calls = {"u_topk": u_topk, "global_topk": global_topk}
+        for name, call in calls.items():
+            with pytest.raises(BudgetExceededError) as exc_info:
+                call(cs, sel, 2, 19)
+            assert (exc_info.value.budget, exc_info.value.lower_bound) == (19, 20), name
+            assert "estimate_topk" in str(exc_info.value), name
+        monkeypatch.setattr(exact, "_LEVEL_MASK_CAP", 5)
+        for name, call in calls.items():
+            with pytest.raises(LimitExceededError) as exc_info:
+                call(cs, sel, 2, 20)
+            message = str(exc_info.value)
+            assert "'v0'" in message and "more than 5 states" in message, name
