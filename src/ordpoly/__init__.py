@@ -7,195 +7,134 @@ that polytope, with all arithmetic exact (rational).  The package also
 ranks variables under three top-k semantics, carries a polynomial-time
 engine for tree-shaped constraint sets, and a hit-and-run sampler for
 everything too large for exact enumeration.
+
+Public names load with their submodule on first access (PEP 562), so
+``import ordpoly`` costs almost nothing and numpy is imported only when
+the sampler is.
 """
 
-from .errors import (
-    BudgetExceededError,
-    ContradictionError,
-    LimitExceededError,
-    MalformedInputError,
-    OrdpolyError,
-    PersistentTieError,
-    SamplerError,
-    ShapeError,
-)
-from .poly import (
-    NonNormalizedError,
-    PiecewisePolynomial,
-    Polynomial,
-    Rational,
-    format_rational,
-    order_statistic_density,
-    parse_rational,
-    pw_expectation,
-)
-from .model import (
-    SHAPE_GENERAL,
-    SHAPE_REVERSE_TREE,
-    SHAPE_TOTAL_ORDER,
-    SHAPE_TREE,
-    ConsistencyReport,
-    ConstraintSet,
-    HasseDiagram,
-    PartSkeleton,
-    TieQuotient,
-    UninfluenceDecomposition,
-    VariableId,
-    check_consistency,
-    classify_shape,
-    close_under_implication,
-    collapse_ties,
-    decompose,
-    flip_constraints,
-    hasse,
-    part_skeleton,
-    polytope_dimension,
-)
-from . import fileio
-from .exact import (
-    DEFAULT_BUDGET,
-    FragmentView,
-    LinearExtension,
-    count_extensions,
-    enumerate_extensions,
-    expected_rank,
-    expected_val_frag,
-    extension_volumes,
-    interpolate_all,
-    interpolate_exact,
-    marginal_exact,
-    volume_exact,
-    volume_frag,
-)
-from .tree import (
-    ConstraintTree,
-    SubtreeVolumeFn,
-    as_tree,
-    interpolate_decomposed,
-    interpolate_tree,
-    marginal_decomposed,
-    marginal_tree,
-    subtree_volume_fns,
-    tree_from_part,
-    volume_tree,
-)
-from .stable import (
-    StabilityReport,
-    StableAssignment,
-    check_stability,
-    stable_interpolate,
-)
-from .topk import (
-    SEMANTICS_GLOBAL,
-    SEMANTICS_LOCAL,
-    SEMANTICS_U,
-    ContainmentReport,
-    SelectionPredicate,
-    TopKResult,
-    check_containment,
-    global_topk,
-    local_topk,
-    select,
-    u_sequence_probabilities,
-    u_topk,
-)
-from .sampler import (
-    EstimateResult,
-    SamplePoint,
-    SamplerConfig,
-    estimate_expected_value,
-    estimate_topk,
-    hit_and_run_sample,
-    interior_point,
-    rejection_sample_mean,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "SHAPE_GENERAL",
-    "SHAPE_REVERSE_TREE",
-    "SHAPE_TOTAL_ORDER",
-    "SHAPE_TREE",
-    "ConsistencyReport",
-    "ConstraintSet",
-    "ConstraintTree",
-    "ContainmentReport",
-    "ContradictionError",
-    "DEFAULT_BUDGET",
-    "EstimateResult",
-    "FragmentView",
-    "HasseDiagram",
-    "LimitExceededError",
-    "LinearExtension",
-    "MalformedInputError",
-    "NonNormalizedError",
-    "OrdpolyError",
-    "PartSkeleton",
-    "PersistentTieError",
-    "PiecewisePolynomial",
-    "Polynomial",
-    "Rational",
-    "SEMANTICS_GLOBAL",
-    "SEMANTICS_LOCAL",
-    "SEMANTICS_U",
-    "SamplePoint",
-    "SamplerConfig",
-    "SamplerError",
-    "SelectionPredicate",
-    "ShapeError",
-    "StabilityReport",
-    "StableAssignment",
-    "SubtreeVolumeFn",
-    "TieQuotient",
-    "TopKResult",
-    "UninfluenceDecomposition",
-    "VariableId",
-    "__version__",
-    "as_tree",
-    "check_consistency",
-    "check_containment",
-    "check_stability",
-    "classify_shape",
-    "close_under_implication",
-    "collapse_ties",
-    "count_extensions",
-    "decompose",
-    "enumerate_extensions",
-    "estimate_expected_value",
-    "estimate_topk",
-    "expected_rank",
-    "expected_val_frag",
-    "extension_volumes",
-    "fileio",
-    "flip_constraints",
-    "format_rational",
-    "global_topk",
-    "hasse",
-    "hit_and_run_sample",
-    "interior_point",
-    "interpolate_all",
-    "interpolate_decomposed",
-    "interpolate_exact",
-    "interpolate_tree",
-    "local_topk",
-    "marginal_decomposed",
-    "marginal_exact",
-    "marginal_tree",
-    "order_statistic_density",
-    "parse_rational",
-    "part_skeleton",
-    "polytope_dimension",
-    "pw_expectation",
-    "rejection_sample_mean",
-    "select",
-    "stable_interpolate",
-    "subtree_volume_fns",
-    "tree_from_part",
-    "u_sequence_probabilities",
-    "u_topk",
-    "volume_exact",
-    "volume_frag",
-    "volume_tree",
-]
+# submodule -> the public names it defines; the one list of the package's API
+_EXPORTS = {
+    "errors": (
+        "BudgetExceededError",
+        "ContradictionError",
+        "LimitExceededError",
+        "MalformedInputError",
+        "OrdpolyError",
+        "PersistentTieError",
+        "SamplerError",
+        "ShapeError",
+    ),
+    "poly": (
+        "NonNormalizedError",
+        "PiecewisePolynomial",
+        "Polynomial",
+        "Rational",
+        "format_rational",
+        "order_statistic_density",
+        "parse_rational",
+        "pw_expectation",
+    ),
+    "model": (
+        "SHAPE_GENERAL",
+        "SHAPE_REVERSE_TREE",
+        "SHAPE_TOTAL_ORDER",
+        "SHAPE_TREE",
+        "ConsistencyReport",
+        "ConstraintSet",
+        "HasseDiagram",
+        "PartSkeleton",
+        "TieQuotient",
+        "UninfluenceDecomposition",
+        "VariableId",
+        "check_consistency",
+        "classify_shape",
+        "close_under_implication",
+        "collapse_ties",
+        "decompose",
+        "flip_constraints",
+        "hasse",
+        "part_skeleton",
+        "polytope_dimension",
+    ),
+    "fileio": (),
+    "exact": (
+        "DEFAULT_BUDGET",
+        "FragmentView",
+        "LinearExtension",
+        "count_extensions",
+        "enumerate_extensions",
+        "expected_rank",
+        "expected_val_frag",
+        "extension_volumes",
+        "interpolate_all",
+        "interpolate_exact",
+        "marginal_exact",
+        "volume_exact",
+        "volume_frag",
+    ),
+    "tree": (
+        "ConstraintTree",
+        "SubtreeVolumeFn",
+        "as_tree",
+        "interpolate_decomposed",
+        "interpolate_tree",
+        "marginal_decomposed",
+        "marginal_tree",
+        "subtree_volume_fns",
+        "tree_from_part",
+        "volume_tree",
+    ),
+    "stable": (
+        "StabilityReport",
+        "StableAssignment",
+        "check_stability",
+        "stable_interpolate",
+    ),
+    "topk": (
+        "SEMANTICS_GLOBAL",
+        "SEMANTICS_LOCAL",
+        "SEMANTICS_U",
+        "ContainmentReport",
+        "SelectionPredicate",
+        "TopKResult",
+        "check_containment",
+        "global_topk",
+        "local_topk",
+        "select",
+        "u_sequence_probabilities",
+        "u_topk",
+    ),
+    "sampler": (
+        "EstimateResult",
+        "SamplePoint",
+        "SamplerConfig",
+        "estimate_expected_value",
+        "estimate_topk",
+        "hit_and_run_sample",
+        "interior_point",
+        "rejection_sample_mean",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, "__version__", "fileio"])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, e.g. ordpoly.fileio
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .exact import (
     DEFAULT_BUDGET,
+    _check_budget,
     interpolate_all,
     interpolate_exact,
     marginal_exact,
@@ -49,17 +50,6 @@ from .exact import (
 )
 from .model import ConstraintSet, Prepared, check_consistency, polytope_dimension
 from .poly import PiecewisePolynomial
-from .sampler import SamplerConfig, estimate_topk, hit_and_run_sample
-from .sampler import _estimate_values  # shared stream for sampled interpolate
-from .topk import (
-    SEMANTICS_GLOBAL,
-    SEMANTICS_LOCAL,
-    SEMANTICS_U,
-    global_topk,
-    local_topk,
-    select,
-    u_topk,
-)
 from .tree import (
     STABLE,
     VALUES,
@@ -72,6 +62,9 @@ from .tree import (
     tree_values,
     volume_tree,
 )
+
+# ordpoly.sampler (and with it numpy) and ordpoly.topk are imported by the
+# commands that run them: a CLI process pays for every module it imports.
 
 __all__ = ["main", "run"]
 
@@ -179,6 +172,8 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
         query = STABLE if args.scheme == "stable" else VALUES
         values = part_values(prep, names, query, args.max_extensions)
     elif args.engine == "sample":
+        from .sampler import _estimate_values  # shared stream for sampled interpolate
+
         values, diagnostics["samples"] = _estimate_values(
             prep.closed, names, _sampler_config(args), args.chains
         )
@@ -212,6 +207,16 @@ def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
 
 
 def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
+    from .topk import (
+        SEMANTICS_GLOBAL,
+        SEMANTICS_LOCAL,
+        SEMANTICS_U,
+        global_topk,
+        local_topk,
+        select,
+        u_topk,
+    )
+
     if args.select is None:
         raise MalformedInputError("topk requires --select a,b,c")
     if args.k is None:
@@ -223,6 +228,8 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             raise MalformedInputError(
                 "sampled top-k supports the local semantics only"
             )
+        from .sampler import estimate_topk
+
         ranked = estimate_topk(prep.closed, sel, args.k, _sampler_config(args), args.chains)
     else:
         fn = {
@@ -245,6 +252,8 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
 
 
 def _cmd_sample(prep: Prepared, args) -> tuple[dict, int]:
+    from .sampler import hit_and_run_sample
+
     cfg = _sampler_config(args)
     points = [
         {n: float(v) for n, v in sorted(p.as_dict().items())}
@@ -270,7 +279,9 @@ _COMMANDS = {
 # plumbing
 
 
-def _sampler_config(args) -> SamplerConfig:
+def _sampler_config(args):
+    from .sampler import SamplerConfig
+
     return SamplerConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -403,6 +414,9 @@ def run(argv: Sequence[str]) -> int:
                 raise ContradictionError(
                     report.message, tuple(v.name for v in report.witness)
                 )
+        # Every command takes the flag; closed forms and tree parts never
+        # consult it, so a negative value is refused here, not by a guard.
+        _check_budget(args.max_extensions)
         outcome = _COMMANDS[args.command](prep, args)
         if len(outcome) == 3:
             results, code, diagnostics = outcome

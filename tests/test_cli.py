@@ -88,6 +88,13 @@ TIED = {
     "exact": {},
 }
 
+# One unknown between two pins.
+PINNED_CHAIN = {
+    "variables": ["r", "a", "b"],
+    "order": [["r", "a"], ["a", "b"]],
+    "exact": {"r": "0", "b": "1/2"},
+}
+
 SEPARATED = {
     "variables": ["a0", "a1", "s", "b0"],
     "order": [["a0", "a1"], ["a1", "s"], ["s", "b0"]],
@@ -519,6 +526,27 @@ class TestExitCodes:
             assert code == 3 and out == "", argv
             assert json.loads(err)["error"] == "malformed", argv
 
+    @pytest.mark.parametrize(
+        "doc, var", [(PINNED_CHAIN, "a"), (LEMMA_TREE, "x_a")], ids=["pinned-chain", "tree"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume"],
+            ["interpolate"],
+            ["marginal", "--var", "@VAR"],
+            ["topk", "--semantics", "local", "--k", "1", "--select", "@VAR"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_budget_is_exit_3_on_any_shape(self, tmp_path, doc, var, argv):
+        # closed forms and tree parts never consult the budget
+        path = write_doc(tmp_path, "doc.json", doc)
+        argv = [var if a == "@VAR" else a for a in argv]
+        code, out, err = run_cli([argv[0], path, *argv[1:], "--max-extensions", "-1"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "malformed"
+
 
 # a and b are forced equal; u sits above them.
 TIED_WITH_UNKNOWN = {
@@ -672,11 +700,13 @@ def test_closed_stdout_is_not_an_error(tmp_path):
 
 def test_library_import_leaves_networkx_unloaded():
     # networkx is a test-only dependency (the oracles use it); the sampler
-    # needs neither a compiled kernel nor a thread pool; the lattice engine
-    # loads when a general part or u/global top-k first needs it
+    # needs neither a compiled kernel nor a thread pool; the package and the
+    # CLI load an engine (and numpy with the sampler) when a command first
+    # needs it
     probe = (
         "import sys, ordpoly, ordpoly.cli; "
-        "print([m for m in ('networkx', 'numba', 'concurrent.futures', 'ordpoly.lattice') "
+        "print([m for m in ('networkx', 'numba', 'concurrent.futures', 'numpy', "
+        "'ordpoly.lattice', 'ordpoly.sampler', 'ordpoly.topk', 'ordpoly.stable') "
         "if m in sys.modules])"
     )
     proc = subprocess.run(
@@ -688,3 +718,25 @@ def test_library_import_leaves_networkx_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [(["volume"], False), (["sample", "--count", "2"], True)],
+    ids=["volume", "sample"],
+)
+def test_only_sampling_loads_numpy(tmp_path, argv, loads_numpy):
+    path = write_doc(tmp_path, "lemma.json", LEMMA_TREE)
+    probe = (
+        "import sys; from ordpoly import cli; "
+        "code = cli.run(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, argv[0], path, *argv[1:]],
+        capture_output=True,
+        text=True,
+        cwd=Path(ordpoly.__file__).parents[1],
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == f"0 {loads_numpy}"
