@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines; the one list of the package's API
 _EXPORTS = {
     "errors": (
+        "DEFAULT_BUDGET",
         "BudgetExceededError",
         "ContradictionError",
         "LimitExceededError",
@@ -63,7 +64,6 @@ _EXPORTS = {
     ),
     "fileio": (),
     "exact": (
-        "DEFAULT_BUDGET",
         "FragmentView",
         "LinearExtension",
         "count_extensions",

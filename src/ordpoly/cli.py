@@ -31,6 +31,7 @@ from typing import Sequence
 
 from . import fileio
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ContradictionError,
     LimitExceededError,
@@ -39,32 +40,14 @@ from .errors import (
     PersistentTieError,
     SamplerError,
     ShapeError,
-)
-from .exact import (
-    DEFAULT_BUDGET,
     _check_budget,
-    interpolate_all,
-    interpolate_exact,
-    marginal_exact,
-    volume_exact,
 )
 from .model import ConstraintSet, Prepared, check_consistency, polytope_dimension
 from .poly import PiecewisePolynomial
-from .tree import (
-    STABLE,
-    VALUES,
-    VOLUME,
-    as_tree,
-    part_marginal,
-    part_values,
-    solve_part,
-    tree_marginal,
-    tree_values,
-    volume_tree,
-)
 
-# ordpoly.sampler (and with it numpy) and ordpoly.topk are imported by the
-# commands that run them: a CLI process pays for every module it imports.
+# The engines (ordpoly.exact, ordpoly.tree, ordpoly.topk, and ordpoly.sampler
+# with numpy) are imported by the commands that run them: a CLI process pays
+# for every module it imports.
 
 __all__ = ["main", "run"]
 
@@ -150,14 +133,13 @@ def _cmd_dim(prep: Prepared, args) -> tuple[dict, int]:
 
 def _cmd_volume(prep: Prepared, args) -> tuple[dict, int]:
     if args.engine == "exact":
+        from .exact import volume_exact
+
         vol = volume_exact(prep.closed, budget=args.max_extensions)
-    elif args.engine == "tree":
-        vol = volume_tree(as_tree(prep.closed))
-    else:  # auto
-        prep.reject_user_ties()
-        vol = Fraction(1)
-        for skel in prep.decomposition.skeletons:
-            vol *= solve_part(skel, VOLUME, budget=args.max_extensions)
+    else:  # auto, tree
+        from .tree import VOLUME, solve
+
+        vol = solve(prep, VOLUME, budget=args.max_extensions, general=args.engine == "auto")
     return {"volume": _value_json(vol)}, 0
 
 
@@ -168,24 +150,28 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
     else:
         names = sorted(v.name for v in cs.unknowns())
     diagnostics: dict = {}
-    if args.scheme == "stable" or args.engine == "auto":
+    if args.scheme == "stable" or args.engine in ("auto", "tree"):
+        from .tree import STABLE, VALUES, solve
+
         query = STABLE if args.scheme == "stable" else VALUES
-        values = part_values(prep, names, query, args.max_extensions)
+        values = solve(
+            prep, query, names, args.max_extensions, general=args.engine == "auto"
+        )
     elif args.engine == "sample":
         from .sampler import _estimate_values  # shared stream for sampled interpolate
 
         values, diagnostics["samples"] = _estimate_values(
             prep.closed, names, _sampler_config(args), args.chains
         )
-    elif args.engine == "exact":
+    else:  # exact
+        from .exact import interpolate_all, interpolate_exact
+
         if len(names) == 1:
             values = {
                 names[0]: interpolate_exact(prep.closed, names[0], budget=args.max_extensions)
             }
         else:  # every unknown
             values = interpolate_all(prep.closed, budget=args.max_extensions)
-    else:  # tree
-        values = tree_values(prep, names)
     return (
         {"values": {n: _value_json(values[n]) for n in sorted(values)}},
         0,
@@ -198,11 +184,15 @@ def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
         raise MalformedInputError("marginal requires --var")
     name = prep.source.resolve(args.var).name
     if args.engine == "exact":
+        from .exact import marginal_exact
+
         pw = marginal_exact(prep.closed, name, budget=args.max_extensions)
-    elif args.engine == "tree":
-        pw = tree_marginal(prep, name)
-    else:  # auto
-        pw = part_marginal(prep, name, args.max_extensions)
+    else:  # auto, tree
+        from .tree import MARGINAL, solve
+
+        pw = solve(
+            prep, MARGINAL, [name], args.max_extensions, general=args.engine == "auto"
+        )
     return {"variable": name, "marginal": _marginal_json(pw)}, 0
 
 
@@ -351,7 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--engine",
                 choices=engines,
                 default=engines[0],
-                help="engine choice (auto prefers tree-shaped parts)",
+                help="auto: part by part, the engine each part's shape allows; "
+                "tree: the same, but a general part exits 2; exact: enumerate "
+                "the whole set's linear extensions (topk: exact answers); "
+                "sample: hit-and-run estimate",
             )
         if name in ("interpolate", "marginal"):
             p.add_argument("--var", help="variable name (interpolate default: all unknowns)")

@@ -6,6 +6,9 @@ capability limits exit 2, malformed input exits 3.
 
 from __future__ import annotations
 
+# Here, not in an engine module, because the CLI's parser reads it.
+DEFAULT_BUDGET = 10_000_000
+
 
 class OrdpolyError(Exception):
     """Base class for all library errors."""
@@ -36,17 +39,24 @@ class BudgetExceededError(OrdpolyError):
     """The linear-extension count exceeds the configured budget.
 
     ``lower_bound`` is a proven lower bound on the extension count at the
-    moment the guard fired (it may be far below the true count).
+    moment the guard fired (it may be far below the true count); ``where``
+    names the part that tripped the guard, when one did.
     """
 
-    def __init__(self, budget: int, lower_bound: int):
+    def __init__(self, budget: int, lower_bound: int, where: str = ""):
         super().__init__(
-            f"more than {budget} linear extensions (count is at least "
-            f"{lower_bound}); use the tree engine on tree-shaped parts or "
-            f"the sampler for an estimate"
+            f"{where + ': ' if where else ''}more than {budget} linear "
+            f"extensions (count is at least {lower_bound}); use the tree "
+            "engine on tree-shaped parts or the sampler for an estimate"
         )
         self.budget = budget
         self.lower_bound = lower_bound
+
+
+def _check_budget(budget: int) -> None:
+    """Reject a negative budget: it is malformed input, not a limit."""
+    if budget < 0:
+        raise MalformedInputError(f"the budget must be at least 0, got {budget}")
 
 
 class LimitExceededError(OrdpolyError):

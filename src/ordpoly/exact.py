@@ -36,11 +36,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, MalformedInputError, _check_budget
 from .model import ConstraintSet, Prepared, VariableId, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
-
-DEFAULT_BUDGET = 10_000_000
 
 # When the prefix-counting guard would need more than this many distinct
 # prefixes per level it stops pre-counting and the enumeration itself
@@ -256,12 +254,6 @@ def _walk(prep: _Prep):
 
 # ---------------------------------------------------------------------------
 # budget guard
-
-
-def _check_budget(budget: int) -> None:
-    """Reject a negative budget: it is malformed input, not a limit."""
-    if budget < 0:
-        raise MalformedInputError(f"the budget must be at least 0, got {budget}")
 
 
 def _count_extensions(prep: _Prep, budget: int) -> int | None:

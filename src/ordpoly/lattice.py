@@ -45,8 +45,8 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator
 
 from . import exact
-from .errors import BudgetExceededError, LimitExceededError
-from .exact import _check_budget, _Prep
+from .errors import BudgetExceededError, LimitExceededError, _check_budget
+from .exact import _Prep
 
 
 class _Lattice:
@@ -80,16 +80,15 @@ class _Lattice:
             if not self.parents[v] & ~placed:
                 yield v, low
 
-    def too_many_states(self, level: int, count: int) -> LimitExceededError:
-        q = self.prep.quotient
-        first = min(q.variables[u].name for u in self.prep.unknown_ids)
-        where = f"{self.shape} part" if self.shape else "set"
-        return LimitExceededError(
-            f"the downset lattice of the {where} containing {first!r} "
-            f"({self.n_unknowns} unknowns, {len(self.prep.exact_chain)} pinned incl. "
-            f"bounds) has more than {exact._LEVEL_MASK_CAP} states at level {level} "
-            f"({count} counted); use the sampler for an estimate"
-        )
+    def where(self) -> str:
+        """The part (the whole set without a shape) as the guards' errors
+        name it: shape, smallest unknown, unknown and pin counts."""
+        names = [self.prep.quotient.variables[u].name for u in self.prep.unknown_ids]
+        what = f"{self.shape} part" if self.shape else "set"
+        if names:
+            what += f" containing {min(names)!r}"
+        pins = len(self.prep.exact_chain)
+        return f"the {what} ({self.n_unknowns} unknowns, {pins} pinned incl. bounds)"
 
 
 def _levels(
@@ -115,7 +114,7 @@ def _levels(
                 out = nxt.get(key)
                 if out is None:
                     if len(nxt) >= budget:
-                        raise BudgetExceededError(budget, len(nxt) + 1)
+                        raise BudgetExceededError(budget, len(nxt) + 1, lat.where())
                     out = nxt[key] = {}
                 j = pin_of.get(v)
                 carry = low & selected and (selected & ~placed).bit_count() <= top
@@ -134,7 +133,11 @@ def _levels(
                         out[state] = f
                         states += 1
             if states > cap:
-                raise lat.too_many_states(t, states)
+                raise LimitExceededError(
+                    f"the downset lattice of {lat.where()} has more than {cap} "
+                    f"states at level {t} ({states} counted); use the sampler "
+                    "for an estimate"
+                )
         level = nxt
         yield level
 

@@ -34,13 +34,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     LimitExceededError,
     MalformedInputError,
 )
-from .exact import DEFAULT_BUDGET, _prepare, _Prep
+from .exact import _prepare, _Prep
 from .model import ConstraintSet, Prepared, VariableId
-from .tree import part_values
+from .tree import VALUES, solve
 
 __all__ = [
     "SEMANTICS_LOCAL",
@@ -157,13 +158,10 @@ def local_topk(
     variables share their tie class's value."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    values = {v.name: cs.exact_values[v.id] for v in chosen if v.id in cs.exact_values}
-    unknowns = [v.name for v in chosen if v.id not in cs.exact_values]
-    if unknowns:
-        try:
-            values.update(part_values(Prepared(cs), unknowns, budget=budget))
-        except BudgetExceededError as err:
-            raise _with_estimate_hint(err) from None
+    try:
+        values = solve(Prepared(cs), VALUES, [v.name for v in chosen], budget)
+    except BudgetExceededError as err:
+        raise _with_estimate_hint(err) from None
     ranked = sorted(chosen, key=lambda v: (-values[v.name], v.name))
     entries = tuple((v, values[v.name]) for v in ranked[:k])
     return TopKResult(SEMANTICS_LOCAL, k, entries)

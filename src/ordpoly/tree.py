@@ -25,21 +25,25 @@ child: Out_c(v) is the integral from the root value to v of Out_p(w)
 times the volumes of c's siblings at w (a pinned leaf caps w at its
 value), piecewise polynomial with breakpoints at pinned values.
 
-Reverse-tree-shaped parts are solved on the tree of their mirror image
-v -> 1 - v, and ``solve_part`` picks the engine for each decomposition
-part by its shape.
+Every query takes one path, ``solve``: it groups the requested variables
+by decomposition part, refuses a general part where only the tree engine
+may run, and calls ``solve_part`` once per part.  That picks the engine by
+shape: the tree engine on trees and on the mirror image v -> 1 - v of
+reverse trees, closed forms on total orders, the lattice of downsets
+(``lattice``) on general parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import factorial, gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import MalformedInputError, ShapeError
-from .exact import DEFAULT_BUDGET, _density, _expectation, _prepare
+from .errors import DEFAULT_BUDGET, MalformedInputError, ShapeError
+from .exact import _density, _expectation, _prepare
 from .model import (
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
@@ -167,6 +171,12 @@ class ConstraintTree:
     def root_child(self) -> VariableId:
         return self.children[self.root][0]
 
+    @cached_property
+    def _polys(self) -> dict[VariableId, _IPoly]:
+        """V_x(v') for every unknown node: one bottom-up pass per tree,
+        shared by every query on it."""
+        return _volume_polys(self)
+
 
 @dataclass(frozen=True)
 class SubtreeVolumeFn:
@@ -200,20 +210,20 @@ def tree_from_part(part: ConstraintSet) -> ConstraintTree:
 
 
 def _validated_tree(skel: PartSkeleton) -> ConstraintTree:
+    if skel.shape == SHAPE_TREE:
+        return _build_tree(skel)
+    if skel.shape == SHAPE_REVERSE_TREE:
+        raise ShapeError(
+            "reverse-tree-shaped: flip the constraints (v -> 1-v), solve "
+            "on the flipped tree, and flip the results back"
+        )
+    # A total order is a tree unless a pin sits inside it (not in a part).
     node_ids = [v.id for v in skel.nodes]
     exact_ids = set(skel.quotient.exact_values)
     violation = _tree_violation(node_ids, skel.children, skel.parents, exact_ids)
-    if violation is not None:
-        reverse_ok = (
-            _tree_violation(node_ids, skel.parents, skel.children, exact_ids) is None
-        )
-        if reverse_ok:
-            raise ShapeError(
-                "reverse-tree-shaped: flip the constraints (v -> 1-v), solve "
-                "on the flipped tree, and flip the results back"
-            )
-        raise ShapeError(f"not tree-shaped: {violation}")
-    return _build_tree(skel)
+    if violation is None:
+        return _build_tree(skel)
+    raise ShapeError(f"not tree-shaped: {violation}")
 
 
 def _build_tree(skel: PartSkeleton, mirrored: bool = False) -> ConstraintTree:
@@ -307,14 +317,13 @@ def subtree_volume_fns(t: ConstraintTree) -> dict[VariableId, SubtreeVolumeFn]:
     """The per-node volume polynomials as public, exact-rational objects."""
     return {
         v: SubtreeVolumeFn(v, _ip_to_polynomial(p), t.min_leaf_below[v])
-        for v, p in _volume_polys(t).items()
+        for v, p in t._polys.items()
     }
 
 
 def volume_tree(t: ConstraintTree) -> Fraction:
     """Exact polytope volume of the tree: root child's V evaluated at the root."""
-    polys = _volume_polys(t)
-    return _ip_eval(polys[t.root_child], t.root_value)
+    return _ip_eval(t._polys[t.root_child], t.root_value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,8 @@ def _path_up(t: ConstraintTree, x) -> list[VariableId]:
 def _expected_values(t: ConstraintTree, names: Sequence) -> dict:
     """``{x: E[x]}`` as 1 - V'/V, V' being the volume with a fresh unknown
     z <= 1 above x: the bottom-up step redone on x and its ancestors."""
-    polys = _volume_polys(t)
-    total = _ip_eval(polys[t.root_child], t.root_value)
+    polys = t._polys
+    total = volume_tree(t)
     values = {}
     for x in names:
         path = _path_up(t, x)
@@ -379,8 +388,8 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
     factor Out_x integrated exactly top-down along the root-to-x path.
     """
     path = _path_up(t, x)
-    polys = _volume_polys(t)
-    total = _ip_eval(polys[t.root_child], t.root_value)
+    polys = t._polys
+    total = volume_tree(t)
     outside = PiecewisePolynomial((t.root_value, Fraction(1)), (POLY_ONE,))
     for c in reversed(path[:-1]):
         siblings = [s for s in t.children[t.parent[c]] if s != c]
@@ -393,18 +402,19 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
 # decomposition dispatch
 
 
-def _single_extension_value(skel: PartSkeleton, name: str) -> Fraction:
-    """Expected value in a totally ordered part (exactly one extension):
-    evenly spaced between the nearest pinned values below and above."""
+def _chain(skel: PartSkeleton) -> tuple[dict[str, int], Fraction, Fraction]:
+    """A totally ordered part's one linear extension: each unknown's rank
+    1..n, bottom up, between the pinned values alpha below and beta above
+    (a part's unknowns are joined by covers between unknowns, so no pin
+    sits inside)."""
     order = [next(v.id for v in skel.nodes if not skel.parents[v.id])]
     while skel.children[order[-1]]:
         order.append(skel.children[order[-1]][0])
     values = skel.quotient.exact_values
-    k = next(pos for pos, i in enumerate(order) if skel.quotient.variables[i].name == name)
-    p = max(pos for pos in range(k) if order[pos] in values)
-    q = min(pos for pos in range(k + 1, len(order)) if order[pos] in values)
-    alpha, beta = values[order[p]], values[order[q]]
-    return alpha + Fraction(k - p, q - p) * (beta - alpha)
+    assert not values.keys() & order[1:-1], "pin inside a total-order part"
+    inner = enumerate(order[1:-1], start=1)
+    ranks = {skel.quotient.variables[i].name: k for k, i in inner}
+    return ranks, values[order[0]], values[order[-1]]
 
 
 VOLUME = "volume"
@@ -424,17 +434,20 @@ def solve_part(
     (VALUES, STABLE), or the marginal density of ``names[0]`` (MARGINAL).
 
     Reverse-tree parts are solved on the tree of their mirror image.  A
-    total order has one linear extension, hence closed-form values; its
-    skeleton is a tree, which gives its marginal, and its volume comes
-    from the downset lattice under the budget, as a general part's
-    volume, values and marginal do.
+    total order alpha < u1 < ... < un < beta has one linear extension,
+    hence the volume (beta - alpha)^n / n! and evenly spaced values; its
+    skeleton is a tree, which gives its marginal.  A general part's volume,
+    values and marginal come from the downset lattice under the budget; it
+    has no stable scheme, which ``solve`` refuses before calling this.
     """
     shape = skel.shape
-    if shape == SHAPE_TOTAL_ORDER and query in (VALUES, STABLE):
-        return {n: _single_extension_value(skel, n) for n in names}
-    if shape in (SHAPE_TREE, SHAPE_REVERSE_TREE) or (
-        shape == SHAPE_TOTAL_ORDER and query == MARGINAL
-    ):
+    if shape == SHAPE_TOTAL_ORDER and query != MARGINAL:
+        ranks, alpha, beta = _chain(skel)
+        if query == VOLUME:
+            return (beta - alpha) ** len(ranks) / factorial(len(ranks))
+        step = (beta - alpha) / (len(ranks) + 1)
+        return {n: alpha + ranks[n] * step for n in names}
+    if shape != SHAPE_GENERAL:
         mirrored = shape == SHAPE_REVERSE_TREE
         t = _build_tree(skel, mirrored)
         if query == VOLUME:
@@ -457,8 +470,6 @@ def solve_part(
         else:
             solved = _expected_values(t, names)
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
-    if query == STABLE:
-        raise ShapeError("no stable scheme exists for general-shaped components")
     # Imported on first use: most requests never reach a general part, and
     # a CLI process pays for every module it imports.
     from .lattice import aggregate
@@ -473,77 +484,68 @@ def solve_part(
     return {n: _expectation(prep, volume, acc[i]) for n, i in ids.items()}
 
 
-def part_values(
+def solve(
     prep: Prepared,
-    names: Sequence,
-    query: str = VALUES,
+    query: str,
+    names: Sequence = (),
     budget: int = DEFAULT_BUDGET,
-) -> dict:
-    """Expected (with STABLE, stable-scheme) values of source variables.  A
-    pinned tie class gives its value; the rest are grouped by part and each
-    part is solved once, in part order, so the first failing part raises."""
-    pinned = prep.ties.quotient.exact_values
-    values = {}
+    general: bool = True,
+):
+    """Answer ``query`` part by part: the volume (VOLUME; persistent user
+    ties refused), ``{x: value}`` for the source variables ``names``
+    (VALUES; STABLE for the stable scheme), or the density of the one
+    variable in ``names`` (MARGINAL).
+
+    A pinned tie class gives its value (a MARGINAL of one is malformed
+    input).  Under STABLE, or with ``general`` false, a general part
+    raises ``ShapeError`` before any part is solved, naming a variable
+    asked for (for VOLUME, the part's smallest unknown).
+    """
+    values: dict = {}
     wanted: dict[int, dict] = {}
+    if query == VOLUME:
+        prep.reject_user_ties()
+        wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}
+    # prep.decomposition is built on first use: never when every name is pinned
+    pinned = prep.ties.quotient.exact_values
     for x in names:
         target = prep.target(x)
-        if target.id in pinned:
-            values[x] = pinned[target.id]
-        else:
+        if target.id not in pinned:
             part_no = prep.decomposition.part_index[target.name]
             wanted.setdefault(part_no, {})[x] = target.name
-    for part_no in sorted(wanted):
-        skel = prep.decomposition.skeletons[part_no]
-        targets = wanted[part_no]
-        if query == STABLE and skel.shape == SHAPE_GENERAL:
-            first = min(prep.source.resolve(x).name for x in targets)
-            raise ShapeError(
-                "no stable scheme exists for general-shaped components "
-                f"(component of {first!r})"
+        elif query == MARGINAL:
+            raise MalformedInputError(
+                f"{target.name!r} is pinned; only unknowns have a density"
             )
-        solved = solve_part(skel, query, sorted(set(targets.values())), budget)
-        values.update((x, solved[name]) for x, name in targets.items())
-    return values
-
-
-def _refuse_general_parts(prep: Prepared, names: Sequence, why: str) -> None:
-    """Raise ``ShapeError`` for the first of ``names`` in a general part."""
-    d = prep.decomposition
-    for x in names:
-        name = prep.target(x).name
-        if name in d.part_index and d.skeletons[d.part_index[name]].shape == SHAPE_GENERAL:
-            raise ShapeError(f"the component containing {name!r} is {why}")
-
-
-def tree_values(prep: Prepared, names: Sequence) -> dict:
-    """Expected values without the exact engine: a variable in a
-    general-shaped part raises ``ShapeError`` (the first such in ``names``).
-    """
-    _refuse_general_parts(
-        prep, names, "general-shaped; use the exact engine (interpolate_exact) or the sampler"
-    )
-    return part_values(prep, names)
-
-
-def part_marginal(prep: Prepared, x, budget: int = DEFAULT_BUDGET) -> PiecewisePolynomial:
-    """Marginal density of ``x`` from its decomposition part alone: the
-    tree engine on tree shapes, the exact engine on a general part."""
-    target = prep.target(x)
-    if target.id in prep.ties.quotient.exact_values:
-        raise MalformedInputError(
-            f"{target.name!r} is pinned; only unknowns have a density"
+        else:
+            values[x] = pinned[target.id]
+    if query == STABLE or not general:
+        for part_no in sorted(wanted):
+            if prep.decomposition.skeletons[part_no].shape == SHAPE_GENERAL:
+                asked = [prep.source.resolve(x).name for x in wanted[part_no]]
+                unknowns = prep.decomposition.classes[part_no]
+                first = min(asked or [v.name for v in unknowns])
+                raise ShapeError(
+                    f"the component containing {first!r} is general-shaped; the "
+                    "tree engine and the stable scheme solve only (reverse-)"
+                    "tree-shaped and totally ordered components"
+                )
+    volume = Fraction(1)
+    for part_no in sorted(wanted):
+        targets = wanted[part_no]
+        solved = solve_part(
+            prep.decomposition.skeletons[part_no],
+            query,
+            sorted(set(targets.values())),
+            budget,
         )
-    d = prep.decomposition
-    return solve_part(
-        d.skeletons[d.part_index[target.name]], MARGINAL, [target.name], budget
-    )
-
-
-def tree_marginal(prep: Prepared, x) -> PiecewisePolynomial:
-    """Marginal density without the exact engine: a variable in a
-    general-shaped part raises ``ShapeError``."""
-    _refuse_general_parts(prep, [x], "not (reverse-)tree-shaped; use marginal_exact")
-    return part_marginal(prep, x)
+        if query == VOLUME:
+            volume *= solved
+        elif query == MARGINAL:
+            return solved
+        else:
+            values.update((x, solved[name]) for x, name in targets.items())
+    return volume if query == VOLUME else values
 
 
 def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
@@ -554,10 +556,10 @@ def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
     (v -> 1-v); totally ordered parts have a single linear extension and
     a closed form.  General parts raise ``ShapeError``.
     """
-    return tree_values(Prepared(cs), [x])[x]
+    return solve(Prepared(cs), VALUES, [x], general=False)[x]
 
 
 def marginal_decomposed(cs: ConstraintSet, x) -> PiecewisePolynomial:
     """Marginal density of ``x`` via its decomposition part (tree shapes;
     general parts raise ``ShapeError``)."""
-    return tree_marginal(Prepared(cs), x)
+    return solve(Prepared(cs), MARGINAL, [x], general=False)

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import gen
 import ordpoly
 from ordpoly import cli, fileio, model, sampler
 
@@ -740,3 +742,162 @@ def test_only_sampling_loads_numpy(tmp_path, argv, loads_numpy):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == f"0 {loads_numpy}"
+
+
+# ---------------------------------------------------------------------------
+# one per-part dispatch: --engine tree answers like auto, or refuses a
+# general part
+
+
+def _cli_doc(doc) -> dict:
+    names, order, exact = doc
+    return {
+        "variables": list(names),
+        "order": [list(edge) for edge in order],
+        "exact": {name: str(value) for name, value in exact.items()},
+    }
+
+
+def _mirrored(doc: dict) -> dict:
+    return {
+        "variables": doc["variables"],
+        "order": [[b, a] for a, b in doc["order"]],
+        "exact": {n: str(1 - Fraction(v)) for n, v in doc["exact"].items()},
+    }
+
+
+def _dispatch_docs() -> dict:
+    docs = {
+        # two tree parts (a, b) and (x, y) and a chain part (c) under one root
+        "forest": {
+            "variables": ["r", "a", "b", "la", "lb", "c", "lc", "x", "y", "lx", "ly"],
+            "order": [
+                ["r", "a"], ["a", "la"], ["a", "b"], ["b", "lb"], ["r", "c"], ["c", "lc"],
+                ["r", "x"], ["x", "lx"], ["x", "y"], ["y", "ly"],
+            ],
+            "exact": {"r": "1/10", "la": "1/2", "lb": "3/5", "lc": "9/10",
+                      "lx": "7/10", "ly": "4/5"},
+        },
+        "tree-and-mirror": TREE_AND_MIRROR,
+        "reverse-tree": _mirrored(LEMMA_TREE),
+        "chain": {
+            "variables": ["lo", "a", "b", "hi"],
+            "order": [["lo", "a"], ["a", "b"], ["b", "hi"]],
+            "exact": {"lo": "1/10", "hi": "9/10"},
+        },
+        "separated": SEPARATED,
+        "fully-pinned": {
+            "variables": ["a", "b", "c"],
+            "order": [["a", "b"], ["b", "c"]],
+            "exact": {"a": "0", "b": "1/2", "c": "1"},
+        },
+        "diamond": DIAMOND_HALF,
+    }
+    for seed in range(3):
+        tree = _cli_doc(gen.tree_doc(random.Random(seed), 3 + seed, extra_leaf_p=0.5))
+        docs[f"tree-{seed}"] = tree
+        docs[f"tree-{seed}-mirrored"] = _mirrored(tree)
+    for seed in range(4):
+        sep = _cli_doc(gen.separator_doc(random.Random(seed)))
+        docs[f"separator-{seed}"] = sep
+        docs[f"separator-{seed}-mirrored"] = _mirrored(sep)
+    return docs
+
+
+_DISPATCH_DOCS = _dispatch_docs()
+
+
+class TestTreeEngineDispatch:
+    """`--engine tree` answers part by part like `auto`, equal to `exact`,
+    and refuses a general part (exit 2 `limit`) naming the variable asked."""
+
+    @staticmethod
+    def _general_unknowns(doc: dict) -> set:
+        d = model.decompose(fileio.loads(json.dumps(doc)))
+        return {
+            name
+            for name, part_no in d.part_index.items()
+            if d.skeletons[part_no].shape == model.SHAPE_GENERAL
+        }
+
+    @staticmethod
+    def _answers(argv):
+        answers = {}
+        for engine in ("auto", "tree", "exact"):
+            code, out, err = run_cli([*argv, "--engine", engine])
+            answers[engine] = (code, json.loads(out)["results"] if code == 0 else json.loads(err))
+        return answers
+
+    @pytest.mark.parametrize("name", sorted(_DISPATCH_DOCS))
+    def test_tree_matches_auto_and_exact_or_refuses(self, tmp_path, name):
+        doc = _DISPATCH_DOCS[name]
+        path = write_doc(tmp_path, "doc.json", doc)
+        general = self._general_unknowns(doc)
+        unknowns = sorted(set(doc["variables"]) - set(doc["exact"]))
+        queries = [["volume", path]]
+        queries += [["interpolate", path, "--var", x] for x in doc["variables"]]
+        queries += [["marginal", path, "--var", x] for x in unknowns]
+        for argv in queries:
+            answers = self._answers(argv)
+            assert answers["auto"][0] == 0 and answers["auto"] == answers["exact"], argv
+            asked = general if argv[0] == "volume" else general & set(argv[-1:])
+            if not asked:
+                assert answers["tree"] == answers["auto"], argv
+                continue
+            code, payload = answers["tree"]
+            assert code == 2 and payload["error"] == "limit", argv
+            named = payload["message"].split("'")[1]
+            assert named in asked, (argv, payload["message"])
+
+    def test_tree_refusal_names_the_requested_variable_not_its_class(self, tmp_path):
+        # u4 and u3 are tied; the class is represented by u3 in the quotient
+        doc = {
+            "variables": ["u0", "u1", "u2", "u3", "u4"],
+            "order": [["u2", "u0"], ["u1", "u0"], ["u0", "u4"], ["u4", "u3"], ["u3", "u4"]],
+        }
+        path = write_doc(tmp_path, "general.json", doc)
+        for command in ("interpolate", "marginal"):
+            code, out, err = run_cli([command, path, "--engine", "tree", "--var", "u4"])
+            assert code == 2 and out == ""
+            message = json.loads(err)["message"]
+            assert "'u4'" in message and "'u3'" not in message
+
+    @pytest.mark.parametrize("engine", ["auto", "tree"])
+    def test_total_order_volume_needs_no_budget(self, tmp_path, engine):
+        # one linear extension: (9/10 - 1/10)^2 / 2!
+        path = write_doc(tmp_path, "chain.json", _DISPATCH_DOCS["chain"])
+        code, out, err = run_cli(
+            ["volume", path, "--engine", engine, "--max-extensions", "0"]
+        )
+        assert code == 0, err
+        assert json.loads(out)["results"]["volume"]["exact"] == "8/25"
+
+    def test_lattice_budget_error_names_the_part(self, tmp_path):
+        path = write_doc(tmp_path, "k22.json", K22)
+        code, out, err = run_cli(["volume", path, "--max-extensions", "1"])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "budget"
+        assert (payload["budget"], payload["lower_bound"]) == (1, 2)
+        assert "general part containing 'a' (4 unknowns, 2 pinned" in payload["message"]
+
+
+def test_engine_free_commands_leave_engines_unloaded(tmp_path):
+    # check, close, dim, decompose and a contradiction exit run no engine
+    path = write_doc(tmp_path, "lemma.json", LEMMA_TREE)
+    bad = write_doc(tmp_path, "bad.json", CONTRADICTION)
+    probe = (
+        "import sys; from ordpoly import cli; path, bad = sys.argv[1:]; "
+        "codes = [cli.run([c, path]) for c in ('check', 'close', 'dim', 'decompose')]; "
+        "codes.append(cli.run(['volume', bad])); "
+        "print(codes, [m for m in ('ordpoly.exact', 'ordpoly.tree') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, path, bad],
+        capture_output=True,
+        text=True,
+        cwd=Path(ordpoly.__file__).parents[1],
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 1] []"

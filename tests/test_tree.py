@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+import ordpoly.tree as tree_module
 from ordpoly import (
     ConstraintSet,
     ShapeError,
@@ -126,6 +127,24 @@ class TestInterpolation:
             whole = interpolate_all(cs)
             for u in t.unknown_nodes():
                 assert interpolate_tree(t, u) == whole[u.name]
+
+    def test_one_bottom_up_pass_per_tree(self, monkeypatch):
+        calls = []
+        one_pass = tree_module._volume_polys
+
+        def counted(t):
+            calls.append(t)
+            return one_pass(t)
+
+        monkeypatch.setattr(tree_module, "_volume_polys", counted)
+        t = as_tree(gen.to_cs(gen.tree_doc(random.Random(15), 30)))
+        unknowns = t.unknown_nodes()[:5]
+        for u in unknowns:
+            interpolate_tree(t, u)
+        volume_tree(t)
+        marginal_tree(t, unknowns[0])
+        subtree_volume_fns(t)
+        assert calls == [t]
 
     def test_flip_identity(self):
         cs = lemma_tree()
