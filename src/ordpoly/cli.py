@@ -132,14 +132,9 @@ def _cmd_dim(prep: Prepared, args) -> tuple[dict, int]:
 
 
 def _cmd_volume(prep: Prepared, args) -> tuple[dict, int]:
-    if args.engine == "exact":
-        from .exact import volume_exact
+    from .tree import VOLUME, solve
 
-        vol = volume_exact(prep.closed, budget=args.max_extensions)
-    else:  # auto, tree
-        from .tree import VOLUME, solve
-
-        vol = solve(prep, VOLUME, budget=args.max_extensions, general=args.engine == "auto")
+    vol = solve(prep, VOLUME, budget=args.max_extensions, engine=args.engine)
     return {"volume": _value_json(vol)}, 0
 
 
@@ -150,28 +145,17 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
     else:
         names = sorted(v.name for v in cs.unknowns())
     diagnostics: dict = {}
-    if args.scheme == "stable" or args.engine in ("auto", "tree"):
-        from .tree import STABLE, VALUES, solve
-
-        query = STABLE if args.scheme == "stable" else VALUES
-        values = solve(
-            prep, query, names, args.max_extensions, general=args.engine == "auto"
-        )
-    elif args.engine == "sample":
+    if args.engine == "sample" and args.scheme != "stable":
         from .sampler import _estimate_values  # shared stream for sampled interpolate
 
         values, diagnostics["samples"] = _estimate_values(
             prep.closed, names, _sampler_config(args), args.chains
         )
-    else:  # exact
-        from .exact import interpolate_all, interpolate_exact
+    else:
+        from .tree import STABLE, VALUES, solve
 
-        if len(names) == 1:
-            values = {
-                names[0]: interpolate_exact(prep.closed, names[0], budget=args.max_extensions)
-            }
-        else:  # every unknown
-            values = interpolate_all(prep.closed, budget=args.max_extensions)
+        query = STABLE if args.scheme == "stable" else VALUES
+        values = solve(prep, query, names, args.max_extensions, args.engine)
     return (
         {"values": {n: _value_json(values[n]) for n in sorted(values)}},
         0,
@@ -183,16 +167,9 @@ def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
     if args.var is None:
         raise MalformedInputError("marginal requires --var")
     name = prep.source.resolve(args.var).name
-    if args.engine == "exact":
-        from .exact import marginal_exact
+    from .tree import MARGINAL, solve
 
-        pw = marginal_exact(prep.closed, name, budget=args.max_extensions)
-    else:  # auto, tree
-        from .tree import MARGINAL, solve
-
-        pw = solve(
-            prep, MARGINAL, [name], args.max_extensions, general=args.engine == "auto"
-        )
+    pw = solve(prep, MARGINAL, [name], args.max_extensions, args.engine)
     return {"variable": name, "marginal": _marginal_json(pw)}, 0
 
 
@@ -341,10 +318,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--engine",
                 choices=engines,
                 default=engines[0],
-                help="auto: part by part, the engine each part's shape allows; "
-                "tree: the same, but a general part exits 2; exact: enumerate "
-                "the whole set's linear extensions (topk: exact answers); "
-                "sample: hit-and-run estimate",
+                help="auto, tree and exact answer through one dispatch. auto: "
+                "part by part, the engine each part's shape allows; tree: the "
+                "same, but a general part exits 2; exact: enumerate the whole "
+                "set's linear extensions (topk: exact answers); sample: "
+                "hit-and-run estimate",
             )
         if name in ("interpolate", "marginal"):
             p.add_argument("--var", help="variable name (interpolate default: all unknowns)")

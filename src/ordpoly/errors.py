@@ -40,14 +40,22 @@ class BudgetExceededError(OrdpolyError):
 
     ``lower_bound`` is a proven lower bound on the extension count at the
     moment the guard fired (it may be far below the true count); ``where``
-    names the part that tripped the guard, when one did.
+    names the part that tripped the guard, when one did; ``remedy``, what
+    to use instead (the lattice, which ``auto`` runs, names the sampler).
     """
 
-    def __init__(self, budget: int, lower_bound: int, where: str = ""):
+    def __init__(
+        self,
+        budget: int,
+        lower_bound: int,
+        where: str = "",
+        remedy: str = "--engine auto, which answers part by part without "
+        "enumerating, or the sampler",
+    ):
         super().__init__(
             f"{where + ': ' if where else ''}more than {budget} linear "
-            f"extensions (count is at least {lower_bound}); use the tree "
-            "engine on tree-shaped parts or the sampler for an estimate"
+            f"extensions (count is at least {lower_bound}); use {remedy} "
+            "for an estimate"
         )
         self.budget = budget
         self.lower_bound = lower_bound

@@ -19,14 +19,17 @@ hanging.  Every fold reaches the walk through one guarded iterator,
 ``_extensions``: it pre-counts prefixes level by level before the first
 extension is produced, which aborts in milliseconds even when the true
 count is in the trillions, and when pre-counting would need too much
-memory it counts the extensions as they are produced instead.  Each fold
-tallies only what its query reads: volume tracks no unknown, one
+memory it counts the extensions as they are produced instead.  A tally
+tracks only what its query reads: volume tracks no unknown, one
 expected value or marginal tracks one, ``interpolate_all`` tracks all.
 
 Enumeration serves ``--engine exact`` and the extension tables, and it is
-the reference the downset-lattice engine (``lattice``) is tested against;
-``auto`` on general parts and u/global top-k build the same tallies from
-the lattice, and read them through ``_expectation`` and ``_density``.
+the reference the downset-lattice engine (``lattice``) is tested against.
+``volume_exact``, ``interpolate_exact``, ``interpolate_all`` and
+``marginal_exact`` are each one call of ``tree.solve`` with
+``engine="exact"``, the path every exact engine shares: it tallies the
+whole tie quotient with ``_aggregate`` and reads the tally with
+``_read_tally``, the reader of the lattice's tallies too.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, MalformedInputError, _check_budget
-from .model import ConstraintSet, Prepared, VariableId, _cover_edges
+from .model import ConstraintSet, Prepared, VariableId, _bits, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
+from .tree import MARGINAL, VALUES, VOLUME, solve
 
 # When the prefix-counting guard would need more than this many distinct
 # prefixes per level it stops pre-counting and the enumeration itself
@@ -131,30 +135,49 @@ class LinearExtension:
 
 @dataclass
 class _Prep:
-    """Tie-collapsed closure plus the adjacency the enumerator walks."""
+    """Tie-collapsed closure plus its cover graph as bitmasks."""
 
     quotient: ConstraintSet
     class_of: dict[int, VariableId]
-    children: list[tuple[int, ...]]
-    indeg: list[int]
+    parents: list[int]
+    child_bits: list[int]
+    roots: int
     exact_chain: list[int]
     exact_index: dict[int, int]
     values: list[Fraction]
     widths: list[Fraction]
     unknown_ids: list[int]
 
+    def successors(self, placed: int) -> Iterator[tuple[int, int]]:
+        """(variable, its bit), ascending, for every variable whose cover
+        parents are all in the downset ``placed``: the step of the guard's
+        pre-count and of the lattice.  Only the roots and the placed
+        variables' children can qualify, so only they are tried."""
+        parents = self.parents
+        cand, rest = self.roots, placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand |= self.child_bits[low.bit_length() - 1]
+        cand &= ~placed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if not parents[v] & ~placed:
+                yield v, low
 
-def _prepare(cs: ConstraintSet, *, reject_user_ties: bool = False) -> _Prep:
-    prep = Prepared(cs)
+
+def _prepare(prep: Prepared, *, reject_user_ties: bool = False) -> _Prep:
     if reject_user_ties:
         prep.reject_user_ties()
     quotient, class_of = prep.ties.quotient, dict(prep.ties.class_of)
     n = len(quotient.variables)
-    children: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in sorted(_cover_edges(quotient)):
-        children[a].append(b)
-        indeg[b] += 1
+    parents = [0] * n
+    child_bits = [0] * n
+    for a, b in _cover_edges(quotient):
+        parents[b] |= 1 << a
+        child_bits[a] |= 1 << b
     chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
     values = [quotient.exact_values[i] for i in chain]
     widths = [values[j + 1] - values[j] for j in range(len(chain) - 1)]
@@ -162,19 +185,15 @@ def _prepare(cs: ConstraintSet, *, reject_user_ties: bool = False) -> _Prep:
     return _Prep(
         quotient=quotient,
         class_of=class_of,
-        children=[tuple(c) for c in children],
-        indeg=indeg,
+        parents=parents,
+        child_bits=child_bits,
+        roots=sum(1 << v for v in range(n) if not parents[v]),
         exact_chain=chain,
         exact_index={v: j for j, v in enumerate(chain)},
         values=values,
         widths=widths,
         unknown_ids=[v.id for v in quotient.variables if v.id not in quotient.exact_values],
     )
-
-
-def _quotient_class(cs: ConstraintSet, prep: _Prep, x) -> VariableId:
-    vid = cs.resolve(x)
-    return prep.class_of[vid.id]
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +210,10 @@ def _walk(prep: _Prep):
     anything they keep.
     """
     n = len(prep.quotient.variables)
-    children = prep.children
+    children = [tuple(_bits(mask)) for mask in prep.child_bits]
+    indeg = [mask.bit_count() for mask in prep.parents]
     exact_index = prep.exact_index
     widths = prep.widths
-    indeg = list(prep.indeg)
     m = len(widths)
 
     order: list[int] = []
@@ -262,27 +281,16 @@ def _count_extensions(prep: _Prep, budget: int) -> int | None:
     prefix count (a lower bound on the total) exceeds the budget, the
     last level (the count itself) included."""
     _check_budget(budget)
-    n = len(prep.quotient.variables)
-    parent_mask = [0] * n
-    for a in range(n):
-        for b in prep.children[a]:
-            parent_mask[b] |= 1 << a
-    full = (1 << n) - 1
     level: dict[int, int] = {0: 1}
-    for _ in range(n):
+    for _ in range(len(prep.quotient.variables)):
         nxt: dict[int, int] = {}
         for mask, ways in level.items():
-            rem = full & ~mask
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                v = low.bit_length() - 1
-                if parent_mask[v] & mask == parent_mask[v]:
-                    key = mask | low
-                    if key in nxt:
-                        nxt[key] += ways
-                    else:
-                        nxt[key] = ways
+            for _v, low in prep.successors(mask):
+                key = mask | low
+                if key in nxt:
+                    nxt[key] += ways
+                else:
+                    nxt[key] = ways
             if len(nxt) > _LEVEL_MASK_CAP:
                 return None
         total = sum(nxt.values())
@@ -313,7 +321,7 @@ def _counted(walk: Iterator, budget: int) -> Iterator:
 
 def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linear extensions, guarded by the budget."""
-    prep = _prepare(cs, reject_user_ties=True)
+    prep = _prepare(Prepared(cs), reject_user_ties=True)
     known = _count_extensions(prep, budget)
     if known is not None:
         return known
@@ -356,7 +364,7 @@ def enumerate_extensions(
     guard runs before the first yield, so an over-budget set fails fast
     instead of streaming forever.
     """
-    prep = _prepare(cs, reject_user_ties=True)
+    prep = _prepare(Prepared(cs), reject_user_ties=True)
     walk = _extensions(prep, budget)
 
     def generate() -> Iterator[LinearExtension]:
@@ -379,7 +387,7 @@ def extension_volumes(
     cs: ConstraintSet, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[str, ...], Fraction]]:
     """Debug table: (user-visible variable order, volume) per extension."""
-    prep = _prepare(cs, reject_user_ties=True)
+    prep = _prepare(Prepared(cs), reject_user_ties=True)
     walk = _extensions(prep, budget)
     hidden = prep.quotient.reserved
     variables = prep.quotient.variables
@@ -391,41 +399,17 @@ def extension_volumes(
 
 def volume_exact(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Volume of the admissible polytope in its free dimension."""
-    prep = _prepare(cs, reject_user_ties=True)
-    return _aggregate(prep, budget, ())[0]
+    return solve(Prepared(cs), VOLUME, budget=budget, engine="exact")
 
 
 def interpolate_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Expected value of ``x`` under the uniform pdf on the polytope."""
-    prep = _prepare(cs)
-    target = _quotient_class(cs, prep, x)
-    pinned = prep.quotient.exact_values.get(target.id)
-    if pinned is not None:
-        return pinned
-    volume, acc = _aggregate(prep, budget, [target.id])
-    return _expectation(prep, volume, acc[target.id])
+    return solve(Prepared(cs), VALUES, [x], budget, "exact")[x]
 
 
 def interpolate_all(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> dict[str, Fraction]:
     """Expected value of every non-pinned input variable, one enumeration."""
-    prep = _prepare(cs)
-    targets = [v for v in cs.variables if v.id not in cs.exact_values]
-    if all(
-        prep.class_of[v.id].id in prep.quotient.exact_values for v in targets
-    ):
-        return {
-            v.name: prep.quotient.exact_values[prep.class_of[v.id].id]
-            for v in targets
-        }
-    volume, acc = _aggregate(prep, budget, prep.unknown_ids)
-    out: dict[str, Fraction] = {}
-    for v in targets:
-        cls = prep.class_of[v.id]
-        pinned = prep.quotient.exact_values.get(cls.id)
-        out[v.name] = (
-            pinned if pinned is not None else _expectation(prep, volume, acc[cls.id])
-        )
-    return out
+    return solve(Prepared(cs), VALUES, [v.name for v in cs.unknowns()], budget, "exact")
 
 
 def _expectation(
@@ -446,15 +430,7 @@ def marginal_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Piecew
     total is normalized.  Pinned variables have no density and are
     rejected.
     """
-    prep = _prepare(cs)
-    target = _quotient_class(cs, prep, x)
-    if target.id in prep.quotient.exact_values:
-        raise MalformedInputError(
-            f"{prep.quotient.variables[target.id].name!r} is pinned to "
-            f"{prep.quotient.exact_values[target.id]}; only unknowns have a density"
-        )
-    volume, acc = _aggregate(prep, budget, [target.id])
-    return _density(prep, volume, acc[target.id])
+    return solve(Prepared(cs), MARGINAL, [x], budget, "exact")
 
 
 def _density(
@@ -480,6 +456,17 @@ def _density(
     return PiecewisePolynomial(breakpoints, pieces).canonical()
 
 
+def _read_tally(prep: _Prep, query: str, tally, ids: Mapping):
+    """The answer to ``query`` from an enumerated (``_aggregate``) or
+    lattice tally of ``prep``; ``ids`` maps each key asked to its id."""
+    volume, acc = tally
+    if query == VOLUME:
+        return volume
+    if query == MARGINAL:
+        return _density(prep, volume, acc[next(iter(ids.values()))])
+    return {key: _expectation(prep, volume, acc[i]) for key, i in ids.items()}
+
+
 def expected_rank(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Average 1-based rank of ``x`` over all linear extensions.
 
@@ -487,7 +474,7 @@ def expected_rank(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fractio
     bounds; the bounds do not count toward ranks.  For such sets the
     expected value of any unknown equals expected_rank / (n + 1).
     """
-    prep = _prepare(cs, reject_user_ties=True)
+    prep = _prepare(Prepared(cs), reject_user_ties=True)
     visible_pinned = [
         prep.quotient.variables[i].name
         for i in prep.quotient.exact_values
@@ -498,7 +485,7 @@ def expected_rank(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fractio
             "expected_rank is defined for order-only constraint sets; "
             f"pinned variables present: {sorted(visible_pinned)}"
         )
-    target = _quotient_class(cs, prep, x)
+    target = prep.class_of[cs.resolve(x).id]
     count = rank_sum = 0
     for _order, _vol, assign, _sizes in _extensions(prep, budget):
         count += 1

@@ -53,15 +53,10 @@ class _Lattice:
     """Bitmask form of a prepared set and the integer scale of its widths."""
 
     def __init__(self, prep: _Prep, shape: str | None):
-        n = len(prep.quotient.variables)
         self.prep = prep
         self.shape = shape
-        self.size = n
-        self.full = (1 << n) - 1
-        self.parents = [0] * n
-        for a in range(n):
-            for b in prep.children[a]:
-                self.parents[b] |= 1 << a
+        self.size = len(prep.quotient.variables)
+        self.full = (1 << self.size) - 1
         self.pin_of = prep.exact_index
         self.pins = sum(1 << p for p in prep.exact_chain)
         self.unknowns = sum(1 << u for u in prep.unknown_ids)
@@ -69,16 +64,6 @@ class _Lattice:
         den = lcm(*(w.denominator for w in prep.widths))
         self.scale = [w.numerator * (den // w.denominator) for w in prep.widths]
         self.den = den**self.n_unknowns * factorial(self.n_unknowns)
-
-    def successors(self, placed: int) -> Iterator[tuple[int, int]]:
-        """(variable, its bit) for every variable that can follow ``placed``."""
-        rem = self.full & ~placed
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            v = low.bit_length() - 1
-            if not self.parents[v] & ~placed:
-                yield v, low
 
     def where(self) -> str:
         """The part (the whole set without a shape) as the guards' errors
@@ -109,12 +94,14 @@ def _levels(
         states = 0
         for placed, row in level.items():
             closing = (placed & unknowns).bit_count()
-            for v, low in lat.successors(placed):
+            for v, low in lat.prep.successors(placed):
                 key = placed | low
                 out = nxt.get(key)
                 if out is None:
                     if len(nxt) >= budget:
-                        raise BudgetExceededError(budget, len(nxt) + 1, lat.where())
+                        raise BudgetExceededError(
+                            budget, len(nxt) + 1, lat.where(), "the sampler"
+                        )
                     out = nxt[key] = {}
                 j = pin_of.get(v)
                 carry = low & selected and (selected & ~placed).bit_count() <= top
@@ -164,7 +151,7 @@ def _backward(
             in_placed = (placed & unknowns).bit_count()
             interval = (placed & pins).bit_count() - 1
             rank = (selected & ~placed).bit_count()
-            moves = [(v, low, after[placed | low]) for v, low in lat.successors(placed)]
+            moves = [(v, low, after[placed | low]) for v, low in lat.prep.successors(placed)]
             back: dict = {}
             for (k, _), f in row.items():
                 closed = in_placed - k

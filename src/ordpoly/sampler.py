@@ -23,13 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MalformedInputError, SamplerError
 from .model import ConstraintSet, Prepared, VariableId, _bits
-from .topk import SelectionPredicate
+
+if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
+    from .topk import SelectionPredicate
 
 __all__ = [
     "SamplerConfig",
@@ -365,6 +367,8 @@ def estimate_topk(
     selected unknowns, exact values join as constants, sort, truncate."""
     if k < 1:
         raise MalformedInputError(f"k must be a positive integer, got {k!r}")
+    from .topk import SelectionPredicate
+
     if isinstance(selection, SelectionPredicate):
         names = [v.name for v in selection.selected]
     else:

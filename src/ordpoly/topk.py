@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -39,9 +39,11 @@ from .errors import (
     LimitExceededError,
     MalformedInputError,
 )
-from .exact import _prepare, _Prep
 from .model import ConstraintSet, Prepared, VariableId
 from .tree import VALUES, solve
+
+if TYPE_CHECKING:  # the enumerator's module loads only for u/global top-k
+    from .exact import _Prep
 
 __all__ = [
     "SEMANTICS_LOCAL",
@@ -188,9 +190,11 @@ def _selected_tally(
     """The volume, plus either the volume of every descending sequence of
     the top ``k`` selected variables (all of them when ``k`` is None) or,
     without ``want_sequences``, every selected variable's volume per rank."""
-    from .lattice import rank_tally, sequence_tally  # first use, as in tree.solve_part
+    # first use, as in tree.solve_part
+    from .exact import _prepare
+    from .lattice import rank_tally, sequence_tally
 
-    prep = _prepare(cs, reject_user_ties=True)
+    prep = _prepare(Prepared(cs), reject_user_ties=True)
     sel_ids = [prep.class_of[cs.resolve(v.name).id].id for v in chosen]
     try:
         if not want_sequences:

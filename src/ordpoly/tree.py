@@ -25,12 +25,14 @@ child: Out_c(v) is the integral from the root value to v of Out_p(w)
 times the volumes of c's siblings at w (a pinned leaf caps w at its
 value), piecewise polynomial with breakpoints at pinned values.
 
-Every query takes one path, ``solve``: it groups the requested variables
-by decomposition part, refuses a general part where only the tree engine
-may run, and calls ``solve_part`` once per part.  That picks the engine by
-shape: the tree engine on trees and on the mirror image v -> 1 - v of
-reverse trees, closed forms on total orders, the lattice of downsets
-(``lattice``) on general parts.
+Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
+one path, ``solve``.  Under ``exact`` it enumerates the whole tie quotient
+(``exact._aggregate``); under the others it calls ``solve_part`` once per
+decomposition part, which picks the engine by shape: the tree engine on
+trees and on the mirror image v -> 1 - v of reverse trees, closed forms on
+total orders, the lattice of downsets (``lattice``) on general parts.
+One reader, ``exact._read_tally``, reads the enumerated and the lattice
+tallies.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, MalformedInputError, ShapeError
-from .exact import _density, _expectation, _prepare
 from .model import (
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
@@ -472,16 +473,12 @@ def solve_part(
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
     # Imported on first use: most requests never reach a general part, and
     # a CLI process pays for every module it imports.
+    from .exact import _prepare, _read_tally
     from .lattice import aggregate
 
-    prep = _prepare(skel.part)
+    prep = _prepare(Prepared(skel.part))
     ids = {n: prep.quotient.resolve(n).id for n in names}
-    volume, acc = aggregate(prep, budget, ids.values(), shape)
-    if query == VOLUME:
-        return volume
-    if query == MARGINAL:
-        return _density(prep, volume, acc[ids[names[0]]])
-    return {n: _expectation(prep, volume, acc[i]) for n, i in ids.items()}
+    return _read_tally(prep, query, aggregate(prep, budget, ids.values(), shape), ids)
 
 
 def solve(
@@ -489,37 +486,52 @@ def solve(
     query: str,
     names: Sequence = (),
     budget: int = DEFAULT_BUDGET,
-    general: bool = True,
+    engine: str = "auto",
 ):
-    """Answer ``query`` part by part: the volume (VOLUME; persistent user
-    ties refused), ``{x: value}`` for the source variables ``names``
-    (VALUES; STABLE for the stable scheme), or the density of the one
-    variable in ``names`` (MARGINAL).
-
-    A pinned tie class gives its value (a MARGINAL of one is malformed
-    input).  Under STABLE, or with ``general`` false, a general part
-    raises ``ShapeError`` before any part is solved, naming a variable
-    asked for (for VOLUME, the part's smallest unknown).
+    """Answer ``query``: the volume (VOLUME; persistent user ties refused),
+    ``{x: value}`` for the source variables ``names`` (VALUES; STABLE for
+    the stable scheme), or the density of the one variable in ``names``
+    (MARGINAL).  A pinned tie class gives its value (a MARGINAL of one is
+    malformed input).  ``engine`` is the CLI's: "exact" enumerates the
+    whole tie quotient; "auto" and "tree" answer part by part, and under
+    "tree" or STABLE a general part raises ``ShapeError`` first.
     """
-    values: dict = {}
-    wanted: dict[int, dict] = {}
     if query == VOLUME:
         prep.reject_user_ties()
-        wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}
-    # prep.decomposition is built on first use: never when every name is pinned
     pinned = prep.ties.quotient.exact_values
+    values: dict = {}
+    unknown: dict = {}
     for x in names:
         target = prep.target(x)
         if target.id not in pinned:
-            part_no = prep.decomposition.part_index[target.name]
-            wanted.setdefault(part_no, {})[x] = target.name
+            unknown[x] = target
         elif query == MARGINAL:
             raise MalformedInputError(
-                f"{target.name!r} is pinned; only unknowns have a density"
+                f"{prep.source.resolve(x).name!r} is pinned to "
+                f"{pinned[target.id]}; only unknowns have a density"
             )
         else:
             values[x] = pinned[target.id]
-    if query == STABLE or not general:
+    if engine == "exact" and query != STABLE:
+        # one enumeration of the whole tie quotient, never decomposed
+        if not unknown and query != VOLUME:
+            return values
+        from .exact import _aggregate, _prepare, _read_tally
+
+        whole = _prepare(prep)
+        ids = {x: target.id for x, target in unknown.items()}
+        solved = _read_tally(whole, query, _aggregate(whole, budget, set(ids.values())), ids)
+        if query != VALUES:
+            return solved
+        values.update(solved)
+        return {x: values[x] for x in names}
+    wanted: dict[int, dict] = {}
+    if query == VOLUME:
+        wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}
+    for x, target in unknown.items():
+        part_no = prep.decomposition.part_index[target.name]
+        wanted.setdefault(part_no, {})[x] = target.name
+    if query == STABLE or engine == "tree":
         for part_no in sorted(wanted):
             if prep.decomposition.skeletons[part_no].shape == SHAPE_GENERAL:
                 asked = [prep.source.resolve(x).name for x in wanted[part_no]]
@@ -556,10 +568,10 @@ def interpolate_decomposed(cs: ConstraintSet, x) -> Fraction:
     (v -> 1-v); totally ordered parts have a single linear extension and
     a closed form.  General parts raise ``ShapeError``.
     """
-    return solve(Prepared(cs), VALUES, [x], general=False)[x]
+    return solve(Prepared(cs), VALUES, [x], engine="tree")[x]
 
 
 def marginal_decomposed(cs: ConstraintSet, x) -> PiecewisePolynomial:
     """Marginal density of ``x`` via its decomposition part (tree shapes;
     general parts raise ``ShapeError``)."""
-    return solve(Prepared(cs), MARGINAL, [x], general=False)
+    return solve(Prepared(cs), MARGINAL, [x], engine="tree")

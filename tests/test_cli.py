@@ -723,15 +723,20 @@ def test_library_import_leaves_networkx_unloaded():
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
-    [(["volume"], False), (["sample", "--count", "2"], True)],
+    "argv, loads_numpy, unloaded",
+    [
+        (["volume"], False, ["ordpoly.exact", "ordpoly.lattice"]),
+        (["sample", "--count", "2"], True, ["ordpoly.topk", "ordpoly.tree", "ordpoly.exact"]),
+    ],
     ids=["volume", "sample"],
 )
-def test_only_sampling_loads_numpy(tmp_path, argv, loads_numpy):
+def test_only_sampling_loads_numpy(tmp_path, argv, loads_numpy, unloaded):
+    # and sampling loads no exact engine
     path = write_doc(tmp_path, "lemma.json", LEMMA_TREE)
     probe = (
         "import sys; from ordpoly import cli; "
-        "code = cli.run(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
+        "code = cli.run(sys.argv[1:]); "
+        f"print(code, 'numpy' in sys.modules, [m for m in {unloaded!r} if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, argv[0], path, *argv[1:]],
@@ -741,7 +746,7 @@ def test_only_sampling_loads_numpy(tmp_path, argv, loads_numpy):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == f"0 {loads_numpy}"
+    assert proc.stdout.strip().splitlines()[-1] == f"0 {loads_numpy} []"
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +877,73 @@ class TestTreeEngineDispatch:
         assert code == 0, err
         assert json.loads(out)["results"]["volume"]["exact"] == "8/25"
 
+    def test_pinned_variable_gets_one_refusal_under_every_engine(self, tmp_path):
+        # a is tied to the pinned p: both are pinned, each by its own name
+        tied_pin = {
+            "variables": ["a", "p", "u"],
+            "order": [["a", "p"], ["p", "a"], ["u", "p"]],
+            "exact": {"p": "1/2"},
+        }
+        cases = [(name, doc, doc["exact"]) for name, doc in sorted(_DISPATCH_DOCS.items())]
+        cases.append(("tied-pin", tied_pin, {"a": "1/2", "p": "1/2"}))
+        for name, doc, pins in cases:
+            path = write_doc(tmp_path, "doc.json", doc)
+            for x, value in pins.items():
+                answers = self._answers(["marginal", path, "--var", x])
+                code, payload = answers["exact"]
+                assert code == 3 and payload["error"] == "malformed", (name, x)
+                assert payload["message"].startswith(
+                    f"{x!r} is pinned to {Fraction(value)};"
+                ), (name, x, payload["message"])
+                assert answers["auto"] == answers["tree"] == answers["exact"], (name, x)
+
+    def test_tied_variable_gets_its_class_answer_under_every_engine(self, tmp_path):
+        # a2 is tied to a; the quotient is a tree
+        doc = {
+            "variables": ["r", "a", "a2", "b", "la", "lb"],
+            "order": [["r", "a"], ["a", "a2"], ["a2", "a"], ["a", "la"], ["a", "b"], ["b", "lb"]],
+            "exact": {"r": "1/10", "la": "1/2", "lb": "3/5"},
+        }
+        path = write_doc(tmp_path, "tied.json", doc)
+        for argv in (
+            ["interpolate", path, "--var", "a2"],
+            ["marginal", path, "--var", "a2"],
+            ["interpolate", path],
+        ):
+            answers = self._answers(argv)
+            assert answers["auto"][0] == 0, (argv, answers["auto"])
+            assert answers["auto"] == answers["tree"] == answers["exact"], argv
+        values = answers["auto"][1]["values"]  # the last request: every unknown
+        assert values["a2"] == values["a"]
+
+    @pytest.mark.parametrize(
+        "engine, remedy",
+        [
+            ("auto", "; use the sampler for an estimate"),
+            (
+                "exact",
+                "; use --engine auto, which answers part by part without "
+                "enumerating, or the sampler for an estimate",
+            ),
+        ],
+        ids=["auto", "exact"],
+    )
+    def test_budget_hint_names_only_remedies_that_apply(self, tmp_path, engine, remedy):
+        # a general part and two totally ordered ones: the lattice's guard
+        # fires under auto, the enumerator's under exact
+        doc = _cli_doc(gen.mixed_doc(random.Random(0), 5, 2))
+        assert self._general_unknowns(doc)
+        path = write_doc(tmp_path, "mixed.json", doc)
+        code, out, err = run_cli(
+            ["volume", path, "--engine", engine, "--max-extensions", "0"]
+        )
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "budget" and payload["budget"] == 0
+        assert payload["lower_bound"] >= 1
+        assert payload["message"].endswith(remedy), payload["message"]
+        assert "tree engine" not in payload["message"]
+
     def test_lattice_budget_error_names_the_part(self, tmp_path):
         path = write_doc(tmp_path, "k22.json", K22)
         code, out, err = run_cli(["volume", path, "--max-extensions", "1"])
@@ -882,22 +954,39 @@ class TestTreeEngineDispatch:
         assert "general part containing 'a' (4 unknowns, 2 pinned" in payload["message"]
 
 
-def test_engine_free_commands_leave_engines_unloaded(tmp_path):
-    # check, close, dim, decompose and a contradiction exit run no engine
-    path = write_doc(tmp_path, "lemma.json", LEMMA_TREE)
-    bad = write_doc(tmp_path, "bad.json", CONTRADICTION)
+def _loaded_after(argv, modules):
+    """Exit code of one CLI run in a fresh process, and which of ``modules``
+    it loaded."""
     probe = (
-        "import sys; from ordpoly import cli; path, bad = sys.argv[1:]; "
-        "codes = [cli.run([c, path]) for c in ('check', 'close', 'dim', 'decompose')]; "
-        "codes.append(cli.run(['volume', bad])); "
-        "print(codes, [m for m in ('ordpoly.exact', 'ordpoly.tree') if m in sys.modules])"
+        "import sys; from ordpoly import cli; "
+        "code = cli.run(sys.argv[1:]); "
+        f"print(code, [m for m in {modules!r} if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe, path, bad],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True,
         text=True,
         cwd=Path(ordpoly.__file__).parents[1],
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 1] []"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_engine_free_commands_leave_engines_unloaded(tmp_path):
+    # check, close, dim, decompose and a contradiction exit run no engine;
+    # on a tree, value queries run the tree engine alone
+    path = write_doc(tmp_path, "lemma.json", LEMMA_TREE)
+    bad = write_doc(tmp_path, "bad.json", CONTRADICTION)
+    engines = ["ordpoly.exact", "ordpoly.tree"]
+    for argv in (["check", path], ["close", path], ["dim", path], ["decompose", path]):
+        assert _loaded_after(argv, engines) == "0 []", argv
+    assert _loaded_after(["volume", bad], engines) == "1 []"
+    general = ["ordpoly.exact", "ordpoly.lattice"]
+    for argv in (
+        ["volume", path],
+        ["marginal", path, "--var", "x_b"],
+        ["interpolate", path, "--scheme", "stable"],
+        ["topk", path, "--semantics", "local", "--k", "1", "--select", "x_b,x_d"],
+    ):
+        assert _loaded_after(argv, general) == "0 []", argv

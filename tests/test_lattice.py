@@ -46,7 +46,7 @@ def has_user_ties(cs) -> bool:
 def lattice_answers(cs):
     """Volume, every expected value and every unknown's marginal from one
     lattice pass over the whole set's tie quotient."""
-    prep = exact._prepare(cs)
+    prep = exact._prepare(Prepared(cs))
     volume, acc = lattice.aggregate(prep, exact.DEFAULT_BUDGET, prep.unknown_ids)
     values, marginals = {}, {}
     for v in cs.variables:
