@@ -6,7 +6,7 @@ are interpolated as expected values under the uniform distribution over
 that polytope, with all arithmetic exact (rational).  The package also
 ranks variables under three top-k semantics, carries a polynomial-time
 engine for tree-shaped constraint sets, and a hit-and-run sampler for
-everything too large for exact enumeration.
+everything too large for the exact engines.
 
 Public names load with their submodule on first access (PEP 562), so
 ``import ordpoly`` costs almost nothing and numpy is imported only when

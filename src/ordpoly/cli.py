@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -297,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_BUDGET,
             help="exact-engine budget: under --engine exact, the number of "
-            "linear extensions enumerated; under auto (general parts) and "
-            "u/global top-k, the distinct downsets in one level of the "
-            "lattice, a lower bound on the extension count",
+            "linear extensions (counted before answering); under auto "
+            "(general parts) and u/global top-k, the distinct downsets in one "
+            "level of the lattice, a lower bound on the extension count",
         )
         p.add_argument(
             "--threads",
@@ -320,9 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=engines[0],
                 help="auto, tree and exact answer through one dispatch. auto: "
                 "part by part, the engine each part's shape allows; tree: the "
-                "same, but a general part exits 2; exact: enumerate the whole "
-                "set's linear extensions (topk: exact answers); sample: "
-                "hit-and-run estimate",
+                "same, but a general part exits 2; exact: the lattice of "
+                "downsets over the whole set, undecomposed, its linear "
+                "extensions bounded by --max-extensions (topk: exact answers); "
+                "sample: hit-and-run estimate",
             )
         if name in ("interpolate", "marginal"):
             p.add_argument("--var", help="variable name (interpolate default: all unknowns)")
@@ -355,6 +357,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@contextmanager
+def _any_digits():
+    """Lift Python's cap on int -> str conversion (4300 digits since
+    3.10.7) while a parsed document is answered: the cap keeps parsing
+    untrusted text linear, and an exact answer may have any number of
+    digits."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+
+
 def _load(path: str) -> ConstraintSet:
     if path == "-":
         return fileio.load(sys.stdin)
@@ -376,19 +394,21 @@ def run(argv: Sequence[str]) -> int:
     started = time.perf_counter()
     try:
         prep = Prepared(_load(args.input))
-        if args.command != "check":
-            # Gate every command on consistency up front so shortcuts that
-            # read pinned values directly cannot answer for an empty polytope.
-            # `check` is exempt: reporting inconsistency is its result.
-            report = check_consistency(prep.closed)
-            if not report.ok:
-                raise ContradictionError(
-                    report.message, tuple(v.name for v in report.witness)
-                )
-        # Every command takes the flag; closed forms and tree parts never
-        # consult it, so a negative value is refused here, not by a guard.
-        _check_budget(args.max_extensions)
-        outcome = _COMMANDS[args.command](prep, args)
+        with _any_digits():
+            if args.command != "check":
+                # Gate every command on consistency up front so shortcuts that
+                # read pinned values directly cannot answer for an empty
+                # polytope.  `check` is exempt: reporting inconsistency is its
+                # result.
+                report = check_consistency(prep.closed)
+                if not report.ok:
+                    raise ContradictionError(
+                        report.message, tuple(v.name for v in report.witness)
+                    )
+            # Every command takes the flag; closed forms and tree parts never
+            # consult it, so a negative value is refused here, not by a guard.
+            _check_budget(args.max_extensions)
+            outcome = _COMMANDS[args.command](prep, args)
         if len(outcome) == 3:
             results, code, diagnostics = outcome
         else:

@@ -1,4 +1,5 @@
-"""Exact engine: enumeration over linear extensions.
+"""Exact engine: linear extensions, their fragments and the public entry
+points.
 
 A linear extension is a total order of all variables (including the
 materialized 0/1 bounds) consistent with the order constraints.  Cutting
@@ -12,24 +13,18 @@ fragment of n unknowns the admissible region is a scaled simplex, so
   density of rank r among n uniform samples, rescaled to [alpha, beta].
 
 Whole-polytope answers are volume-weighted sums of fragment answers over
-all extensions.  The number of extensions can be astronomically large, so
-every enumerating entry point takes a budget and aborts with
-``BudgetExceededError`` (carrying a proven lower bound) instead of
-hanging.  Every fold reaches the walk through one guarded iterator,
-``_extensions``: it pre-counts prefixes level by level before the first
-extension is produced, which aborts in milliseconds even when the true
-count is in the trillions, and when pre-counting would need too much
-memory it counts the extensions as they are produced instead.  A tally
-tracks only what its query reads: volume tracks no unknown, one
-expected value or marginal tracks one, ``interpolate_all`` tracks all.
+all extensions.  ``volume_exact``, ``interpolate_exact``,
+``interpolate_all``, ``marginal_exact`` and ``expected_rank`` are each one
+``tree.solve`` call with ``engine="exact"``, which sums them over the
+lattice of downsets (``lattice.answer``) without enumerating.
 
-Enumeration serves ``--engine exact`` and the extension tables, and it is
-the reference the downset-lattice engine (``lattice``) is tested against.
-``volume_exact``, ``interpolate_exact``, ``interpolate_all`` and
-``marginal_exact`` are each one call of ``tree.solve`` with
-``engine="exact"``, the path every exact engine shares: it tallies the
-whole tie quotient with ``_aggregate`` and reads the tally with
-``_read_tally``, the reader of the lattice's tallies too.
+The number of extensions can be astronomically large, so every entry
+point takes a budget and aborts with ``BudgetExceededError`` (carrying a
+proven lower bound) instead of hanging: ``lattice._count_extensions``
+pre-counts prefixes level by level, which aborts in milliseconds even
+when the true count is in the trillions.  The walk below serves only the
+extension tables and, when pre-counting would need too much memory,
+``count_extensions``; it then counts what it produces against the budget.
 """
 
 from __future__ import annotations
@@ -37,17 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, MalformedInputError, _check_budget
-from .model import ConstraintSet, Prepared, VariableId, _bits, _cover_edges
-from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
+from .errors import DEFAULT_BUDGET, BudgetExceededError, MalformedInputError
+from .lattice import _count_extensions, _Prep, _prepare
+from .model import ConstraintSet, Prepared, VariableId, _bits
+from .poly import PiecewisePolynomial
 from .tree import MARGINAL, VALUES, VOLUME, solve
-
-# When the prefix-counting guard would need more than this many distinct
-# prefixes per level it stops pre-counting and the enumeration itself
-# counts against the budget instead.
-_LEVEL_MASK_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -130,84 +121,15 @@ class LinearExtension:
 
 
 # ---------------------------------------------------------------------------
-# preparation
-
-
-@dataclass
-class _Prep:
-    """Tie-collapsed closure plus its cover graph as bitmasks."""
-
-    quotient: ConstraintSet
-    class_of: dict[int, VariableId]
-    parents: list[int]
-    child_bits: list[int]
-    roots: int
-    exact_chain: list[int]
-    exact_index: dict[int, int]
-    values: list[Fraction]
-    widths: list[Fraction]
-    unknown_ids: list[int]
-
-    def successors(self, placed: int) -> Iterator[tuple[int, int]]:
-        """(variable, its bit), ascending, for every variable whose cover
-        parents are all in the downset ``placed``: the step of the guard's
-        pre-count and of the lattice.  Only the roots and the placed
-        variables' children can qualify, so only they are tried."""
-        parents = self.parents
-        cand, rest = self.roots, placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand |= self.child_bits[low.bit_length() - 1]
-        cand &= ~placed
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if not parents[v] & ~placed:
-                yield v, low
-
-
-def _prepare(prep: Prepared, *, reject_user_ties: bool = False) -> _Prep:
-    if reject_user_ties:
-        prep.reject_user_ties()
-    quotient, class_of = prep.ties.quotient, dict(prep.ties.class_of)
-    n = len(quotient.variables)
-    parents = [0] * n
-    child_bits = [0] * n
-    for a, b in _cover_edges(quotient):
-        parents[b] |= 1 << a
-        child_bits[a] |= 1 << b
-    chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
-    values = [quotient.exact_values[i] for i in chain]
-    widths = [values[j + 1] - values[j] for j in range(len(chain) - 1)]
-    assert all(w > 0 for w in widths), "equal pinned values must have been collapsed"
-    return _Prep(
-        quotient=quotient,
-        class_of=class_of,
-        parents=parents,
-        child_bits=child_bits,
-        roots=sum(1 << v for v in range(n) if not parents[v]),
-        exact_chain=chain,
-        exact_index={v: j for j, v in enumerate(chain)},
-        values=values,
-        widths=widths,
-        unknown_ids=[v.id for v in quotient.variables if v.id not in quotient.exact_values],
-    )
-
-
-# ---------------------------------------------------------------------------
 # the enumeration walk
 
 
 def _walk(prep: _Prep):
     """Yield every linear extension, depth-first, deterministically.
 
-    Yields ``(order, volume, assign, sizes)`` where ``order`` is the id
-    sequence, ``assign`` maps each unknown id to (interval, rank within
-    fragment) and ``sizes[j]`` is the fragment size in interval j.  The
-    yielded structures are REUSED between iterations; consumers must copy
-    anything they keep.
+    Yields ``(order, volume)`` where ``order`` is the id sequence.  The
+    yielded list is REUSED between iterations; consumers must copy what
+    they keep.
     """
     n = len(prep.quotient.variables)
     children = [tuple(_bits(mask)) for mask in prep.child_bits]
@@ -218,7 +140,6 @@ def _walk(prep: _Prep):
 
     order: list[int] = []
     sizes = [0] * m
-    assign: dict[int, tuple[int, int]] = {}
     vstack: list[Fraction] = [Fraction(1)]
     cur_stack: list[int] = [0]
 
@@ -231,7 +152,6 @@ def _walk(prep: _Prep):
         else:
             j = cur_stack[-1]
             sizes[j] += 1
-            assign[v] = (j, sizes[j])
             cur_stack.append(j)
             vstack.append(vstack[-1] * widths[j] / sizes[j])
         ready = []
@@ -244,11 +164,10 @@ def _walk(prep: _Prep):
     def unplace(v: int) -> None:
         for c in children[v]:
             indeg[c] += 1
-        cur_stack.pop()
+        j = cur_stack.pop()
         vstack.pop()
-        got = assign.pop(v, None)
-        if got is not None:
-            sizes[got[0]] -= 1
+        if v not in exact_index:
+            sizes[j] -= 1
         order.pop()
 
     frames: list[tuple[list[int], int]] = [
@@ -265,7 +184,7 @@ def _walk(prep: _Prep):
         v = cands[i]
         ready = place(v)
         if len(order) == n:
-            yield order, vstack[-1], assign, sizes
+            yield order, vstack[-1]
             unplace(v)
         else:
             frames.append((cands[:i] + cands[i + 1 :] + sorted(ready), 0))
@@ -275,33 +194,9 @@ def _walk(prep: _Prep):
 # budget guard
 
 
-def _count_extensions(prep: _Prep, budget: int) -> int | None:
-    """Exact extension count, or None when pre-counting would need too
-    much memory.  Raises ``BudgetExceededError`` as soon as any level's
-    prefix count (a lower bound on the total) exceeds the budget, the
-    last level (the count itself) included."""
-    _check_budget(budget)
-    level: dict[int, int] = {0: 1}
-    for _ in range(len(prep.quotient.variables)):
-        nxt: dict[int, int] = {}
-        for mask, ways in level.items():
-            for _v, low in prep.successors(mask):
-                key = mask | low
-                if key in nxt:
-                    nxt[key] += ways
-                else:
-                    nxt[key] = ways
-            if len(nxt) > _LEVEL_MASK_CAP:
-                return None
-        total = sum(nxt.values())
-        if total > budget:
-            raise BudgetExceededError(budget, total)
-        level = nxt
-    return sum(level.values())
-
-
 def _extensions(prep: _Prep, budget: int) -> Iterator:
-    """The walk behind the budget guard; the only way folds reach ``_walk``.
+    """The walk behind the budget guard; the extension tables' way to
+    ``_walk``.
 
     The pre-count runs on the call, not at the first ``next()``, so an
     over-budget set fails before anything is produced.  When pre-counting
@@ -329,29 +224,6 @@ def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
 
 
 # ---------------------------------------------------------------------------
-# aggregation
-
-
-def _aggregate(
-    prep: _Prep, budget: int, track: Iterable[int]
-) -> tuple[Fraction, dict[int, dict[tuple[int, int, int], Fraction]]]:
-    """Total volume, and for each tracked unknown id the summed volume per
-    (interval, rank, fragment size) it takes."""
-    total = Fraction(0)
-    acc: dict[int, dict[tuple[int, int, int], Fraction]] = {u: {} for u in track}
-    for _order, vol, assign, sizes in _extensions(prep, budget):
-        total += vol
-        for u, bucket in acc.items():
-            j, r = assign[u]
-            key = (j, r, sizes[j])
-            if key in bucket:
-                bucket[key] += vol
-            else:
-                bucket[key] = vol
-    return total, acc
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -370,7 +242,7 @@ def enumerate_extensions(
     def generate() -> Iterator[LinearExtension]:
         variables = prep.quotient.variables
         exact_ids = set(prep.exact_chain)
-        for order, _vol, _assign, _sizes in walk:
+        for order, _vol in walk:
             positions = tuple(i for i, v in enumerate(order) if v in exact_ids)
             yield LinearExtension(
                 order=tuple(variables[v] for v in order),
@@ -393,7 +265,7 @@ def extension_volumes(
     variables = prep.quotient.variables
     return (
         (tuple(variables[v].name for v in order if v not in hidden), vol)
-        for order, vol, _assign, _sizes in walk
+        for order, vol in walk
     )
 
 
@@ -408,17 +280,8 @@ def interpolate_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fra
 
 
 def interpolate_all(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> dict[str, Fraction]:
-    """Expected value of every non-pinned input variable, one enumeration."""
+    """Expected value of every non-pinned input variable, one lattice pass."""
     return solve(Prepared(cs), VALUES, [v.name for v in cs.unknowns()], budget, "exact")
-
-
-def _expectation(
-    prep: _Prep, volume: Fraction, bucket: dict[tuple[int, int, int], Fraction]
-) -> Fraction:
-    num = Fraction(0)
-    for (j, r, size), vol in bucket.items():
-        num += vol * (prep.values[j] + Fraction(r, size + 1) * prep.widths[j])
-    return num / volume
 
 
 def marginal_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> PiecewisePolynomial:
@@ -426,68 +289,33 @@ def marginal_exact(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Piecew
 
     Per extension the fragment containing x contributes the rank-r
     order-statistic density among the fragment's n unknowns, rescaled to
-    the fragment's interval; contributions are volume-weighted and the
-    total is normalized.  Pinned variables have no density and are
-    rejected.
+    the fragment's interval; contributions are volume-weighted (summed
+    over the lattice of downsets) and the total is normalized.  Pinned
+    variables have no density and are rejected.
     """
     return solve(Prepared(cs), MARGINAL, [x], budget, "exact")
-
-
-def _density(
-    prep: _Prep, volume: Fraction, bucket: dict[tuple[int, int, int], Fraction]
-) -> PiecewisePolynomial:
-    """The marginal density from one unknown's (interval, rank, fragment
-    size) volumes: each bucket weighs its rank-r order-statistic density
-    on the interval by its share of the volume."""
-    per_interval: dict[int, Polynomial] = {}
-    for (j, r, size), vol in bucket.items():
-        density = order_statistic_density(
-            r, size, prep.values[j], prep.values[j + 1]
-        )
-        weighted = density * (vol / volume)
-        if j in per_interval:
-            per_interval[j] = per_interval[j] + weighted
-        else:
-            per_interval[j] = weighted
-    breakpoints = tuple(prep.values)
-    pieces = tuple(
-        per_interval.get(j, Polynomial()) for j in range(len(prep.widths))
-    )
-    return PiecewisePolynomial(breakpoints, pieces).canonical()
-
-
-def _read_tally(prep: _Prep, query: str, tally, ids: Mapping):
-    """The answer to ``query`` from an enumerated (``_aggregate``) or
-    lattice tally of ``prep``; ``ids`` maps each key asked to its id."""
-    volume, acc = tally
-    if query == VOLUME:
-        return volume
-    if query == MARGINAL:
-        return _density(prep, volume, acc[next(iter(ids.values()))])
-    return {key: _expectation(prep, volume, acc[i]) for key, i in ids.items()}
 
 
 def expected_rank(cs: ConstraintSet, x, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Average 1-based rank of ``x`` over all linear extensions.
 
     Defined for sets whose only pinned values are the materialized
-    bounds; the bounds do not count toward ranks.  For such sets the
-    expected value of any unknown equals expected_rank / (n + 1).
+    bounds; the bounds do not count toward ranks.  Every extension of such
+    a set has one fragment on [0, 1] and the same volume, so the average
+    rank is (n + 1) * E[x] over the n unknowns.
     """
-    prep = _prepare(Prepared(cs), reject_user_ties=True)
+    prep = Prepared(cs)
+    prep.reject_user_ties()
+    quotient = prep.ties.quotient
     visible_pinned = [
-        prep.quotient.variables[i].name
-        for i in prep.quotient.exact_values
-        if i not in prep.quotient.reserved
+        quotient.variables[i].name
+        for i in quotient.exact_values
+        if i not in quotient.reserved
     ]
     if visible_pinned:
         raise MalformedInputError(
             "expected_rank is defined for order-only constraint sets; "
             f"pinned variables present: {sorted(visible_pinned)}"
         )
-    target = prep.class_of[cs.resolve(x).id]
-    count = rank_sum = 0
-    for _order, _vol, assign, _sizes in _extensions(prep, budget):
-        count += 1
-        rank_sum += assign[target.id][1]
-    return Fraction(rank_sum, count)
+    n = len(quotient.variables) - len(quotient.exact_values)
+    return (n + 1) * solve(prep, VALUES, [x], budget, "exact")[x]

@@ -30,7 +30,8 @@ def loads(text: str) -> ConstraintSet:
     try:
         # Route floats through str so 0.45 stays the decimal 45/100.
         doc = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, integers over Python's digit cap, nesting too deep
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     return _from_document(doc)
 

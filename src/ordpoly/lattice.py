@@ -2,12 +2,12 @@
 
 A linear extension places the variables of the tie quotient one at a
 time, so after t placements the placed set is a downset D of size t.  An
-extension's volume is the product over its fragments of w_j^n / n!, and
-of its past the future needs only D and the size k of the fragment still
-open.  Sums over all extensions therefore factor through the states
-(D, k), whose number grows with the number of downsets, not with the
-number of extensions (De Loof, De Meyer & De Baets 2006; Kangas et al.,
-IJCAI 2016).
+extension's volume is the product over its fragments (see ``exact``) of
+w_j^n / n!, and of its past the future needs only D and the size k of the
+fragment still open.  Sums over all extensions therefore factor through
+the states (D, k), whose number grows with the number of downsets, not
+with the number of extensions (De Loof, De Meyer & De Baets 2006; Kangas
+et al., IJCAI 2016).
 
 * The forward table F(D, k) sums the closed fragments' weights over every
   prefix that reaches D with k unknowns in the open fragment.  Placing an
@@ -16,9 +16,9 @@ IJCAI 2016).
 * The backward table B(D, k) sums the weights of every completion, the
   open fragment's included, split by that fragment's final size n.  Each
   transition's F * B is the volume of the extensions through it, which
-  gives the enumerator's tallies without enumerating: the
-  (interval, rank, size) buckets of ``exact._aggregate`` and the rank
-  buckets of u/global top-k.
+  gives, without enumerating, the volume each unknown takes per
+  (interval, rank, fragment size), hence its expected value and marginal,
+  and the rank buckets of u/global top-k.
 * A selected variable placed at D has |S \\ D| - 1 selected variables
   after it, which D fixes.  Carrying the selected variables placed once
   |S \\ D| <= K along with (D, k) gives the top-K sequence of every
@@ -34,19 +34,117 @@ gives exact fractions.
 The tables are built level by level under two guards: a level with more
 distinct downsets than the budget raises ``BudgetExceededError`` (distinct
 downsets of one size are prefixes of distinct extensions, so their number
-is a proven lower bound on the extension count, and the lattice refuses
-only what enumeration refuses too), and a level with more than
-``exact._LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
+is a proven lower bound on the extension count), and a level with more
+than ``_LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
+
+``tree.solve`` reaches volumes, expected values and marginals through
+``answer`` alone: on every general part, and under ``--engine exact`` on
+the whole tie quotient once ``_count_extensions`` has pre-counted its
+linear extensions against the budget.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from . import exact
-from .errors import BudgetExceededError, LimitExceededError, _check_budget
-from .exact import _Prep
+from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
+from .model import ConstraintSet, Prepared, VariableId, _cover_edges
+from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
+from .tree import MARGINAL, VOLUME
+
+# The most prefixes the extension pre-count, and states the lattice,
+# hold in one level.
+_LEVEL_MASK_CAP = 2_000_000
+
+
+@dataclass
+class _Prep:
+    """Tie-collapsed closure plus its cover graph as bitmasks."""
+
+    quotient: ConstraintSet
+    class_of: dict[int, VariableId]
+    parents: list[int]
+    child_bits: list[int]
+    roots: int
+    exact_chain: list[int]
+    exact_index: dict[int, int]
+    values: list[Fraction]
+    widths: list[Fraction]
+    unknown_ids: list[int]
+
+    def successors(self, placed: int) -> Iterator[tuple[int, int]]:
+        """(variable, its bit), ascending, for every variable whose cover
+        parents are all in the downset ``placed``: the step of the
+        extension pre-count and of the lattice.  Only the roots and the
+        placed variables' children can qualify, so only they are tried."""
+        parents = self.parents
+        cand, rest = self.roots, placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand |= self.child_bits[low.bit_length() - 1]
+        cand &= ~placed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if not parents[v] & ~placed:
+                yield v, low
+
+
+def _prepare(prep: Prepared, *, reject_user_ties: bool = False) -> _Prep:
+    if reject_user_ties:
+        prep.reject_user_ties()
+    quotient, class_of = prep.ties.quotient, dict(prep.ties.class_of)
+    n = len(quotient.variables)
+    parents = [0] * n
+    child_bits = [0] * n
+    for a, b in _cover_edges(quotient):
+        parents[b] |= 1 << a
+        child_bits[a] |= 1 << b
+    chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
+    values = [quotient.exact_values[i] for i in chain]
+    widths = [values[j + 1] - values[j] for j in range(len(chain) - 1)]
+    assert all(w > 0 for w in widths), "equal pinned values must have been collapsed"
+    return _Prep(
+        quotient=quotient,
+        class_of=class_of,
+        parents=parents,
+        child_bits=child_bits,
+        roots=sum(1 << v for v in range(n) if not parents[v]),
+        exact_chain=chain,
+        exact_index={v: j for j, v in enumerate(chain)},
+        values=values,
+        widths=widths,
+        unknown_ids=[v.id for v in quotient.variables if v.id not in quotient.exact_values],
+    )
+
+
+def _count_extensions(prep: _Prep, budget: int) -> int | None:
+    """Exact linear-extension count, or None when pre-counting would need
+    too much memory.  Raises ``BudgetExceededError`` as soon as any
+    level's prefix count (a lower bound on the total) exceeds the budget,
+    the last level (the count itself) included."""
+    _check_budget(budget)
+    level: dict[int, int] = {0: 1}
+    for _ in range(len(prep.quotient.variables)):
+        nxt: dict[int, int] = {}
+        for mask, ways in level.items():
+            for _v, low in prep.successors(mask):
+                key = mask | low
+                if key in nxt:
+                    nxt[key] += ways
+                else:
+                    nxt[key] = ways
+            if len(nxt) > _LEVEL_MASK_CAP:
+                return None
+        total = sum(nxt.values())
+        if total > budget:
+            raise BudgetExceededError(budget, total)
+        level = nxt
+    return sum(level.values())
 
 
 class _Lattice:
@@ -85,7 +183,7 @@ def _levels(
     ``top`` selected variables were still unplaced; it is () without a
     selection."""
     _check_budget(budget)
-    cap = exact._LEVEL_MASK_CAP
+    cap = _LEVEL_MASK_CAP
     scale, pin_of, unknowns = lat.scale, lat.pin_of, lat.unknowns
     level: dict = {0: {(0, ()): 1}}
     yield level
@@ -196,22 +294,59 @@ def _last(levels: Iterator[dict]) -> dict:
     return level
 
 
-def aggregate(
-    prep: _Prep, budget: int, track: Iterable[int], shape: str | None = None
-) -> tuple[Fraction, dict[int, dict[tuple[int, int, int], Fraction]]]:
-    """``exact._aggregate``'s tallies from the lattice: the volume, and for
-    each tracked unknown id the volume per (interval, rank, fragment size)
-    it takes.  ``shape`` names the part in a limit error."""
+def _expectation(
+    prep: _Prep, total: int, bucket: dict[tuple[int, int, int], int]
+) -> Fraction:
+    """The expected value from one unknown's (interval, rank, fragment
+    size) buckets, in the scale of the volume ``total``."""
+    num = Fraction(0)
+    for (j, r, size), x in bucket.items():
+        num += x * (prep.values[j] + Fraction(r, size + 1) * prep.widths[j])
+    return num / total
+
+
+def _density(
+    prep: _Prep, total: int, bucket: dict[tuple[int, int, int], int]
+) -> PiecewisePolynomial:
+    """The marginal density from one unknown's (interval, rank, fragment
+    size) buckets: each weighs its rank-r order-statistic density on the
+    interval by its share of the volume ``total``."""
+    values = prep.values
+    per_interval: dict[int, Polynomial] = {}
+    for (j, r, size), x in bucket.items():
+        density = order_statistic_density(r, size, values[j], values[j + 1])
+        per_interval[j] = per_interval.get(j, Polynomial()) + density * Fraction(x, total)
+    pieces = tuple(per_interval.get(j, Polynomial()) for j in range(len(prep.widths)))
+    return PiecewisePolynomial(tuple(values), pieces).canonical()
+
+
+def answer(
+    prepared: Prepared,
+    query: str,
+    names: Sequence = (),
+    budget: int = DEFAULT_BUDGET,
+    shape: str | None = None,
+):
+    """``tree.solve``'s ``query`` on the tie quotient of ``prepared``: the
+    volume (VOLUME), ``{x: value}`` for the unpinned variables ``names``
+    (VALUES), or the density of ``names[0]`` (MARGINAL).  ``shape`` is
+    that of the general part ``prepared`` holds, which the guards' errors
+    name.  Without one, ``prepared`` is the whole set under ``--engine
+    exact``, whose budget bounds linear extensions: they are pre-counted
+    first."""
+    prep = _prepare(prepared)
+    if shape is None:
+        _count_extensions(prep, budget)
     lat = _Lattice(prep, shape)
-    track = list(track)
-    if not track:
-        return _volume(lat, _last(_levels(lat, budget))), {}
+    if query == VOLUME:
+        return _volume(lat, _last(_levels(lat, budget)))
+    ids = {x: prepared.target(x).id for x in names}
     levels = list(_levels(lat, budget))
-    buckets, _ = _backward(lat, levels, track, 0)
-    return _volume(lat, levels[-1]), {
-        u: {key: Fraction(x, lat.den) for key, x in bucket.items()}
-        for u, bucket in buckets.items()
-    }
+    buckets, _ = _backward(lat, levels, ids.values(), 0)
+    total = levels[-1][lat.full][(0, ())]
+    if query == MARGINAL:
+        return _density(prep, total, buckets[ids[names[0]]])
+    return {x: _expectation(prep, total, buckets[i]) for x, i in ids.items()}
 
 
 def rank_tally(

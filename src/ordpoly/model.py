@@ -17,6 +17,7 @@ stages once per request and hands their results to every engine.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -109,7 +110,10 @@ class ConstraintSet:
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedInputError(f"bad rational for {name!r}: {raw!r}") from exc
             if not 0 <= v <= 1:
-                raise MalformedInputError(f"exact value out of [0, 1]: {name} = {v}")
+                # the raw text, cut short: v may have any number of digits
+                raise MalformedInputError(
+                    f"exact value out of [0, 1]: {name} = {reprlib.repr(raw)}"
+                )
             values[lookup[name]] = v
 
         self.variables = vs

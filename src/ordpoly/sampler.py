@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MalformedInputError, SamplerError
+from .errors import LimitExceededError, MalformedInputError, SamplerError
 from .model import ConstraintSet, Prepared, VariableId, _bits
 
 if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
@@ -52,6 +52,9 @@ MAX_RETRIES = 100
 # from the machine because estimates depend on the chain count (chain c is
 # seeded seed + c).
 MAX_CHAINS = 64
+# The most floats one chain's point buffer (count x dimension) may hold:
+# 1 GiB of float64.
+MAX_POINT_FLOATS = 2**27
 _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
 
@@ -82,7 +85,12 @@ class SamplerConfig:
 
     def sample_count(self) -> int:
         """N = ceil(2 ln(2/delta) / epsilon^2), the Hoeffding sample size."""
-        return math.ceil(2 * math.log(2 / self.delta) / self.epsilon**2)
+        try:
+            return math.ceil(2 * math.log(2 / self.delta) / self.epsilon**2)
+        except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows
+            raise LimitExceededError(
+                f"epsilon {self.epsilon} asks for more samples than a float counts"
+            ) from None
 
     def resolved(self, dimension: int) -> tuple[int, int]:
         burn_in = 1000 * dimension if self.burn_in is None else self.burn_in
@@ -220,6 +228,11 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
     ``CHORD_EPS`` is rejected (the row is consumed, the step does not
     advance); more than ``MAX_RETRIES`` consecutive rejections abort.
     """
+    if count * walk.dimension > MAX_POINT_FLOATS:
+        raise LimitExceededError(
+            f"{count} points of dimension {walk.dimension} exceed the sampler's "
+            f"buffer of {MAX_POINT_FLOATS} floats; ask for fewer points"
+        )
     burn_in, thinning = cfg.resolved(walk.dimension)
     total_steps = burn_in + count * thinning
     rng = np.random.default_rng(seed)

@@ -42,8 +42,8 @@ from .errors import (
 from .model import ConstraintSet, Prepared, VariableId
 from .tree import VALUES, solve
 
-if TYPE_CHECKING:  # the enumerator's module loads only for u/global top-k
-    from .exact import _Prep
+if TYPE_CHECKING:  # the lattice's module loads only for u/global top-k
+    from .lattice import _Prep
 
 __all__ = [
     "SEMANTICS_LOCAL",
@@ -191,8 +191,7 @@ def _selected_tally(
     the top ``k`` selected variables (all of them when ``k`` is None) or,
     without ``want_sequences``, every selected variable's volume per rank."""
     # first use, as in tree.solve_part
-    from .exact import _prepare
-    from .lattice import rank_tally, sequence_tally
+    from .lattice import _prepare, rank_tally, sequence_tally
 
     prep = _prepare(Prepared(cs), reject_user_ties=True)
     sel_ids = [prep.class_of[cs.resolve(v.name).id].id for v in chosen]

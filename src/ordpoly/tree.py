@@ -26,13 +26,13 @@ times the volumes of c's siblings at w (a pinned leaf caps w at its
 value), piecewise polynomial with breakpoints at pinned values.
 
 Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
-one path, ``solve``.  Under ``exact`` it enumerates the whole tie quotient
-(``exact._aggregate``); under the others it calls ``solve_part`` once per
-decomposition part, which picks the engine by shape: the tree engine on
-trees and on the mirror image v -> 1 - v of reverse trees, closed forms on
-total orders, the lattice of downsets (``lattice``) on general parts.
-One reader, ``exact._read_tally``, reads the enumerated and the lattice
-tallies.
+one path, ``solve``.  Under ``exact`` it answers from the lattice of
+downsets (``lattice.answer``) on the whole tie quotient, behind a
+pre-count of its linear extensions; under the others it calls
+``solve_part`` once per decomposition part, which picks the engine by
+shape: the tree engine on trees and on the mirror image v -> 1 - v of
+reverse trees, closed forms on total orders, the same ``lattice.answer``
+on general parts.
 """
 
 from __future__ import annotations
@@ -473,12 +473,9 @@ def solve_part(
         return {n: 1 - v for n, v in solved.items()} if mirrored else solved
     # Imported on first use: most requests never reach a general part, and
     # a CLI process pays for every module it imports.
-    from .exact import _prepare, _read_tally
-    from .lattice import aggregate
+    from .lattice import answer
 
-    prep = _prepare(Prepared(skel.part))
-    ids = {n: prep.quotient.resolve(n).id for n in names}
-    return _read_tally(prep, query, aggregate(prep, budget, ids.values(), shape), ids)
+    return answer(Prepared(skel.part), query, names, budget, shape)
 
 
 def solve(
@@ -492,9 +489,10 @@ def solve(
     ``{x: value}`` for the source variables ``names`` (VALUES; STABLE for
     the stable scheme), or the density of the one variable in ``names``
     (MARGINAL).  A pinned tie class gives its value (a MARGINAL of one is
-    malformed input).  ``engine`` is the CLI's: "exact" enumerates the
-    whole tie quotient; "auto" and "tree" answer part by part, and under
-    "tree" or STABLE a general part raises ``ShapeError`` first.
+    malformed input).  ``engine`` is the CLI's: "exact" answers on the
+    whole tie quotient, its linear extensions bounded by the budget;
+    "auto" and "tree" answer part by part, and under "tree" or STABLE a
+    general part raises ``ShapeError`` first.
     """
     if query == VOLUME:
         prep.reject_user_ties()
@@ -513,14 +511,12 @@ def solve(
         else:
             values[x] = pinned[target.id]
     if engine == "exact" and query != STABLE:
-        # one enumeration of the whole tie quotient, never decomposed
+        # one lattice pass over the whole tie quotient, never decomposed
         if not unknown and query != VOLUME:
             return values
-        from .exact import _aggregate, _prepare, _read_tally
+        from .lattice import answer
 
-        whole = _prepare(prep)
-        ids = {x: target.id for x, target in unknown.items()}
-        solved = _read_tally(whole, query, _aggregate(whole, budget, set(ids.values())), ids)
+        solved = answer(prep, query, list(unknown), budget)
         if query != VALUES:
             return solved
         values.update(solved)

@@ -550,6 +550,63 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "malformed"
 
 
+    def test_exact_rationals_of_any_size_render(self, tmp_path):
+        # answers past Python's 4300-digit int -> str cap render in full,
+        # while the document itself is still parsed under the cap
+        cap = sys.get_int_max_str_digits()
+        doc = {"variables": ["a", "b"], "order": [["a", "b"]], "exact": {"a": "1e-5000"}}
+        path = write_doc(tmp_path, "tiny.json", doc)
+        expected = {
+            "volume": ("9" * 5000 + "/1" + "0" * 5000, lambda r: r["volume"]["exact"]),
+            "interpolate": (
+                "1" + "0" * 4999 + "1/2" + "0" * 5000,
+                lambda r: r["values"]["b"]["exact"],
+            ),
+            "close": ("1/1" + "0" * 5000, lambda r: r["constraints"]["exact"]["a"]),
+        }
+        for command, (text, read) in expected.items():
+            code, out, err = run_cli([command, path])
+            assert (code, err) == (0, ""), command
+            assert read(json.loads(out)["results"]) == text, command
+            assert sys.get_int_max_str_digits() == cap, command
+        long_pin = write_doc(
+            tmp_path, "long.json", {"variables": ["a"], "exact": {"a": "0." + "1" * 5000}}
+        )
+        code, _, err = run_cli(["volume", long_pin])
+        assert code == 3 and json.loads(err)["error"] == "malformed"
+
+    def test_hostile_documents_are_exit_3(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"variables": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+        huge_int = tmp_path / "int.json"
+        huge_int.write_text(
+            '{"variables": ["a"], "exact": {"a": ' + "1" * 5000 + "}}", encoding="utf-8"
+        )
+        huge_pin = write_doc(tmp_path, "pin.json", {"variables": ["a"], "exact": {"a": "1e999999"}})
+        for path in (str(deep), str(huge_int), huge_pin):
+            code, out, err = run_cli(["volume", path])
+            assert code == 3 and out == "", path
+            assert json.loads(err)["error"] == "malformed", path
+        message = json.loads(run_cli(["volume", huge_pin])[2])["message"]
+        assert message == "exact value out of [0, 1]: a = '1e999999'"
+
+    def test_hostile_sampler_sizes_are_exit_2(self, tmp_path):
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        for argv, named in (
+            (
+                ["interpolate", "--engine", "sample", "--epsilon", "1e-9"],
+                "7377758908227871744 points of dimension 2",
+            ),
+            (["sample", "--count", str(10**20)], f"{10**20} points of dimension 2"),
+            (["interpolate", "--engine", "sample", "--epsilon", "1e-200"], "epsilon 1e-200"),
+        ):
+            code, out, err = run_cli([argv[0], path, *argv[1:]])
+            assert code == 2 and out == "", argv
+            payload = json.loads(err)
+            assert payload["error"] == "limit", argv
+            assert named in payload["message"], argv
+
+
 # a and b are forced equal; u sits above them.
 TIED_WITH_UNKNOWN = {
     "variables": ["a", "b", "u"],
@@ -971,6 +1028,16 @@ def _loaded_after(argv, modules):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def test_lattice_answers_leave_the_enumerator_unloaded(tmp_path):
+    # --engine exact and a general part under auto answer from the lattice;
+    # the enumerator's module serves only the extension tables
+    path = write_doc(tmp_path, "k22.json", K22)
+    for argv in (["volume", path, "--engine", "exact"], ["volume", path]):
+        assert _loaded_after(argv, ["ordpoly.exact", "ordpoly.lattice"]) == (
+            "0 ['ordpoly.lattice']"
+        ), argv
 
 
 def test_engine_free_commands_leave_engines_unloaded(tmp_path):

@@ -28,7 +28,9 @@ from ordpoly import (
     volume_exact,
     volume_frag,
 )
-from ordpoly import exact
+from ordpoly import exact, lattice
+from ordpoly.model import Prepared
+from ordpoly.tree import MARGINAL, VALUES, VOLUME, solve
 
 F = Fraction
 
@@ -215,15 +217,20 @@ class TestBudget:
         assert count_extensions(cs, budget=120) == 120
 
     def test_counting_branch_when_precount_gives_up(self, monkeypatch):
-        # With the per-level cap at 1 the pre-count gives up at once, so the
-        # guard counts extensions as the walk produces them.
+        # With the per-level cap at 1 the pre-count gives up at once.  The
+        # extension tables and count_extensions then count extensions as
+        # the walk produces them; volume_exact and interpolate_all answer
+        # from the lattice, whose state cap refuses the set by name
+        # without walking.
         cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})  # 720 extensions
         calls = {
             "count_extensions": lambda b: count_extensions(cs, b),
-            "volume_exact": lambda b: volume_exact(cs, b),
-            "interpolate_all": lambda b: interpolate_all(cs, b),
             "enumerate_extensions": lambda b: list(enumerate_extensions(cs, b)),
             "extension_volumes": lambda b: list(extension_volumes(cs, b)),
+        }
+        capped = {
+            "volume_exact": lambda b: volume_exact(cs, b),
+            "interpolate_all": lambda b: interpolate_all(cs, b),
         }
         unpatched = {name: call(720) for name, call in calls.items()}
         produced = []
@@ -241,7 +248,7 @@ class TestBudget:
             precounts.append(budget)
             return precount(prep, budget)
 
-        monkeypatch.setattr(exact, "_LEVEL_MASK_CAP", 1)
+        monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
         monkeypatch.setattr(exact, "_walk", counting_walk)
         monkeypatch.setattr(exact, "_count_extensions", counting_precount)
         for name, call in calls.items():
@@ -255,6 +262,15 @@ class TestBudget:
             precounts.clear()
             assert call(720) == unpatched[name], name
             assert precounts == [720], name
+        produced.clear()
+        for name, call in capped.items():
+            for budget in (719, 720):
+                with pytest.raises(LimitExceededError) as exc_info:
+                    call(budget)
+                message = str(exc_info.value)
+                assert "the set containing 'v0'" in message, name
+                assert "more than 1 states" in message, name
+        assert produced == []
 
     def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
         # u and global top-k walk the downset lattice: on the 6-antichain
@@ -288,9 +304,38 @@ class TestBudget:
                 call(cs, sel, 2, 19)
             assert (exc_info.value.budget, exc_info.value.lower_bound) == (19, 20), name
             assert "estimate_topk" in str(exc_info.value), name
-        monkeypatch.setattr(exact, "_LEVEL_MASK_CAP", 5)
+        monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 5)
         for name, call in calls.items():
             with pytest.raises(LimitExceededError) as exc_info:
                 call(cs, sel, 2, 20)
             message = str(exc_info.value)
             assert "'v0'" in message and "more than 5 states" in message, name
+
+
+def forest() -> ConstraintSet:
+    """Four small trees side by side: 10 unknowns, 1,027,080 extensions."""
+    names, order, exact_values = [], [], {}
+    for t, n in enumerate((3, 3, 2, 2)):
+        tree_names, tree_order, tree_exact = gen.tree_doc(random.Random(100 + t), n)
+        names += [f"t{t}_{x}" for x in tree_names]
+        order += [(f"t{t}_{a}", f"t{t}_{b}") for a, b in tree_order]
+        exact_values.update({f"t{t}_{x}": v for x, v in tree_exact.items()})
+    return ConstraintSet(names, order, exact_values)
+
+
+def test_exact_folds_answer_from_the_lattice_without_walking(monkeypatch):
+    # --engine exact answers a set with a million extensions as auto does,
+    # in one lattice pass, never entering the enumeration walk
+    cs = forest()
+    assert count_extensions(cs) == 1_027_080
+
+    def no_walk(prep):
+        raise AssertionError("the exact folds must not enumerate")
+
+    monkeypatch.setattr(exact, "_walk", no_walk)
+    prep = Prepared(cs)
+    unknowns = [v.name for v in cs.unknowns()]
+    assert volume_exact(cs) == solve(prep, VOLUME)
+    assert interpolate_all(cs) == solve(prep, VALUES, unknowns)
+    for x in ("t0_u2", "t3_u1"):
+        assert marginal_exact(cs, x) == solve(prep, MARGINAL, [x])

@@ -1,23 +1,30 @@
 """Cross-engine battery: the downset lattice against extension enumeration.
 
-Every answer is compared with ``==`` as exact fractions.  The reference
-side is the enumerator: its public folds for volume, expected values and
-marginals, and for top-k a tally over ``enumerate_extensions`` written
-out here, independent of the library's top-k code.
+Every answer is compared with ``==`` as exact fractions.  The exact
+engine's public folds (``volume_exact``, ``interpolate_all``,
+``marginal_exact``) and top-k answer from the lattice; the reference side
+is written out here from ``enumerate_extensions`` (fragment volumes,
+``expected_val_frag`` and ``order_statistic_density``), independent of the
+library's tallies.  Enumeration refuses tied documents, so those are
+checked on their tie-free rewriting (``oracles.merge_ties``): values
+against ``oracles.brute_volume_and_means``, marginals against enumeration.
 """
 import random
 from fractions import Fraction
 
 import gen
+import oracles
 from ordpoly import (
     PersistentTieError,
+    PiecewisePolynomial,
+    Polynomial,
     check_containment,
     enumerate_extensions,
-    exact,
+    expected_val_frag,
     global_topk,
     interpolate_all,
-    lattice,
     marginal_exact,
+    order_statistic_density,
     u_sequence_probabilities,
     volume_exact,
 )
@@ -43,37 +50,70 @@ def has_user_ties(cs) -> bool:
     return False
 
 
-def lattice_answers(cs):
-    """Volume, every expected value and every unknown's marginal from one
-    lattice pass over the whole set's tie quotient."""
-    prep = exact._prepare(Prepared(cs))
-    volume, acc = lattice.aggregate(prep, exact.DEFAULT_BUDGET, prep.unknown_ids)
-    values, marginals = {}, {}
-    for v in cs.variables:
-        if v.id in cs.exact_values:
-            continue
-        cls = prep.class_of[v.id].id
-        pinned = prep.quotient.exact_values.get(cls)
-        if pinned is not None:
-            values[v.name] = pinned
-        else:
-            values[v.name] = exact._expectation(prep, volume, acc[cls])
-            marginals[v.name] = exact._density(prep, volume, acc[cls])
-    return volume, values, marginals
+def tie_free(doc: gen.Doc):
+    """``oracles.merge_ties`` on ``doc`` with the edges that a pin at 0 or
+    1 implies made explicit, so that every tie is a cycle of the order."""
+    names, order, exact = doc
+    implied = [(p, x) for p, v in exact.items() if v == 0 for x in names]
+    implied += [(x, p) for p, v in exact.items() if v == 1 for x in names]
+    return oracles.merge_ties(names, [*order, *implied], exact)
+
+
+def enumerated_answers(cs):
+    """Volume, and each unknown's expected value and marginal, summed over
+    the fragments of every extension."""
+    volume = Fraction(0)
+    means: dict = {}
+    pieces: dict = {}
+    breakpoints = ()
+    for ext in enumerate_extensions(cs):
+        vol = ext.volume()
+        volume += vol
+        breakpoints = ext.exact_values
+        for j, frag in enumerate(ext.fragments()):
+            n = frag.q - frag.p - 1
+            for k in frag.member_ranks:
+                name = ext.order[k].name
+                mean = expected_val_frag(frag.p, frag.q, k, frag.alpha, frag.beta)
+                means[name] = means.get(name, 0) + vol * mean
+                density = order_statistic_density(k - frag.p, n, frag.alpha, frag.beta)
+                own = pieces.setdefault(name, {})
+                own[j] = own.get(j, Polynomial()) + density * vol
+    marginals = {
+        name: PiecewisePolynomial(
+            breakpoints,
+            tuple(own.get(j, Polynomial()) * (1 / volume) for j in range(len(breakpoints) - 1)),
+        ).canonical()
+        for name, own in pieces.items()
+    }
+    return volume, {name: m / volume for name, m in means.items()}, marginals
 
 
 def test_values_and_marginals_match_enumeration():
     rng = random.Random(2016)
     docs = [pinned_doc(rng) for _ in range(50)]
     docs += [gen.tied_doc(rng, rng.randint(2, 6), rng.randint(1, 2)) for _ in range(15)]
+    tied = 0
     for doc in docs:
         cs = gen.to_cs(doc)
-        volume, values, marginals = lattice_answers(cs)
-        if not has_user_ties(cs):
-            assert volume == volume_exact(cs), doc
-        assert values == interpolate_all(cs), doc
+        values = interpolate_all(cs)
+        if has_user_ties(cs):
+            tied += 1
+            names, order, exact, rep = tie_free(doc)
+            _, means = oracles.brute_volume_and_means(names, order, exact)
+            _, _, marginals = enumerated_answers(gen.to_cs((names, order, exact)))
+            assert values == {x: exact.get(rep[x], means.get(rep[x])) for x in values}, doc
+            for x in values:
+                if rep[x] in marginals:
+                    assert marginal_exact(cs, x) == marginals[rep[x]], (doc, x)
+            continue
+        volume, means, marginals = enumerated_answers(cs)
+        assert volume == volume_exact(cs), doc
+        assert volume == oracles.brute_volume_and_means(*doc)[0], doc
+        assert values == means, doc
         for name, pw in marginals.items():
-            assert pw == marginal_exact(cs, name), (doc, name)
+            assert marginal_exact(cs, name) == pw, (doc, name)
+    assert tied >= 10
 
 
 def enumerated_topk(cs, sel):
