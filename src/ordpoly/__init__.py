@@ -5,8 +5,9 @@ exact values.  The admissible points form a polytope; unknown variables
 are interpolated as expected values under the uniform distribution over
 that polytope, with all arithmetic exact (rational).  The package also
 ranks variables under three top-k semantics, carries a polynomial-time
-engine for tree-shaped constraint sets, and a hit-and-run sampler for
-everything too large for the exact engines.
+engine for tree-shaped constraint sets, and a sampler for everything too
+large for the exact engines: exact independent draws where the lattice
+tables fit, hit-and-run beyond them.
 
 Public names load with their submodule on first access (PEP 562), so
 ``import ordpoly`` costs almost nothing and numpy is imported only when
@@ -111,6 +112,7 @@ _EXPORTS = {
     ),
     "sampler": (
         "EstimateResult",
+        "PointSample",
         "SamplePoint",
         "SamplerConfig",
         "estimate_expected_value",
@@ -118,6 +120,7 @@ _EXPORTS = {
         "hit_and_run_sample",
         "interior_point",
         "rejection_sample_mean",
+        "sample_points",
     ),
 }
 

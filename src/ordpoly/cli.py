@@ -149,7 +149,7 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
     if args.engine == "sample" and args.scheme != "stable":
         from .sampler import _estimate_values  # shared stream for sampled interpolate
 
-        values, diagnostics["samples"] = _estimate_values(
+        values, diagnostics["samples"], diagnostics["sampler"] = _estimate_values(
             prep.closed, names, _sampler_config(args), args.chains
         )
     else:
@@ -191,14 +191,17 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
         raise MalformedInputError("topk requires --k")
     names = [s.strip() for s in args.select.split(",") if s.strip()]
     sel = select(prep.source, names)
+    diagnostics: dict = {}
     if args.engine == "sample":
         if args.semantics != SEMANTICS_LOCAL:
             raise MalformedInputError(
                 "sampled top-k supports the local semantics only"
             )
-        from .sampler import estimate_topk
+        from .sampler import _estimate_topk
 
-        ranked = estimate_topk(prep.closed, sel, args.k, _sampler_config(args), args.chains)
+        ranked, diagnostics["sampler"] = _estimate_topk(
+            prep.closed, sel, args.k, _sampler_config(args), args.chains
+        )
     else:
         fn = {
             SEMANTICS_LOCAL: local_topk,
@@ -211,23 +214,26 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             )
         ranked = fn(prep.closed, sel, args.k, budget=args.max_extensions).entries
     entries = [{"variable": v.name, "value": _value_json(val)} for v, val in ranked]
-    return {
-        "semantics": args.semantics,
-        "k": args.k,
-        "variables": [e["variable"] for e in entries],
-        "entries": entries,
-    }, 0
+    return (
+        {
+            "semantics": args.semantics,
+            "k": args.k,
+            "variables": [e["variable"] for e in entries],
+            "entries": entries,
+        },
+        0,
+        diagnostics,
+    )
 
 
 def _cmd_sample(prep: Prepared, args) -> tuple[dict, int]:
-    from .sampler import hit_and_run_sample
+    from .sampler import sample_points
 
-    cfg = _sampler_config(args)
+    drawn = sample_points(prep.closed, _sampler_config(args), args.count)
     points = [
-        {n: float(v) for n, v in sorted(p.as_dict().items())}
-        for p in hit_and_run_sample(prep.closed, cfg, args.count)
+        {n: float(v) for n, v in sorted(p.as_dict().items())} for p in drawn.points
     ]
-    return {"count": len(points), "points": points}, 0
+    return {"count": len(points), "points": points}, 0, {"sampler": drawn.sampler}
 
 
 _COMMANDS = {
@@ -288,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("interpolate", "expected values (or stable-scheme values)"),
         ("marginal", "piecewise-polynomial marginal density of one variable"),
         ("topk", "top-k under local, u, or global semantics"),
-        ("sample", "almost-uniform feasible points"),
+        ("sample", "uniform feasible points"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("input", help="constraint file path, or - for stdin")
@@ -324,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "same, but a general part exits 2; exact: the lattice of "
                 "downsets over the whole set, undecomposed, its linear "
                 "extensions bounded by --max-extensions (topk: exact answers); "
-                "sample: hit-and-run estimate",
+                "sample: a sampled estimate, from exact independent draws where "
+                "the lattice fits the sampler's state bound, else hit-and-run",
             )
         if name in ("interpolate", "marginal"):
             p.add_argument("--var", help="variable name (interpolate default: all unknowns)")

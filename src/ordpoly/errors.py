@@ -49,8 +49,7 @@ class BudgetExceededError(OrdpolyError):
         budget: int,
         lower_bound: int,
         where: str = "",
-        remedy: str = "--engine auto, which answers part by part without "
-        "enumerating, or the sampler",
+        remedy: str = "--engine auto, which answers part by part, or the sampler",
     ):
         super().__init__(
             f"{where + ': ' if where else ''}more than {budget} linear "

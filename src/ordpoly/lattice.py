@@ -23,6 +23,10 @@ et al., IJCAI 2016).
   after it, which D fixes.  Carrying the selected variables placed once
   |S \\ D| <= K along with (D, k) gives the top-K sequence of every
   extension: reversed, the carried tail is its sequence.
+* Walking the forward table back from (full, 0), each step choosing a
+  predecessor state with probability F times the transition weight over
+  F here, draws a linear extension with probability its volume over the
+  total (``ExtensionDraw``, the sampler's exact path).
 
 Weights are integers.  With L the common denominator of the interval
 widths (w_j = c_j / L), N the number of unknowns and s the unknowns in
@@ -44,15 +48,16 @@ linear extensions against the budget.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
-from .model import ConstraintSet, Prepared, VariableId, _cover_edges
+from .model import MARGINAL, VOLUME, ConstraintSet, Prepared, VariableId, _bits, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
-from .tree import MARGINAL, VOLUME
 
 # The most prefixes the extension pre-count, and states the lattice,
 # hold in one level.
@@ -175,15 +180,20 @@ class _Lattice:
 
 
 def _levels(
-    lat: _Lattice, budget: int, selected: int = 0, top: int = 0
+    lat: _Lattice,
+    budget: int,
+    selected: int = 0,
+    top: int = 0,
+    cap: int | None = None,
 ) -> Iterator[dict[int, dict[tuple[int, tuple[int, ...]], int]]]:
     """The forward table, one level at a time: level t maps each downset D
     of size t to {(k, tail): scaled F}.  ``tail`` lists, in placement
     order, the variables of the ``selected`` mask placed while at most
     ``top`` selected variables were still unplaced; it is () without a
-    selection."""
+    selection.  A level of more than ``cap`` (default ``_LEVEL_MASK_CAP``)
+    states raises ``LimitExceededError``."""
     _check_budget(budget)
-    cap = _LEVEL_MASK_CAP
+    cap = _LEVEL_MASK_CAP if cap is None else cap
     scale, pin_of, unknowns = lat.scale, lat.pin_of, lat.unknowns
     level: dict = {0: {(0, ()): 1}}
     yield level
@@ -375,3 +385,106 @@ def sequence_tally(
         tuple(reversed(tail)): Fraction(x, lat.den)
         for (_, tail), x in final[lat.full].items()
     }
+
+
+class ExtensionDraw:
+    """Linear extensions of a set drawn with probability proportional to
+    their volume, which is the law of the order of the variables of a
+    uniform point of the polytope.
+
+    A draw walks the forward table back from (full, 0).  Each step picks a
+    predecessor state with probability F(pred) times the transition factor
+    of ``_levels`` over F(here): 1 for placing an unknown, w_j^k / k! (in
+    the table's scale, ``scale[j-1]**k * comb(closing, k)``) for placing
+    pin j.  A state's cumulative predecessor weights are computed on its
+    first visit and kept.  The picks stay in integers: scaled weights
+    outgrow the float range on large sets.
+    """
+
+    def __init__(self, prep: _Prep, cap: int):
+        """Build the forward table, refusing (``LimitExceededError``) more
+        than ``cap`` states over all its levels."""
+        lat = _Lattice(prep, None)
+        self.lat = lat
+        # The variables of one height (longest cover chain below them) are
+        # an antichain, whose 2^m subsets generate distinct downsets: a wide
+        # set is refused before any level is built.
+        preds = prep.quotient._preds()
+        height: dict[int, int] = {}
+        for v in sorted(range(lat.size), key=lambda v: preds[v].bit_count()):
+            height[v] = 1 + max((height[p] for p in _bits(prep.parents[v])), default=-1)
+        widest = max(Counter(height.values()).values())
+        if 2**widest > cap:
+            raise LimitExceededError(
+                f"the downset lattice of {lat.where()} has at least 2^{widest} states"
+            )
+        self.levels: list[dict] = []
+        self.states = 0
+        for level in _levels(lat, DEFAULT_BUDGET, cap=cap):
+            self.states += sum(map(len, level.values()))
+            if self.states > cap:
+                raise LimitExceededError(
+                    f"the downset lattice of {lat.where()} has more than {cap} states"
+                )
+            self.levels.append(level)
+        self._moves: dict[tuple[int, int], tuple[list[int], list[tuple]]] = {}
+
+    def _predecessors(self, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:
+        """Cumulative weights and (state, variable, its pin index or None)
+        of each way into the state (``placed``, ``k``) of level ``t``."""
+        lat = self.lat
+        child_bits, pin_of = lat.prep.child_bits, lat.pin_of
+        below = self.levels[t - 1]
+        cum: list[int] = []
+        moves: list[tuple] = []
+        total = 0
+        rest = placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if child_bits[v] & placed:  # not maximal: the rest is no downset
+                continue
+            before = placed ^ low
+            row = below[before]
+            j = pin_of.get(v)
+            if j is None:
+                f = row.get((k - 1, ())) if k else None
+                if f:
+                    total += f
+                    cum.append(total)
+                    moves.append(((before, k - 1), v, None))
+            elif not k:
+                closing = (before & lat.unknowns).bit_count()
+                for (open_, _), f in row.items():
+                    if open_:
+                        f *= lat.scale[j - 1] ** open_ * comb(closing, open_)
+                    total += f
+                    cum.append(total)
+                    moves.append(((before, open_), v, j))
+        return cum, moves
+
+    def fragments(self, picks: Sequence[int]) -> list[tuple[int, list[int]]]:
+        """The extension that ``picks`` (one uniform integer in [0, 2^53)
+        per level) choose, as (interval j, the unknowns placed between
+        pins j and j + 1, bottom up) for every nonempty fragment."""
+        lat, moves_of = self.lat, self._moves
+        out: list[tuple[int, list[int]]] = []
+        frag: list[int] = []
+        state = (lat.full, 0)
+        for t in range(lat.size, 0, -1):
+            moves = moves_of.get(state)
+            if moves is None:
+                moves = moves_of[state] = self._predecessors(t, *state)
+            cum, steps = moves
+            if len(steps) > 1:
+                state, v, j = steps[bisect_right(cum, (cum[-1] * picks[t - 1]) >> 53)]
+            else:
+                state, v, j = steps[0]
+            if j is None:
+                frag.append(v)
+            elif frag:
+                frag.reverse()
+                out.append((j, frag))
+                frag = []
+        return out

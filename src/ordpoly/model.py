@@ -38,6 +38,13 @@ SHAPE_TREE = "tree"
 SHAPE_REVERSE_TREE = "reverse-tree"
 SHAPE_GENERAL = "general"
 
+# The queries ``tree.solve`` and ``lattice.answer`` answer: the volume,
+# expected values, one marginal density, and the stable scheme's values.
+VOLUME = "volume"
+VALUES = "values"
+MARGINAL = "marginal"
+STABLE = "stable"
+
 
 @dataclass(frozen=True)
 class VariableId:

@@ -1,33 +1,44 @@
-"""Hit-and-run sampling and Monte-Carlo estimation.
+"""Uniform sampling of the admissible polytope and Monte-Carlo estimation.
 
-For constraint sets whose linear-extension count defeats the exact
-engine, expected values are estimated by sampling the admissible
-polytope almost uniformly: from an interior point, each step picks a
-random direction inside the unknown-coordinate subspace, intersects the
-line with every order constraint and box bound to get the feasible
-chord, and jumps to a uniform point on that chord.  Averaging
-N = ceil(2 ln(2/delta) / epsilon^2) (near-)independent samples gives an
-estimate within epsilon of the true expected value with probability at
-least 1 - delta — up to the walk's mixing quality, which burn-in and
-thinning control.
+For constraint sets whose exact answers are too costly, expected values
+are estimated by averaging N = ceil(2 ln(2/delta) / epsilon^2) uniform
+points, which by Hoeffding's inequality lands within epsilon of the true
+expected value with probability at least 1 - delta when the points are
+independent.
 
-Ties collapse before sampling (tied variables share one coordinate) and
-pinned variables are constants, so the walk runs in the genuinely free
-dimensions only.  The walk is one numpy loop in one thread, in 64-bit
-floats; sampled streams are deterministic per seed.  Independent chains
-run one after another, chain c seeded seed + c, and their samples are
+Ties collapse before sampling (tied variables share one coordinate),
+pinned variables are constants, and the decomposition parts are
+independent given the pins, so each part is drawn on its own.  When the
+downset lattices of all parts hold at most ``EXACT_STATE_CAP`` states
+together, draws are exact and independent: a part draws a linear
+extension with probability its volume over the total, walking its
+forward table back (``lattice.ExtensionDraw``), then places each
+fragment's unknowns at sorted uniforms on the fragment's pinned interval.
+
+Beyond the bound, points come from hit-and-run, which is almost uniform
+and correlated, so the count above holds only up to the walk's mixing,
+which burn-in and thinning control: from an interior point, each step
+picks a random direction inside the unknown-coordinate subspace,
+intersects the line with every order constraint and box bound to get the
+feasible chord, and jumps to a uniform point on that chord.  The walk is
+one numpy loop in 64-bit floats.
+
+Both are deterministic per seed.  Independent chains run one after
+another in one thread, chain c seeded seed + c, and their samples are
 pooled into one mean.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import LimitExceededError, MalformedInputError, SamplerError
+from .lattice import ExtensionDraw, _prepare
 from .model import ConstraintSet, Prepared, VariableId, _bits
 
 if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
@@ -36,8 +47,10 @@ if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
 __all__ = [
     "SamplerConfig",
     "SamplePoint",
+    "PointSample",
     "EstimateResult",
     "interior_point",
+    "sample_points",
     "hit_and_run_sample",
     "estimate_expected_value",
     "estimate_topk",
@@ -57,6 +70,15 @@ MAX_CHAINS = 64
 MAX_POINT_FLOATS = 2**27
 _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
+# The most downset-lattice states the exact draw builds over all parts of
+# one set.  Forward tables cost a few microseconds per state, so a set
+# beyond the bound is refused in a fraction of its hit-and-run time (a
+# wide one before any table is built).
+EXACT_STATE_CAP = 50_000
+# Exact draws generate their random numbers this many points at a time.
+_EXACT_CHUNK_ROWS = 1024
+EXACT = "exact"
+HIT_AND_RUN = "hit-and-run"
 
 
 @dataclass(frozen=True)
@@ -115,6 +137,15 @@ class SamplePoint:
 
 
 @dataclass(frozen=True)
+class PointSample:
+    """Feasible points and the sampler that drew them: EXACT (independent
+    and exactly uniform) or HIT_AND_RUN."""
+
+    points: tuple[SamplePoint, ...]
+    sampler: str
+
+
+@dataclass(frozen=True)
 class EstimateResult:
     """A Monte-Carlo estimate and the number of samples behind it."""
 
@@ -128,6 +159,7 @@ class _Walk:
     def __init__(self, cs: ConstraintSet):
         prep = Prepared(cs)
         q = prep.ties.quotient
+        self.prepared = prep
         self.closed = prep.closed
         self.quotient = q
         self.class_of = prep.ties.class_of
@@ -152,6 +184,28 @@ class _Walk:
         )
         self.pair_a = np.array([a for a, _ in pairs], dtype=np.int64)
         self.pair_b = np.array([b for _, b in pairs], dtype=np.int64)
+
+    @cached_property
+    def exact_parts(self) -> list[_PartDraw] | None:
+        """Every decomposition part's exact draw, in part order; None when
+        their lattices together hold more than ``EXACT_STATE_CAP`` states."""
+        d = self.prepared.decomposition
+        column = {self.quotient.variables[qid].name: c for qid, c in self.column.items()}
+        left = EXACT_STATE_CAP
+        draws = {}
+        # largest first: a set beyond the bound is refused early
+        for no in sorted(range(len(d.parts)), key=lambda no: -len(d.classes[no])):
+            try:
+                ext = ExtensionDraw(_prepare(Prepared(d.parts[no])), left)
+            except LimitExceededError:
+                return None
+            left -= ext.states
+            draws[no] = _PartDraw(ext, column)
+        return [draws[no] for no in range(len(d.parts))]
+
+    @property
+    def sampler(self) -> str:
+        return HIT_AND_RUN if self.exact_parts is None else EXACT
 
     def interior(self) -> np.ndarray:
         """Strictly feasible start: topological midpoint assignment."""
@@ -220,6 +274,64 @@ def interior_point(cs: ConstraintSet) -> SamplePoint:
     return walk.point_from(walk.interior())
 
 
+class _PartDraw:
+    """Exact draws of one decomposition part's unknowns: a linear extension
+    from its lattice, then each fragment's unknowns, in placement order,
+    at the sorted values of as many uniforms on the fragment's interval."""
+
+    def __init__(self, ext: ExtensionDraw, column: dict[str, int]):
+        prep = ext.lat.prep
+        names = prep.quotient.variables
+        self.ext = ext
+        self.size = ext.lat.size
+        self.slot = {v: i for i, v in enumerate(prep.unknown_ids)}
+        self.columns = [column[names[v].name] for v in prep.unknown_ids]
+        self.lo = [float(x) for x in prep.values]
+        self.width = [float(w) for w in prep.widths]
+
+    def fill(self, rows: np.ndarray, rng: np.random.Generator) -> None:
+        """Draw this part's columns of ``rows``."""
+        count, n = rows.shape[0], len(self.columns)
+        picks = rng.integers(0, 1 << 53, size=(count, self.size), dtype=np.int64).tolist()
+        unifs = rng.random((count, n)).tolist()
+        slot, lo, width = self.slot, self.lo, self.width
+        out = [[0.0] * n for _ in range(count)]
+        for r in range(count):
+            vals, u, at = out[r], unifs[r], 0
+            for j, frag in self.ext.fragments(picks[r]):
+                a, w = lo[j], width[j]
+                for v, x in zip(frag, sorted(u[at : at + len(frag)])):
+                    vals[slot[v]] = a + x * w
+                at += len(frag)
+        rows[:, self.columns] = out
+
+
+def _check_points(walk: _Walk, count: int) -> None:
+    # a point of a 0-dimensional set still takes room in the answer
+    if count * max(walk.dimension, 1) > MAX_POINT_FLOATS:
+        raise LimitExceededError(
+            f"{count} points of dimension {walk.dimension} exceed the sampler's "
+            f"buffer of {MAX_POINT_FLOATS} floats; ask for fewer points"
+        )
+
+
+def _draw(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.ndarray:
+    """``count`` uniform points as a (count, dimension) array: independent
+    and exact when every part's lattice fits ``EXACT_STATE_CAP``, else the
+    thinned hit-and-run walk of ``_raw_samples``."""
+    _check_points(walk, count)
+    parts = walk.exact_parts
+    if parts is None:
+        return _raw_samples(walk, cfg, count, seed)
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, walk.dimension))
+    for start in range(0, count, _EXACT_CHUNK_ROWS):
+        rows = out[start : start + _EXACT_CHUNK_ROWS]
+        for part in parts:
+            part.fill(rows, rng)
+    return out
+
+
 def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.ndarray:
     """``count`` thinned post-burn-in points as a (count, dimension) array.
 
@@ -228,11 +340,7 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
     ``CHORD_EPS`` is rejected (the row is consumed, the step does not
     advance); more than ``MAX_RETRIES`` consecutive rejections abort.
     """
-    if count * walk.dimension > MAX_POINT_FLOATS:
-        raise LimitExceededError(
-            f"{count} points of dimension {walk.dimension} exceed the sampler's "
-            f"buffer of {MAX_POINT_FLOATS} floats; ask for fewer points"
-        )
+    _check_points(walk, count)
     burn_in, thinning = cfg.resolved(walk.dimension)
     total_steps = burn_in + count * thinning
     rng = np.random.default_rng(seed)
@@ -281,10 +389,25 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
     return out
 
 
+def sample_points(cs: ConstraintSet, cfg: SamplerConfig, count: int) -> PointSample:
+    """``count`` uniform feasible points, drawn exactly and independently
+    when every part's lattice fits ``EXACT_STATE_CAP``, by hit-and-run
+    (as ``hit_and_run_sample``) beyond it."""
+    if count < 0:
+        raise MalformedInputError("count must be >= 0")
+    walk = _Walk(cs)
+    _check_points(walk, count)
+    if walk.dimension == 0:
+        return PointSample((walk.point_from(None),) * count, EXACT)
+    rows = _draw(walk, cfg, count, cfg.seed)
+    return PointSample(tuple(_checked_points(walk, rows)), walk.sampler)
+
+
 def hit_and_run_sample(
     cs: ConstraintSet, cfg: SamplerConfig, count: int
 ) -> Iterator[SamplePoint]:
-    """Yield ``count`` almost-uniform feasible points."""
+    """Yield ``count`` almost-uniform feasible points of the hit-and-run
+    walk."""
     if count < 0:
         raise MalformedInputError("count must be >= 0")
     walk = _Walk(cs)
@@ -293,9 +416,12 @@ def hit_and_run_sample(
         for _ in range(count):
             yield unique
         return
+    yield from _checked_points(walk, _raw_samples(walk, cfg, count, cfg.seed))
+
+
+def _checked_points(walk: _Walk, rows: np.ndarray) -> Iterator[SamplePoint]:
     check = _point_checker(walk.closed)
-    coords = _raw_samples(walk, cfg, count, cfg.seed)
-    for row in coords:
+    for row in rows:
         point = walk.point_from(row)
         check(point)
         yield point
@@ -338,34 +464,35 @@ def _chain_means(
 
     sums = np.zeros(walk.dimension)
     for c, n in enumerate(counts):
-        sums += _raw_samples(walk, cfg, n, cfg.seed + c).sum(axis=0)
+        sums += _draw(walk, cfg, n, cfg.seed + c).sum(axis=0)
     return sums / total, total
 
 
 def _estimate_values(
     cs: ConstraintSet, xs: Iterable, cfg: SamplerConfig, chains: int
-) -> tuple[dict, int]:
-    """Estimates of several variables from one shared stream, plus the
-    number of samples drawn.  A variable whose tie class is pinned is that
-    constant; when all are, nothing is sampled."""
+) -> tuple[dict, int, str]:
+    """Estimates of several variables from one shared stream, the number
+    of samples drawn and the sampler that drew them.  A variable whose tie
+    class is pinned is that constant; when all are, nothing is sampled and
+    the answer is EXACT."""
     walk = _Walk(cs)
     pinned = walk.quotient.exact_values
     classes = {x: walk.class_of[cs.resolve(x).id] for x in xs}
     values = {x: float(pinned[c.id]) for x, c in classes.items() if c.id in pinned}
     if len(values) == len(classes):
-        return values, 0
+        return values, 0, EXACT
     means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
     for x, c in classes.items():
         if c.id not in pinned:
             values[x] = float(means[walk.column[c.id]])
-    return values, used
+    return values, used, walk.sampler
 
 
 def estimate_expected_value(
     cs: ConstraintSet, x, cfg: SamplerConfig | None = None, chains: int = 1
 ) -> EstimateResult:
     """Monte-Carlo estimate of E[x] from N Hoeffding-sized samples."""
-    values, used = _estimate_values(cs, [x], cfg or SamplerConfig(), chains)
+    values, used, _ = _estimate_values(cs, [x], cfg or SamplerConfig(), chains)
     return EstimateResult(values[x], used)
 
 
@@ -378,6 +505,17 @@ def estimate_topk(
 ) -> list[tuple[VariableId, float]]:
     """Sampled analogue of local top-k: one shared stream estimates all
     selected unknowns, exact values join as constants, sort, truncate."""
+    return _estimate_topk(cs, selection, k, cfg or SamplerConfig(), chains)[0]
+
+
+def _estimate_topk(
+    cs: ConstraintSet,
+    selection: SelectionPredicate | Iterable[str],
+    k: int,
+    cfg: SamplerConfig,
+    chains: int,
+) -> tuple[list[tuple[VariableId, float]], str]:
+    """``estimate_topk``'s answer and the sampler that drew it."""
     if k < 1:
         raise MalformedInputError(f"k must be a positive integer, got {k!r}")
     from .topk import SelectionPredicate
@@ -387,11 +525,11 @@ def estimate_topk(
     else:
         names = list(selection)
     if not names:
-        return []
+        return [], EXACT
     chosen = sorted((cs.resolve(n) for n in names), key=lambda v: v.name)
-    values, _ = _estimate_values(cs, chosen, cfg or SamplerConfig(), chains)
+    values, _, sampler = _estimate_values(cs, chosen, cfg, chains)
     ranked = sorted(chosen, key=lambda v: (-values[v], v.name))
-    return [(v, values[v]) for v in ranked[:k]]
+    return [(v, values[v]) for v in ranked[:k]], sampler
 
 
 def rejection_sample_mean(

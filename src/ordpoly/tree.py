@@ -45,11 +45,15 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, MalformedInputError, ShapeError
-from .model import (
+from .model import (  # the query constants are re-exported for the engines' callers
+    MARGINAL,
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
     SHAPE_TOTAL_ORDER,
     SHAPE_TREE,
+    STABLE,
+    VALUES,
+    VOLUME,
     ConstraintSet,
     PartSkeleton,
     Prepared,
@@ -416,12 +420,6 @@ def _chain(skel: PartSkeleton) -> tuple[dict[str, int], Fraction, Fraction]:
     inner = enumerate(order[1:-1], start=1)
     ranks = {skel.quotient.variables[i].name: k for k, i in inner}
     return ranks, values[order[0]], values[order[-1]]
-
-
-VOLUME = "volume"
-VALUES = "values"
-MARGINAL = "marginal"
-STABLE = "stable"
 
 
 def solve_part(

@@ -187,6 +187,32 @@ class TestInterpolate:
         _, out1, _ = run_cli(["interpolate", path, "--engine", "sample", "--seed", "3"])
         _, out2, _ = run_cli(["interpolate", path, "--engine", "sample", "--seed", "3"])
         assert json.loads(out1)["results"] == json.loads(out2)["results"]
+        argv = ["interpolate", path, "--engine", "sample", "--seed", "3", "--chains", "3"]
+        _, out3, _ = run_cli(argv)
+        _, out4, _ = run_cli(argv)
+        assert json.loads(out3)["results"] == json.loads(out4)["results"]
+
+    def test_sampled_responses_name_their_sampler(self, tmp_path):
+        # the lemma tree's lattice is small: exact draws; 16 unknowns below
+        # one are at least 2^16 lattice states, beyond the bound: hit-and-run
+        star = {
+            "variables": [f"s{i}" for i in range(16)] + ["top"],
+            "order": [[f"s{i}", "top"] for i in range(16)],
+            "exact": {},
+        }
+        fast = ["--epsilon", "0.5", "--burn-in", "50", "--thinning", "1"]
+        for doc, drawn_by in ((LEMMA_TREE, "exact"), (star, "hit-and-run")):
+            path = write_doc(tmp_path, "doc.json", doc)
+            selection = ",".join(v for v in doc["variables"] if v not in doc["exact"])
+            for argv in (
+                ["interpolate", path, "--engine", "sample"],
+                ["topk", path, "--engine", "sample", "--semantics", "local",
+                 "--k", "2", "--select", selection],
+                ["sample", path, "--count", "3"],
+            ):
+                code, out, err = run_cli(argv + fast)
+                assert code == 0, err
+                assert json.loads(out)["diagnostics"]["sampler"] == drawn_by, argv
 
     def test_stdin_input(self, tmp_path):
         code, out, _ = run_cli(
@@ -605,6 +631,10 @@ class TestExitCodes:
             payload = json.loads(err)
             assert payload["error"] == "limit", argv
             assert named in payload["message"], argv
+        pinned = write_doc(tmp_path, "pinned.json", {"variables": ["a"], "exact": {"a": "1/2"}})
+        code, out, err = run_cli(["sample", pinned, "--count", str(10**20)])
+        assert code == 2 and out == ""
+        assert f"{10**20} points of dimension 0" in json.loads(err)["message"]
 
 
 # a and b are forced equal; u sits above them.
@@ -979,8 +1009,8 @@ class TestTreeEngineDispatch:
             ("auto", "; use the sampler for an estimate"),
             (
                 "exact",
-                "; use --engine auto, which answers part by part without "
-                "enumerating, or the sampler for an estimate",
+                "; use --engine auto, which answers part by part, or the "
+                "sampler for an estimate",
             ),
         ],
         ids=["auto", "exact"],

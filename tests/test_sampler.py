@@ -1,6 +1,8 @@
-"""Hit-and-run sampler: feasibility, determinism, accuracy."""
+"""The sampler: exact iid draws from the downset lattice, the hit-and-run
+walk beyond it; feasibility, determinism, accuracy."""
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,15 @@ from ordpoly import (
     SamplerError,
     estimate_expected_value,
     estimate_topk,
+    extension_volumes,
     hit_and_run_sample,
     interior_point,
     interpolate_exact,
     local_topk,
     rejection_sample_mean,
+    sample_points,
 )
-from ordpoly import sampler
+from ordpoly import lattice, sampler
 
 F = Fraction
 
@@ -122,7 +126,7 @@ class TestDeterminism:
         b = next(iter(hit_and_run_sample(cs, SamplerConfig(seed=2), 1)))
         assert a.as_dict() != b.as_dict()
 
-    def test_stream_is_pinned(self):
+    def test_stream_is_pinned(self, monkeypatch):
         # The walk's exact float stream: any change to the random-row
         # consumption or the chord arithmetic shows here.
         cs = ConstraintSet(
@@ -144,8 +148,13 @@ class TestDeterminism:
             "'d': 0.9091837677371134}]"
         )
         cfg = SamplerConfig(epsilon=0.2, burn_in=300, seed=42)
-        est = estimate_expected_value(cs, "c", cfg, chains=3)
+        with monkeypatch.context() as patch:  # every set is beyond the bound
+            patch.setattr(sampler, "EXACT_STATE_CAP", 0)
+            est = estimate_expected_value(cs, "c", cfg, chains=3)
         assert repr(est) == "EstimateResult(value=0.5055236419509231, samples=185)"
+        # the exact draws' stream on the same configuration (E[c] = 7/15)
+        est = estimate_expected_value(cs, "c", cfg, chains=3)
+        assert repr(est) == "EstimateResult(value=0.4418887725680416, samples=185)"
 
     def test_walk_without_feasible_chords_stalls(self, monkeypatch):
         # every chord is shorter than this tolerance, so every row is rejected
@@ -190,6 +199,127 @@ class TestEstimates:
         est = estimate_topk(cs, ["lo", "hi", "y"], 2, SamplerConfig(seed=19))
         exact = local_topk(cs, ["lo", "hi", "y"], 2)
         assert [v.name for v, _ in est] == list(exact.names())
+
+
+def _order(point) -> tuple[str, ...]:
+    values = point.as_dict()
+    return tuple(sorted(values, key=values.get))
+
+
+def _pinned_to_bounds(rng: random.Random):
+    """A general set whose lowest pin is 0 and highest is 1, which ties
+    whatever lies below (above) them to that bound."""
+    names, order, exact = gen.mixed_doc(rng, rng.randint(3, 7), 2)
+    low, high = sorted(exact, key=exact.get)
+    return names, order, {**exact, low: F(0), high: F(1)}
+
+
+class TestExactDraws:
+    """Where every part's lattice fits the state bound, a draw picks a
+    linear extension with probability its volume over the total, then
+    sorted uniforms on each fragment's interval."""
+
+    def test_extensions_are_drawn_in_proportion_to_their_volume(self):
+        # each order's count is within 5 binomial standard deviations
+        rng = random.Random(211)
+        draws = 4000
+        for _ in range(4):
+            cs = gen.to_cs(gen.mixed_doc(rng, 4, 2, p=0.3))
+            shares = dict(extension_volumes(cs))
+            total = sum(shares.values())
+            drawn = sample_points(cs, SamplerConfig(seed=5), draws)
+            assert drawn.sampler == sampler.EXACT
+            counts = Counter(_order(pt) for pt in drawn.points)
+            assert set(counts) <= set(shares)
+            for order, volume in shares.items():
+                share = float(volume / total)
+                sd = math.sqrt(draws * share * (1 - share))
+                assert abs(counts[order] - draws * share) <= 5 * sd, order
+
+    def test_means_are_within_epsilon_of_the_exact_values(self):
+        rng = random.Random(223)
+        cfg = SamplerConfig(epsilon=0.1, seed=7)
+        docs = [gen.mixed_doc(rng, rng.randint(2, 7), rng.randint(0, 3)) for _ in range(8)]
+        docs += [gen.tied_doc(rng, rng.randint(3, 7), 2) for _ in range(4)]
+        docs += [_pinned_to_bounds(rng) for _ in range(4)]
+        for doc in docs:
+            cs = gen.to_cs(doc)
+            names = [v.name for v in cs.unknowns()]
+            values, used, drawn_by = sampler._estimate_values(cs, names, cfg, 1)
+            assert (used, drawn_by) == (cfg.sample_count(), sampler.EXACT)
+            for name in names:
+                assert abs(values[name] - float(interpolate_exact(cs, name))) <= 0.1, doc
+
+    def test_every_point_passes_the_point_checker(self):
+        rng = random.Random(227)
+        feasibility = TestFeasibility()
+        for _ in range(10):
+            doc = gen.mixed_doc(rng, rng.randint(1, 6), rng.randint(0, 3))
+            cs = gen.to_cs(doc)
+            check = sampler._point_checker(sampler._Walk(cs).closed)
+            for pt in sample_points(cs, SamplerConfig(seed=3), 50).points:
+                check(pt)
+                assert feasibility._violation(doc, pt) <= 1e-12
+        cs = gen.to_cs(_pinned_to_bounds(rng))
+        check = sampler._point_checker(sampler._Walk(cs).closed)
+        for pt in sample_points(cs, SamplerConfig(seed=4), 50).points:
+            check(pt)
+
+    def test_same_seed_same_stream(self):
+        cs = gen.to_cs(gen.mixed_doc(random.Random(229), 6, 2))
+        cfg = SamplerConfig(epsilon=0.2, seed=13)
+        first = [pt.as_dict() for pt in sample_points(cs, cfg, 30).points]
+        again = [pt.as_dict() for pt in sample_points(cs, cfg, 30).points]
+        other = [pt.as_dict() for pt in sample_points(cs, SamplerConfig(seed=14), 30).points]
+        assert first == again != other
+        a = estimate_expected_value(cs, "u0", cfg, chains=3)
+        b = estimate_expected_value(cs, "u0", cfg, chains=3)
+        assert a == b and a != estimate_expected_value(cs, "u0", cfg, chains=2)
+
+    def test_weights_beyond_the_float_range_draw_without_overflow(self):
+        # a chain of 30 unknowns in overlapping windows of 12 pins whose
+        # denominators are distinct primes: the scaled forward weights
+        # L^s s! have hundreds of digits
+        primes = [53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103]
+        pins = {
+            f"p{i}": F(round((i + 1) * q / (len(primes) + 1)), q)
+            for i, q in enumerate(primes)
+        }
+        xs = [f"x{i}" for i in range(30)]
+        order = [(xs[i], xs[i + 1]) for i in range(29)]
+        for i, x in enumerate(xs):
+            order += [(f"p{i // 3}", x), (x, f"p{i // 3 + 2}")]
+        cs = ConstraintSet([*pins, *xs], order, pins)
+        walk = sampler._Walk(cs)
+        (part,) = walk.exact_parts
+        weights = (f for level in part.ext.levels for row in level.values() for f in row.values())
+        assert max(weights) > 10**308
+        drawn = sample_points(cs, SamplerConfig(seed=1), 50)
+        assert drawn.sampler == sampler.EXACT and len(drawn.points) == 50
+
+    def test_beyond_the_state_bound_rows_are_hit_and_run(self, monkeypatch):
+        cs = gen.to_cs(gen.mixed_doc(random.Random(233), 5, 2))
+        cfg = SamplerConfig(seed=7, burn_in=200)
+        assert sampler._Walk(cs).sampler == sampler.EXACT
+        monkeypatch.setattr(sampler, "EXACT_STATE_CAP", 5)
+        walk = sampler._Walk(cs)
+        rows = sampler._draw(walk, cfg, 40, 7)
+        assert walk.sampler == sampler.HIT_AND_RUN
+        assert rows.tobytes() == sampler._raw_samples(sampler._Walk(cs), cfg, 40, 7).tobytes()
+        drawn = sample_points(cs, cfg, 10)
+        assert drawn.sampler == sampler.HIT_AND_RUN
+        walked = [pt.as_dict() for pt in hit_and_run_sample(cs, cfg, 10)]
+        assert [pt.as_dict() for pt in drawn.points] == walked
+
+    def test_a_wide_set_is_refused_before_any_table(self, monkeypatch):
+        # 16 unknowns below one: at least 2^16 downsets
+        cs = ConstraintSet(
+            [f"s{i}" for i in range(16)] + ["top"], [(f"s{i}", "top") for i in range(16)], {}
+        )
+        levels = []
+        monkeypatch.setattr(lattice, "_levels", lambda *a, **k: levels.append(a) or iter(()))
+        assert sampler._Walk(cs).sampler == sampler.HIT_AND_RUN
+        assert levels == []
 
 
 class TestRejection:
