@@ -115,6 +115,7 @@ _EXPORTS = {
         "PointSample",
         "SamplePoint",
         "SamplerConfig",
+        "TopKEstimate",
         "estimate_expected_value",
         "estimate_topk",
         "hit_and_run_sample",

@@ -147,11 +147,13 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
         names = sorted(v.name for v in cs.unknowns())
     diagnostics: dict = {}
     if args.engine == "sample" and args.scheme != "stable":
-        from .sampler import _estimate_values  # shared stream for sampled interpolate
+        from .sampler import EXACT, EstimateResult, _estimate_values
 
-        values, diagnostics["samples"], diagnostics["sampler"] = _estimate_values(
-            prep.closed, names, _sampler_config(args), args.chains
-        )
+        # one shared stream: every estimate has the same samples and sampler
+        estimates = _estimate_values(prep.closed, names, _sampler_config(args), args.chains)
+        values = {x: e.value for x, e in estimates.items()}
+        e = estimates[names[0]] if names else EstimateResult(0.0, 0, EXACT)
+        diagnostics = {"samples": e.samples, "sampler": e.sampler}
     else:
         from .tree import STABLE, VALUES, solve
 
@@ -197,11 +199,10 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             raise MalformedInputError(
                 "sampled top-k supports the local semantics only"
             )
-        from .sampler import _estimate_topk
+        from .sampler import estimate_topk
 
-        ranked, diagnostics["sampler"] = _estimate_topk(
-            prep.closed, sel, args.k, _sampler_config(args), args.chains
-        )
+        est = estimate_topk(prep.closed, sel, args.k, _sampler_config(args), args.chains)
+        ranked, diagnostics["sampler"] = est.entries, est.sampler
     else:
         fn = {
             SEMANTICS_LOCAL: local_topk,
@@ -331,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "downsets over the whole set, undecomposed, its linear "
                 "extensions bounded by --max-extensions (topk: exact answers); "
                 "sample: a sampled estimate, from exact independent draws where "
-                "the lattice fits the sampler's state bound, else hit-and-run",
+                "the lattice tables fit the sampler's bound, else hit-and-run",
             )
         if name in ("interpolate", "marginal"):
             p.add_argument("--var", help="variable name (interpolate default: all unknowns)")

@@ -49,14 +49,13 @@ linear extensions against the budget.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
-from .model import MARGINAL, VOLUME, ConstraintSet, Prepared, VariableId, _bits, _cover_edges
+from .model import MARGINAL, VOLUME, ConstraintSet, Prepared, VariableId, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
 # The most prefixes the extension pre-count, and states the lattice,
@@ -180,20 +179,15 @@ class _Lattice:
 
 
 def _levels(
-    lat: _Lattice,
-    budget: int,
-    selected: int = 0,
-    top: int = 0,
-    cap: int | None = None,
+    lat: _Lattice, budget: int, selected: int = 0, top: int = 0
 ) -> Iterator[dict[int, dict[tuple[int, tuple[int, ...]], int]]]:
     """The forward table, one level at a time: level t maps each downset D
     of size t to {(k, tail): scaled F}.  ``tail`` lists, in placement
     order, the variables of the ``selected`` mask placed while at most
     ``top`` selected variables were still unplaced; it is () without a
-    selection.  A level of more than ``cap`` (default ``_LEVEL_MASK_CAP``)
-    states raises ``LimitExceededError``."""
+    selection."""
     _check_budget(budget)
-    cap = _LEVEL_MASK_CAP if cap is None else cap
+    cap = _LEVEL_MASK_CAP
     scale, pin_of, unknowns = lat.scale, lat.pin_of, lat.unknowns
     level: dict = {0: {(0, ()): 1}}
     yield level
@@ -235,6 +229,61 @@ def _levels(
                 )
         level = nxt
         yield level
+
+
+def _move_count(lat: _Lattice, cap: int) -> int | None:
+    """The number of moves of ``_levels``' table without a selection (a
+    state and a variable that may join its downset: one multiply-add of
+    the build), found from the downsets alone, or None once it passes
+    ``cap``.  With p the highest pin of a downset D, the unknowns of D
+    placed after p are those above p plus any upset of D among those
+    neither above nor below p, so D holds one state per size of the
+    latter: |D & free(p)| + 1.
+
+    A refused set should cost a small share of its walk, so this is
+    leaner than ``_levels``: each downset is made once, from D minus its
+    highest-numbered maximal variable, and carries its maximal variables
+    and the variables that may join it."""
+    prep = lat.prep
+    preds, succ = prep.quotient._preds(), prep.quotient._succ
+    parents, child_bits = prep.parents, prep.child_bits
+    free = {1 << p: lat.unknowns & ~preds[p] & ~succ[p] for p in prep.exact_chain}
+    total = prep.roots.bit_count()
+    # (downset, the bit of its highest pin or 0, its maximal variables,
+    # the variables that may join it)
+    level = [(0, 0, 0, prep.roots)]
+    for _ in range(lat.size):
+        nxt = []
+        for placed, last, tops, ready in level:
+            # v may join only if every maximal variable numbered above v
+            # is a parent of v: v above the highest, or that one's child
+            h = tops.bit_length()
+            cand = ready >> h << h
+            if h:
+                cand |= ready & child_bits[h - 1]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                stay = tops & ~parents[v]
+                if stay >> v:
+                    continue
+                key = placed | low
+                grown = ready ^ low
+                kids = child_bits[v]
+                while kids:
+                    kid = kids & -kids
+                    kids ^= kid
+                    if not parents[kid.bit_length() - 1] & ~key:
+                        grown |= kid
+                pin = low if low in free else last
+                nxt.append((key, pin, stay | low, grown))
+                states = (key & free.get(pin, 0)).bit_count() + 1
+                total += states * grown.bit_count()
+            if total > cap:
+                return None
+        level = nxt
+    return total
 
 
 def _backward(
@@ -403,30 +452,16 @@ class ExtensionDraw:
 
     def __init__(self, prep: _Prep, cap: int):
         """Build the forward table, refusing (``LimitExceededError``) more
-        than ``cap`` states over all its levels."""
+        than ``cap`` moves before any of it is built."""
         lat = _Lattice(prep, None)
         self.lat = lat
-        # The variables of one height (longest cover chain below them) are
-        # an antichain, whose 2^m subsets generate distinct downsets: a wide
-        # set is refused before any level is built.
-        preds = prep.quotient._preds()
-        height: dict[int, int] = {}
-        for v in sorted(range(lat.size), key=lambda v: preds[v].bit_count()):
-            height[v] = 1 + max((height[p] for p in _bits(prep.parents[v])), default=-1)
-        widest = max(Counter(height.values()).values())
-        if 2**widest > cap:
+        moves = _move_count(lat, cap)
+        if moves is None:
             raise LimitExceededError(
-                f"the downset lattice of {lat.where()} has at least 2^{widest} states"
+                f"the forward table of {lat.where()} has more than {cap} moves"
             )
-        self.levels: list[dict] = []
-        self.states = 0
-        for level in _levels(lat, DEFAULT_BUDGET, cap=cap):
-            self.states += sum(map(len, level.values()))
-            if self.states > cap:
-                raise LimitExceededError(
-                    f"the downset lattice of {lat.where()} has more than {cap} states"
-                )
-            self.levels.append(level)
+        self.moves = moves
+        self.levels = list(_levels(lat, DEFAULT_BUDGET))
         self._moves: dict[tuple[int, int], tuple[list[int], list[tuple]]] = {}
 
     def _predecessors(self, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:

@@ -9,8 +9,8 @@ independent.
 Ties collapse before sampling (tied variables share one coordinate),
 pinned variables are constants, and the decomposition parts are
 independent given the pins, so each part is drawn on its own.  When the
-downset lattices of all parts hold at most ``EXACT_STATE_CAP`` states
-together, draws are exact and independent: a part draws a linear
+forward tables of all parts' downset lattices hold at most
+``EXACT_MOVE_CAP`` moves together, draws are exact and independent: a part draws a linear
 extension with probability its volume over the total, walking its
 forward table back (``lattice.ExtensionDraw``), then places each
 fragment's unknowns at sorted uniforms on the fragment's pinned interval.
@@ -49,6 +49,7 @@ __all__ = [
     "SamplePoint",
     "PointSample",
     "EstimateResult",
+    "TopKEstimate",
     "interior_point",
     "sample_points",
     "hit_and_run_sample",
@@ -70,11 +71,13 @@ MAX_CHAINS = 64
 MAX_POINT_FLOATS = 2**27
 _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
-# The most downset-lattice states the exact draw builds over all parts of
-# one set.  Forward tables cost a few microseconds per state, so a set
-# beyond the bound is refused in a fraction of its hit-and-run time (a
-# wide one before any table is built).
-EXACT_STATE_CAP = 50_000
+# The most moves (a state and a variable that may join its downset) the
+# forward tables of the exact draw hold over all parts of one set.  On a
+# 2-vCPU x86 host a move costs the build 0.5-2.2 us, and the count that
+# refuses a set beyond the bound a small share of that, so either stays
+# under a 738-point walk at burn-in 4800 and thinning 6 (300-550 ms on
+# 14-40 variables).
+EXACT_MOVE_CAP = 100_000
 # Exact draws generate their random numbers this many points at a time.
 _EXACT_CHUNK_ROWS = 1024
 EXACT = "exact"
@@ -147,10 +150,22 @@ class PointSample:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A Monte-Carlo estimate and the number of samples behind it."""
+    """A Monte-Carlo estimate, the number of samples behind it and the
+    sampler that drew them (EXACT when nothing was sampled)."""
 
     value: float
     samples: int
+    sampler: str
+
+
+@dataclass(frozen=True)
+class TopKEstimate:
+    """Sampled local top-k: (variable, estimate) entries, highest first,
+    and the samples and sampler behind them."""
+
+    entries: tuple[tuple[VariableId, float], ...]
+    samples: int
+    sampler: str
 
 
 class _Walk:
@@ -188,10 +203,11 @@ class _Walk:
     @cached_property
     def exact_parts(self) -> list[_PartDraw] | None:
         """Every decomposition part's exact draw, in part order; None when
-        their lattices together hold more than ``EXACT_STATE_CAP`` states."""
+        their forward tables together hold more than ``EXACT_MOVE_CAP``
+        moves."""
         d = self.prepared.decomposition
         column = {self.quotient.variables[qid].name: c for qid, c in self.column.items()}
-        left = EXACT_STATE_CAP
+        left = EXACT_MOVE_CAP
         draws = {}
         # largest first: a set beyond the bound is refused early
         for no in sorted(range(len(d.parts)), key=lambda no: -len(d.classes[no])):
@@ -199,7 +215,7 @@ class _Walk:
                 ext = ExtensionDraw(_prepare(Prepared(d.parts[no])), left)
             except LimitExceededError:
                 return None
-            left -= ext.states
+            left -= ext.moves
             draws[no] = _PartDraw(ext, column)
         return [draws[no] for no in range(len(d.parts))]
 
@@ -306,6 +322,16 @@ class _PartDraw:
         rows[:, self.columns] = out
 
 
+def _point_walk(cs: ConstraintSet, count: int) -> _Walk:
+    """The walk for ``count`` points of ``cs``, refusing a negative count
+    or a point buffer (count x dimension) beyond ``MAX_POINT_FLOATS``."""
+    if count < 0:
+        raise MalformedInputError("count must be >= 0")
+    walk = _Walk(cs)
+    _check_points(walk, count)
+    return walk
+
+
 def _check_points(walk: _Walk, count: int) -> None:
     # a point of a 0-dimensional set still takes room in the answer
     if count * max(walk.dimension, 1) > MAX_POINT_FLOATS:
@@ -317,9 +343,9 @@ def _check_points(walk: _Walk, count: int) -> None:
 
 def _draw(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.ndarray:
     """``count`` uniform points as a (count, dimension) array: independent
-    and exact when every part's lattice fits ``EXACT_STATE_CAP``, else the
-    thinned hit-and-run walk of ``_raw_samples``."""
-    _check_points(walk, count)
+    and exact when every part's forward table fits ``EXACT_MOVE_CAP``, else
+    the thinned hit-and-run walk of ``_raw_samples``.  The caller has
+    checked the buffer."""
     parts = walk.exact_parts
     if parts is None:
         return _raw_samples(walk, cfg, count, seed)
@@ -338,9 +364,9 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
     The walk consumes pregenerated random rows one at a time: a row is a
     direction plus one uniform.  A row whose feasible chord is shorter than
     ``CHORD_EPS`` is rejected (the row is consumed, the step does not
-    advance); more than ``MAX_RETRIES`` consecutive rejections abort.
+    advance); more than ``MAX_RETRIES`` consecutive rejections abort.  The
+    caller has checked the buffer.
     """
-    _check_points(walk, count)
     burn_in, thinning = cfg.resolved(walk.dimension)
     total_steps = burn_in + count * thinning
     rng = np.random.default_rng(seed)
@@ -391,12 +417,9 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
 
 def sample_points(cs: ConstraintSet, cfg: SamplerConfig, count: int) -> PointSample:
     """``count`` uniform feasible points, drawn exactly and independently
-    when every part's lattice fits ``EXACT_STATE_CAP``, by hit-and-run
+    when every part's forward table fits ``EXACT_MOVE_CAP``, by hit-and-run
     (as ``hit_and_run_sample``) beyond it."""
-    if count < 0:
-        raise MalformedInputError("count must be >= 0")
-    walk = _Walk(cs)
-    _check_points(walk, count)
+    walk = _point_walk(cs, count)
     if walk.dimension == 0:
         return PointSample((walk.point_from(None),) * count, EXACT)
     rows = _draw(walk, cfg, count, cfg.seed)
@@ -408,13 +431,9 @@ def hit_and_run_sample(
 ) -> Iterator[SamplePoint]:
     """Yield ``count`` almost-uniform feasible points of the hit-and-run
     walk."""
-    if count < 0:
-        raise MalformedInputError("count must be >= 0")
-    walk = _Walk(cs)
+    walk = _point_walk(cs, count)
     if walk.dimension == 0:
-        unique = walk.point_from(None)
-        for _ in range(count):
-            yield unique
+        yield from (walk.point_from(None),) * count
         return
     yield from _checked_points(walk, _raw_samples(walk, cfg, count, cfg.seed))
 
@@ -461,6 +480,7 @@ def _chain_means(
         )
     chains = min(chains, total)
     counts = [total // chains + (1 if c < total % chains else 0) for c in range(chains)]
+    _check_points(walk, counts[0])
 
     sums = np.zeros(walk.dimension)
     for c, n in enumerate(counts):
@@ -470,30 +490,31 @@ def _chain_means(
 
 def _estimate_values(
     cs: ConstraintSet, xs: Iterable, cfg: SamplerConfig, chains: int
-) -> tuple[dict, int, str]:
-    """Estimates of several variables from one shared stream, the number
-    of samples drawn and the sampler that drew them.  A variable whose tie
-    class is pinned is that constant; when all are, nothing is sampled and
-    the answer is EXACT."""
+) -> dict:
+    """Estimates of several variables from one shared stream, so every one
+    carries the same samples and sampler.  A variable whose tie class is
+    pinned is that constant; when all are, nothing is sampled."""
     walk = _Walk(cs)
     pinned = walk.quotient.exact_values
     classes = {x: walk.class_of[cs.resolve(x).id] for x in xs}
-    values = {x: float(pinned[c.id]) for x, c in classes.items() if c.id in pinned}
-    if len(values) == len(classes):
-        return values, 0, EXACT
+    if all(c.id in pinned for c in classes.values()):
+        return {x: EstimateResult(float(pinned[c.id]), 0, EXACT) for x, c in classes.items()}
     means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
-    for x, c in classes.items():
-        if c.id not in pinned:
-            values[x] = float(means[walk.column[c.id]])
-    return values, used, walk.sampler
+    return {
+        x: EstimateResult(
+            float(pinned[c.id] if c.id in pinned else means[walk.column[c.id]]),
+            used,
+            walk.sampler,
+        )
+        for x, c in classes.items()
+    }
 
 
 def estimate_expected_value(
     cs: ConstraintSet, x, cfg: SamplerConfig | None = None, chains: int = 1
 ) -> EstimateResult:
     """Monte-Carlo estimate of E[x] from N Hoeffding-sized samples."""
-    values, used, _ = _estimate_values(cs, [x], cfg or SamplerConfig(), chains)
-    return EstimateResult(values[x], used)
+    return _estimate_values(cs, [x], cfg or SamplerConfig(), chains)[x]
 
 
 def estimate_topk(
@@ -502,20 +523,9 @@ def estimate_topk(
     k: int,
     cfg: SamplerConfig | None = None,
     chains: int = 1,
-) -> list[tuple[VariableId, float]]:
+) -> TopKEstimate:
     """Sampled analogue of local top-k: one shared stream estimates all
     selected unknowns, exact values join as constants, sort, truncate."""
-    return _estimate_topk(cs, selection, k, cfg or SamplerConfig(), chains)[0]
-
-
-def _estimate_topk(
-    cs: ConstraintSet,
-    selection: SelectionPredicate | Iterable[str],
-    k: int,
-    cfg: SamplerConfig,
-    chains: int,
-) -> tuple[list[tuple[VariableId, float]], str]:
-    """``estimate_topk``'s answer and the sampler that drew it."""
     if k < 1:
         raise MalformedInputError(f"k must be a positive integer, got {k!r}")
     from .topk import SelectionPredicate
@@ -525,11 +535,14 @@ def _estimate_topk(
     else:
         names = list(selection)
     if not names:
-        return [], EXACT
+        return TopKEstimate((), 0, EXACT)
     chosen = sorted((cs.resolve(n) for n in names), key=lambda v: v.name)
-    values, _, sampler = _estimate_values(cs, chosen, cfg, chains)
-    ranked = sorted(chosen, key=lambda v: (-values[v], v.name))
-    return [(v, values[v]) for v in ranked[:k]], sampler
+    est = _estimate_values(cs, chosen, cfg or SamplerConfig(), chains)
+    ranked = sorted(chosen, key=lambda v: (-est[v].value, v.name))
+    first = est[chosen[0]]
+    return TopKEstimate(
+        tuple((v, est[v].value) for v in ranked[:k]), first.samples, first.sampler
+    )
 
 
 def rejection_sample_mean(

@@ -194,7 +194,7 @@ class TestInterpolate:
 
     def test_sampled_responses_name_their_sampler(self, tmp_path):
         # the lemma tree's lattice is small: exact draws; 16 unknowns below
-        # one are at least 2^16 lattice states, beyond the bound: hit-and-run
+        # one are at least 2^16 downsets, beyond the bound: hit-and-run
         star = {
             "variables": [f"s{i}" for i in range(16)] + ["top"],
             "order": [[f"s{i}", "top"] for i in range(16)],

@@ -24,12 +24,23 @@ from ordpoly import (
     sample_points,
 )
 from ordpoly import lattice, sampler
+from ordpoly.model import Prepared
 
 F = Fraction
 
 
 def two_chain() -> ConstraintSet:
     return ConstraintSet(["xp", "x"], [("xp", "x")], {})
+
+
+def each_sampler(monkeypatch):
+    """Yield each sampler name in turn, having set the bound so that the
+    sets of the loop body draw with it: hit-and-run with every set beyond
+    the bound, then exact draws under the default bound."""
+    for cap, name in ((0, sampler.HIT_AND_RUN), (sampler.EXACT_MOVE_CAP, sampler.EXACT)):
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "EXACT_MOVE_CAP", cap)
+            yield name
 
 
 class TestConfig:
@@ -149,12 +160,16 @@ class TestDeterminism:
         )
         cfg = SamplerConfig(epsilon=0.2, burn_in=300, seed=42)
         with monkeypatch.context() as patch:  # every set is beyond the bound
-            patch.setattr(sampler, "EXACT_STATE_CAP", 0)
+            patch.setattr(sampler, "EXACT_MOVE_CAP", 0)
             est = estimate_expected_value(cs, "c", cfg, chains=3)
-        assert repr(est) == "EstimateResult(value=0.5055236419509231, samples=185)"
+        assert repr(est) == (
+            "EstimateResult(value=0.5055236419509231, samples=185, sampler='hit-and-run')"
+        )
         # the exact draws' stream on the same configuration (E[c] = 7/15)
         est = estimate_expected_value(cs, "c", cfg, chains=3)
-        assert repr(est) == "EstimateResult(value=0.4418887725680416, samples=185)"
+        assert repr(est) == (
+            "EstimateResult(value=0.4418887725680416, samples=185, sampler='exact')"
+        )
 
     def test_walk_without_feasible_chords_stalls(self, monkeypatch):
         # every chord is shorter than this tolerance, so every row is rejected
@@ -171,10 +186,12 @@ class TestEstimates:
         assert res.value == 0.2
         assert res.samples == 0
 
-    def test_two_chain_upper_mean(self):
-        est = estimate_expected_value(two_chain(), "x", SamplerConfig(seed=11))
-        assert abs(est.value - 2 / 3) <= 0.05
-        assert est.samples == 2952
+    def test_two_chain_upper_mean(self, monkeypatch):
+        for name in each_sampler(monkeypatch):
+            est = estimate_expected_value(two_chain(), "x", SamplerConfig(seed=11))
+            assert est.sampler == name
+            assert abs(est.value - 2 / 3) <= 0.05
+            assert est.samples == 2952
 
     def test_exceedance_probability(self):
         # P(x > 0.7) = 1 - 0.49 = 0.51 for the larger of two free values
@@ -185,20 +202,24 @@ class TestEstimates:
         )
         assert abs(hits / count - 0.51) <= 0.01
 
-    def test_multichain_average_is_deterministic(self):
+    def test_multichain_average_is_deterministic(self, monkeypatch):
         cs = two_chain()
-        a = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
-        b = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
-        assert a.value == b.value
-        assert abs(a.value - 2 / 3) <= 0.05
+        for name in each_sampler(monkeypatch):
+            a = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
+            b = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
+            assert a.sampler == name
+            assert a.value == b.value
+            assert abs(a.value - 2 / 3) <= 0.05
 
-    def test_estimate_topk_matches_exact_order_when_separated(self):
+    def test_estimate_topk_matches_exact_order_when_separated(self, monkeypatch):
         cs = ConstraintSet(
             ["lo", "hi", "y"], [("lo", "hi")], {"y": F(9, 10)}
         )
-        est = estimate_topk(cs, ["lo", "hi", "y"], 2, SamplerConfig(seed=19))
         exact = local_topk(cs, ["lo", "hi", "y"], 2)
-        assert [v.name for v, _ in est] == list(exact.names())
+        for name in each_sampler(monkeypatch):
+            est = estimate_topk(cs, ["lo", "hi", "y"], 2, SamplerConfig(seed=19))
+            assert est.sampler == name
+            assert [v.name for v, _ in est.entries] == list(exact.names())
 
 
 def _order(point) -> tuple[str, ...]:
@@ -215,7 +236,7 @@ def _pinned_to_bounds(rng: random.Random):
 
 
 class TestExactDraws:
-    """Where every part's lattice fits the state bound, a draw picks a
+    """Where every part's lattice fits the bound, a draw picks a
     linear extension with probability its volume over the total, then
     sorted uniforms on each fragment's interval."""
 
@@ -245,10 +266,11 @@ class TestExactDraws:
         for doc in docs:
             cs = gen.to_cs(doc)
             names = [v.name for v in cs.unknowns()]
-            values, used, drawn_by = sampler._estimate_values(cs, names, cfg, 1)
-            assert (used, drawn_by) == (cfg.sample_count(), sampler.EXACT)
+            estimates = sampler._estimate_values(cs, names, cfg, 1)
             for name in names:
-                assert abs(values[name] - float(interpolate_exact(cs, name))) <= 0.1, doc
+                est = estimates[name]
+                assert (est.samples, est.sampler) == (cfg.sample_count(), sampler.EXACT)
+                assert abs(est.value - float(interpolate_exact(cs, name))) <= 0.1, doc
 
     def test_every_point_passes_the_point_checker(self):
         rng = random.Random(227)
@@ -301,7 +323,7 @@ class TestExactDraws:
         cs = gen.to_cs(gen.mixed_doc(random.Random(233), 5, 2))
         cfg = SamplerConfig(seed=7, burn_in=200)
         assert sampler._Walk(cs).sampler == sampler.EXACT
-        monkeypatch.setattr(sampler, "EXACT_STATE_CAP", 5)
+        monkeypatch.setattr(sampler, "EXACT_MOVE_CAP", 5)
         walk = sampler._Walk(cs)
         rows = sampler._draw(walk, cfg, 40, 7)
         assert walk.sampler == sampler.HIT_AND_RUN
@@ -311,15 +333,37 @@ class TestExactDraws:
         walked = [pt.as_dict() for pt in hit_and_run_sample(cs, cfg, 10)]
         assert [pt.as_dict() for pt in drawn.points] == walked
 
-    def test_a_wide_set_is_refused_before_any_table(self, monkeypatch):
-        # 16 unknowns below one: at least 2^16 downsets
-        cs = ConstraintSet(
-            [f"s{i}" for i in range(16)] + ["top"], [(f"s{i}", "top") for i in range(16)], {}
-        )
+    def test_a_set_beyond_the_bound_is_refused_before_any_table(self, monkeypatch):
         levels = []
         monkeypatch.setattr(lattice, "_levels", lambda *a, **k: levels.append(a) or iter(()))
+        # 16 unknowns below one: 2^16 + 1 downsets
+        star = ConstraintSet(
+            [f"s{i}" for i in range(16)] + ["top"], [(f"s{i}", "top") for i in range(16)], {}
+        )
+        assert sampler._Walk(star).sampler == sampler.HIT_AND_RUN
+        # a small set beyond a low bound
+        cs = gen.to_cs(gen.mixed_doc(random.Random(233), 5, 2))
+        monkeypatch.setattr(sampler, "EXACT_MOVE_CAP", 5)
         assert sampler._Walk(cs).sampler == sampler.HIT_AND_RUN
         assert levels == []
+
+    def test_move_count_is_that_of_the_table(self):
+        # one move per state of a downset and variable that may join it
+        rng = random.Random(239)
+        docs = [
+            gen.mixed_doc(rng, rng.randint(1, 9), rng.randint(0, 3), rng.choice([0.1, 0.3, 0.6]))
+            for _ in range(30)
+        ]
+        docs += [gen.tied_doc(rng, rng.randint(3, 8), 2) for _ in range(10)]
+        for doc in docs:
+            lat = lattice._Lattice(lattice._prepare(Prepared(gen.to_cs(doc))), None)
+            moves = sum(
+                len(row) * len(list(lat.prep.successors(placed)))
+                for level in lattice._levels(lat, 10**9)
+                for placed, row in level.items()
+            )
+            assert lattice._move_count(lat, moves) == moves, doc
+            assert lattice._move_count(lat, moves - 1) is None, doc
 
 
 class TestRejection:
@@ -333,7 +377,7 @@ class TestRejection:
         assert rate == pytest.approx(0.5, abs=0.02)
         assert abs(mean - 2 / 3) <= 4 * se
 
-    def test_agrees_with_hit_and_run(self):
+    def test_agrees_with_hit_and_run(self, monkeypatch):
         rng = random.Random(107)
         for _ in range(5):
             doc = gen.mixed_doc(rng, rng.randint(2, 4), rng.randint(0, 1))
@@ -341,9 +385,11 @@ class TestRejection:
             var = sorted(v.name for v in cs.unknowns())[0]
             r_mean, rate, r_se = rejection_sample_mean(cs, var, 30_000, seed=29)
             assert rate > 1e-3
-            har = estimate_expected_value(cs, var, SamplerConfig(seed=31)).value
-            # hit-and-run carries the Hoeffding epsilon, rejection its SE
-            assert abs(r_mean - har) <= 0.05 + 4 * r_se
+            for name in each_sampler(monkeypatch):
+                est = estimate_expected_value(cs, var, SamplerConfig(seed=31))
+                assert est.sampler == name
+                # the estimate carries the Hoeffding epsilon, rejection its SE
+                assert abs(r_mean - est.value) <= 0.05 + 4 * r_se
 
     def test_thin_polytope_raises(self):
         cs = ConstraintSet(
