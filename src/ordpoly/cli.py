@@ -304,10 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-extensions",
             type=int,
             default=DEFAULT_BUDGET,
-            help="exact-engine budget: under --engine exact, the number of "
-            "linear extensions (counted before answering); under auto "
-            "(general parts) and u/global top-k, the distinct downsets in one "
-            "level of the lattice, a lower bound on the extension count",
+            help="exact-engine budget: under --engine exact, the linear "
+            "extensions of the whole set (counted first); under auto (general "
+            "parts) and u/global top-k, the distinct downsets in one level of "
+            "the lattice, a lower bound on the extension count",
         )
         p.add_argument(
             "--threads",
@@ -328,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=engines[0],
                 help="auto, tree and exact answer through one dispatch. auto: "
                 "part by part, the engine each part's shape allows; tree: the "
-                "same, but a general part exits 2; exact: the lattice of "
-                "downsets over the whole set, undecomposed, its linear "
-                "extensions bounded by --max-extensions (topk: exact answers); "
+                "same, but a general part exits 2; exact: as auto, once the "
+                "linear extensions of the whole set are counted within "
+                "--max-extensions (topk: exact answers); "
                 "sample: a sampled estimate, from exact independent draws where "
                 "the lattice tables fit the sampler's bound, else hit-and-run",
             )

@@ -15,16 +15,17 @@ fragment of n unknowns the admissible region is a scaled simplex, so
 Whole-polytope answers are volume-weighted sums of fragment answers over
 all extensions.  ``volume_exact``, ``interpolate_exact``,
 ``interpolate_all``, ``marginal_exact`` and ``expected_rank`` are each one
-``tree.solve`` call with ``engine="exact"``, which sums them over the
-lattice of downsets (``lattice.answer``) without enumerating.
+``tree.solve`` call with ``engine="exact"``, which pre-counts the
+extensions against the budget, then answers part by part like ``auto``
+(general parts sum over the lattice of downsets without enumerating).
 
 The number of extensions can be astronomically large, so every entry
 point takes a budget and aborts with ``BudgetExceededError`` (carrying a
 proven lower bound) instead of hanging: ``lattice._count_extensions``
 pre-counts prefixes level by level, which aborts in milliseconds even
 when the true count is in the trillions.  The walk below serves only the
-extension tables and, when pre-counting would need too much memory,
-``count_extensions``; it then counts what it produces against the budget.
+extension tables and ``count_extensions``; when pre-counting would need
+too much memory, it counts what it produces against the budget.
 """
 
 from __future__ import annotations
@@ -194,17 +195,21 @@ def _walk(prep: _Prep):
 # budget guard
 
 
-def _extensions(prep: _Prep, budget: int) -> Iterator:
-    """The walk behind the budget guard; the extension tables' way to
-    ``_walk``.
+def _extensions(cs: ConstraintSet, budget: int) -> tuple[_Prep, Iterator]:
+    """The bitmask form of the tie quotient of ``cs`` (persistent user ties
+    refused) and the walk behind the budget guard; the extension tables'
+    way to ``_walk``.
 
     The pre-count runs on the call, not at the first ``next()``, so an
     over-budget set fails before anything is produced.  When pre-counting
     gives up, extension ``budget + 1`` raises instead.
     """
+    prepared = Prepared(cs)
+    prepared.reject_user_ties()
+    prep = _prepare(prepared.ties.quotient)
     if _count_extensions(prep, budget) is not None:
-        return _walk(prep)
-    return _counted(_walk(prep), budget)
+        return prep, _walk(prep)
+    return prep, _counted(_walk(prep), budget)
 
 
 def _counted(walk: Iterator, budget: int) -> Iterator:
@@ -216,7 +221,9 @@ def _counted(walk: Iterator, budget: int) -> Iterator:
 
 def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linear extensions, guarded by the budget."""
-    prep = _prepare(Prepared(cs), reject_user_ties=True)
+    prepared = Prepared(cs)
+    prepared.reject_user_ties()
+    prep = _prepare(prepared.ties.quotient)
     known = _count_extensions(prep, budget)
     if known is not None:
         return known
@@ -236,8 +243,7 @@ def enumerate_extensions(
     guard runs before the first yield, so an over-budget set fails fast
     instead of streaming forever.
     """
-    prep = _prepare(Prepared(cs), reject_user_ties=True)
-    walk = _extensions(prep, budget)
+    prep, walk = _extensions(cs, budget)
 
     def generate() -> Iterator[LinearExtension]:
         variables = prep.quotient.variables
@@ -259,8 +265,7 @@ def extension_volumes(
     cs: ConstraintSet, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[str, ...], Fraction]]:
     """Debug table: (user-visible variable order, volume) per extension."""
-    prep = _prepare(Prepared(cs), reject_user_ties=True)
-    walk = _extensions(prep, budget)
+    prep, walk = _extensions(cs, budget)
     hidden = prep.quotient.reserved
     variables = prep.quotient.variables
     return (

@@ -1,7 +1,8 @@
 """Exact engine over the lattice of downsets.
 
-A linear extension places the variables of the tie quotient one at a
-time, so after t placements the placed set is a downset D of size t.  An
+A linear extension places the variables of a closed, tie-free set (a
+decomposition part or a tie quotient) one at a time, so after t
+placements the placed set is a downset D of size t.  An
 extension's volume is the product over its fragments (see ``exact``) of
 w_j^n / n!, and of its past the future needs only D and the size k of the
 fragment still open.  Sums over all extensions therefore factor through
@@ -41,10 +42,10 @@ downsets of one size are prefixes of distinct extensions, so their number
 is a proven lower bound on the extension count), and a level with more
 than ``_LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
 
-``tree.solve`` reaches volumes, expected values and marginals through
-``answer`` alone: on every general part, and under ``--engine exact`` on
-the whole tie quotient once ``_count_extensions`` has pre-counted its
-linear extensions against the budget.
+``tree.solve_part`` reaches volumes, expected values and marginals of a
+general part through ``answer``; under ``--engine exact``, ``tree.solve``
+first pre-counts the linear extensions of the whole tie quotient against
+the budget (``_count_extensions``).
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
-from .model import MARGINAL, VOLUME, ConstraintSet, Prepared, VariableId, _cover_edges
+from .model import MARGINAL, SHAPE_GENERAL, VOLUME, ConstraintSet, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
 # The most prefixes the extension pre-count, and states the lattice,
@@ -65,10 +66,13 @@ _LEVEL_MASK_CAP = 2_000_000
 
 @dataclass
 class _Prep:
-    """Tie-collapsed closure plus its cover graph as bitmasks."""
+    """A closed, tie-free set as bitmasks: its cover graph, its pins in
+    value order and the integer scale of the gaps between them."""
 
     quotient: ConstraintSet
-    class_of: dict[int, VariableId]
+    shape: str | None  # a part's shape, which the guards' errors name
+    size: int
+    full: int
     parents: list[int]
     child_bits: list[int]
     roots: int
@@ -77,6 +81,9 @@ class _Prep:
     values: list[Fraction]
     widths: list[Fraction]
     unknown_ids: list[int]
+    unknowns: int
+    scale: list[int]
+    den: int
 
     def successors(self, placed: int) -> Iterator[tuple[int, int]]:
         """(variable, its bit), ascending, for every variable whose cover
@@ -97,14 +104,22 @@ class _Prep:
             if not parents[v] & ~placed:
                 yield v, low
 
+    def where(self) -> str:
+        """The set as the guards' errors name it: shape (a part's),
+        smallest unknown, unknown and pin counts."""
+        names = [self.quotient.variables[u].name for u in self.unknown_ids]
+        what = f"{self.shape} part" if self.shape else "set"
+        if names:
+            what += f" containing {min(names)!r}"
+        pins = len(self.exact_chain)
+        return f"the {what} ({len(names)} unknowns, {pins} pinned incl. bounds)"
 
-def _prepare(prep: Prepared, *, reject_user_ties: bool = False) -> _Prep:
-    if reject_user_ties:
-        prep.reject_user_ties()
-    quotient, class_of = prep.ties.quotient, dict(prep.ties.class_of)
-    n = len(quotient.variables)
-    parents = [0] * n
-    child_bits = [0] * n
+
+def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
+    """The bitmask form of ``quotient``, a closed and tie-free set."""
+    size = len(quotient.variables)
+    parents = [0] * size
+    child_bits = [0] * size
     for a, b in _cover_edges(quotient):
         parents[b] |= 1 << a
         child_bits[a] |= 1 << b
@@ -112,28 +127,37 @@ def _prepare(prep: Prepared, *, reject_user_ties: bool = False) -> _Prep:
     values = [quotient.exact_values[i] for i in chain]
     widths = [values[j + 1] - values[j] for j in range(len(chain) - 1)]
     assert all(w > 0 for w in widths), "equal pinned values must have been collapsed"
+    unknown_ids = [v.id for v in quotient.variables if v.id not in quotient.exact_values]
+    den = lcm(*(w.denominator for w in widths))
     return _Prep(
         quotient=quotient,
-        class_of=class_of,
+        shape=shape,
+        size=size,
+        full=(1 << size) - 1,
         parents=parents,
         child_bits=child_bits,
-        roots=sum(1 << v for v in range(n) if not parents[v]),
+        roots=sum(1 << v for v in range(size) if not parents[v]),
         exact_chain=chain,
         exact_index={v: j for j, v in enumerate(chain)},
         values=values,
         widths=widths,
-        unknown_ids=[v.id for v in quotient.variables if v.id not in quotient.exact_values],
+        unknown_ids=unknown_ids,
+        unknowns=sum(1 << u for u in unknown_ids),
+        scale=[w.numerator * (den // w.denominator) for w in widths],
+        den=den ** len(unknown_ids) * factorial(len(unknown_ids)),
     )
 
 
 def _count_extensions(prep: _Prep, budget: int) -> int | None:
     """Exact linear-extension count, or None when pre-counting would need
-    too much memory.  Raises ``BudgetExceededError`` as soon as any
-    level's prefix count (a lower bound on the total) exceeds the budget,
-    the last level (the count itself) included."""
+    more than ``_LEVEL_MASK_CAP`` prefixes in one level.  Raises
+    ``BudgetExceededError`` as soon as any level's prefix count (a lower
+    bound on the total) exceeds the budget, the last level (the count
+    itself) included, and when it gives up with more distinct prefixes
+    than the budget (each is a prefix of a distinct extension)."""
     _check_budget(budget)
     level: dict[int, int] = {0: 1}
-    for _ in range(len(prep.quotient.variables)):
+    for _ in range(prep.size):
         nxt: dict[int, int] = {}
         for mask, ways in level.items():
             for _v, low in prep.successors(mask):
@@ -143,6 +167,8 @@ def _count_extensions(prep: _Prep, budget: int) -> int | None:
                 else:
                     nxt[key] = ways
             if len(nxt) > _LEVEL_MASK_CAP:
+                if len(nxt) > budget:
+                    raise BudgetExceededError(budget, len(nxt))
                 return None
         total = sum(nxt.values())
         if total > budget:
@@ -151,35 +177,8 @@ def _count_extensions(prep: _Prep, budget: int) -> int | None:
     return sum(level.values())
 
 
-class _Lattice:
-    """Bitmask form of a prepared set and the integer scale of its widths."""
-
-    def __init__(self, prep: _Prep, shape: str | None):
-        self.prep = prep
-        self.shape = shape
-        self.size = len(prep.quotient.variables)
-        self.full = (1 << self.size) - 1
-        self.pin_of = prep.exact_index
-        self.pins = sum(1 << p for p in prep.exact_chain)
-        self.unknowns = sum(1 << u for u in prep.unknown_ids)
-        self.n_unknowns = len(prep.unknown_ids)
-        den = lcm(*(w.denominator for w in prep.widths))
-        self.scale = [w.numerator * (den // w.denominator) for w in prep.widths]
-        self.den = den**self.n_unknowns * factorial(self.n_unknowns)
-
-    def where(self) -> str:
-        """The part (the whole set without a shape) as the guards' errors
-        name it: shape, smallest unknown, unknown and pin counts."""
-        names = [self.prep.quotient.variables[u].name for u in self.prep.unknown_ids]
-        what = f"{self.shape} part" if self.shape else "set"
-        if names:
-            what += f" containing {min(names)!r}"
-        pins = len(self.prep.exact_chain)
-        return f"the {what} ({self.n_unknowns} unknowns, {pins} pinned incl. bounds)"
-
-
 def _levels(
-    lat: _Lattice, budget: int, selected: int = 0, top: int = 0
+    prep: _Prep, budget: int, selected: int = 0, top: int = 0
 ) -> Iterator[dict[int, dict[tuple[int, tuple[int, ...]], int]]]:
     """The forward table, one level at a time: level t maps each downset D
     of size t to {(k, tail): scaled F}.  ``tail`` lists, in placement
@@ -188,24 +187,24 @@ def _levels(
     selection."""
     _check_budget(budget)
     cap = _LEVEL_MASK_CAP
-    scale, pin_of, unknowns = lat.scale, lat.pin_of, lat.unknowns
+    scale, pin_index, unknowns = prep.scale, prep.exact_index, prep.unknowns
     level: dict = {0: {(0, ()): 1}}
     yield level
-    for t in range(1, lat.size + 1):
+    for t in range(1, prep.size + 1):
         nxt: dict = {}
         states = 0
         for placed, row in level.items():
             closing = (placed & unknowns).bit_count()
-            for v, low in lat.prep.successors(placed):
+            for v, low in prep.successors(placed):
                 key = placed | low
                 out = nxt.get(key)
                 if out is None:
                     if len(nxt) >= budget:
                         raise BudgetExceededError(
-                            budget, len(nxt) + 1, lat.where(), "the sampler"
+                            budget, len(nxt) + 1, prep.where(), "the sampler"
                         )
                     out = nxt[key] = {}
-                j = pin_of.get(v)
+                j = pin_index.get(v)
                 carry = low & selected and (selected & ~placed).bit_count() <= top
                 for (k, tail), f in row.items():
                     if carry:
@@ -223,7 +222,7 @@ def _levels(
                         states += 1
             if states > cap:
                 raise LimitExceededError(
-                    f"the downset lattice of {lat.where()} has more than {cap} "
+                    f"the downset lattice of {prep.where()} has more than {cap} "
                     f"states at level {t} ({states} counted); use the sampler "
                     "for an estimate"
                 )
@@ -231,7 +230,7 @@ def _levels(
         yield level
 
 
-def _move_count(lat: _Lattice, cap: int) -> int | None:
+def _move_count(prep: _Prep, cap: int) -> int | None:
     """The number of moves of ``_levels``' table without a selection (a
     state and a variable that may join its downset: one multiply-add of
     the build), found from the downsets alone, or None once it passes
@@ -244,15 +243,14 @@ def _move_count(lat: _Lattice, cap: int) -> int | None:
     leaner than ``_levels``: each downset is made once, from D minus its
     highest-numbered maximal variable, and carries its maximal variables
     and the variables that may join it."""
-    prep = lat.prep
     preds, succ = prep.quotient._preds(), prep.quotient._succ
     parents, child_bits = prep.parents, prep.child_bits
-    free = {1 << p: lat.unknowns & ~preds[p] & ~succ[p] for p in prep.exact_chain}
+    free = {1 << p: prep.unknowns & ~preds[p] & ~succ[p] for p in prep.exact_chain}
     total = prep.roots.bit_count()
     # (downset, the bit of its highest pin or 0, its maximal variables,
     # the variables that may join it)
     level = [(0, 0, 0, prep.roots)]
-    for _ in range(lat.size):
+    for _ in range(prep.size):
         nxt = []
         for placed, last, tops, ready in level:
             # v may join only if every maximal variable numbered above v
@@ -287,7 +285,7 @@ def _move_count(lat: _Lattice, cap: int) -> int | None:
 
 
 def _backward(
-    lat: _Lattice,
+    prep: _Prep,
     levels: list[dict],
     track: Iterable[int],
     selected: int,
@@ -296,26 +294,26 @@ def _backward(
     L^N N!) per transition: (interval, rank, final size) buckets for the
     unknowns in ``track``, and descending-rank buckets for the variables
     of the ``selected`` mask."""
-    scale, pin_of = lat.scale, lat.pin_of
-    unknowns, pins, n = lat.unknowns, lat.pins, lat.n_unknowns
+    scale, pin_index, unknowns = prep.scale, prep.exact_index, prep.unknowns
+    pins, n = sum(1 << p for p in prep.exact_chain), len(prep.unknown_ids)
     buckets: dict[int, dict] = {u: {} for u in track}
     ranks: dict[int, dict[int, int]] = {}
     # Per state (D, k): (total, {final size of the open fragment: part}).
-    after: dict = {lat.full: {0: (1, {0: 1})}}
+    after: dict = {prep.full: {0: (1, {0: 1})}}
     for t in range(len(levels) - 2, -1, -1):
         here: dict = {}
         for placed, row in levels[t].items():
             in_placed = (placed & unknowns).bit_count()
             interval = (placed & pins).bit_count() - 1
             rank = (selected & ~placed).bit_count()
-            moves = [(v, low, after[placed | low]) for v, low in lat.prep.successors(placed)]
+            moves = [(v, low, after[placed | low]) for v, low in prep.successors(placed)]
             back: dict = {}
             for (k, _), f in row.items():
                 closed = in_placed - k
                 weight = f * comb(n, closed)
                 total, split = 0, {}
                 for v, low, nrow in moves:
-                    j = pin_of.get(v)
+                    j = pin_index.get(v)
                     if j is None:
                         through, parts = nrow[k + 1]
                         for size, b in parts.items():
@@ -337,13 +335,13 @@ def _backward(
                 back[k] = (total, split)
             here[placed] = back
         after = here
-    assert after[0][0][0] == levels[-1][lat.full][(0, ())], "F and B disagree"
+    assert after[0][0][0] == levels[-1][prep.full][(0, ())], "F and B disagree"
     return buckets, ranks
 
 
-def _volume(lat: _Lattice, final: dict) -> Fraction:
+def _volume(prep: _Prep, final: dict) -> Fraction:
     """The volume from the last level, summed over any carried tails."""
-    return Fraction(sum(final[lat.full].values()), lat.den)
+    return Fraction(sum(final[prep.full].values()), prep.den)
 
 
 def _last(levels: Iterator[dict]) -> dict:
@@ -380,29 +378,18 @@ def _density(
 
 
 def answer(
-    prepared: Prepared,
-    query: str,
-    names: Sequence = (),
-    budget: int = DEFAULT_BUDGET,
-    shape: str | None = None,
+    part: ConstraintSet, query: str, names: Sequence[str] = (), budget: int = DEFAULT_BUDGET
 ):
-    """``tree.solve``'s ``query`` on the tie quotient of ``prepared``: the
-    volume (VOLUME), ``{x: value}`` for the unpinned variables ``names``
-    (VALUES), or the density of ``names[0]`` (MARGINAL).  ``shape`` is
-    that of the general part ``prepared`` holds, which the guards' errors
-    name.  Without one, ``prepared`` is the whole set under ``--engine
-    exact``, whose budget bounds linear extensions: they are pre-counted
-    first."""
-    prep = _prepare(prepared)
-    if shape is None:
-        _count_extensions(prep, budget)
-    lat = _Lattice(prep, shape)
+    """``tree.solve_part``'s ``query`` on a general part (closed and
+    tie-free): the volume (VOLUME), ``{x: value}`` for the part's unknowns
+    ``names`` (VALUES), or the density of ``names[0]`` (MARGINAL)."""
+    prep = _prepare(part, SHAPE_GENERAL)
     if query == VOLUME:
-        return _volume(lat, _last(_levels(lat, budget)))
-    ids = {x: prepared.target(x).id for x in names}
-    levels = list(_levels(lat, budget))
-    buckets, _ = _backward(lat, levels, ids.values(), 0)
-    total = levels[-1][lat.full][(0, ())]
+        return _volume(prep, _last(_levels(prep, budget)))
+    ids = {x: part.resolve(x).id for x in names}
+    levels = list(_levels(prep, budget))
+    buckets, _ = _backward(prep, levels, ids.values(), 0)
+    total = levels[-1][prep.full][(0, ())]
     if query == MARGINAL:
         return _density(prep, total, buckets[ids[names[0]]])
     return {x: _expectation(prep, total, buckets[i]) for x, i in ids.items()}
@@ -413,12 +400,11 @@ def rank_tally(
 ) -> tuple[Fraction, dict[int, dict[int, Fraction]]]:
     """The volume, and for each selected id the volume per descending rank
     (1 = highest among the selected) it takes."""
-    lat = _Lattice(prep, None)
-    levels = list(_levels(lat, budget))
+    levels = list(_levels(prep, budget))
     selected = list(selected)
-    _, ranks = _backward(lat, levels, (), sum(1 << i for i in selected))
-    return _volume(lat, levels[-1]), {
-        i: {r: Fraction(x, lat.den) for r, x in ranks.get(i, {}).items()}
+    _, ranks = _backward(prep, levels, (), sum(1 << i for i in selected))
+    return _volume(prep, levels[-1]), {
+        i: {r: Fraction(x, prep.den) for r, x in ranks.get(i, {}).items()}
         for i in selected
     }
 
@@ -428,11 +414,10 @@ def sequence_tally(
 ) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
     """The volume, and the volume of every descending sequence of the
     ``top`` highest selected ids."""
-    lat = _Lattice(prep, None)
-    final = _last(_levels(lat, budget, sum(1 << i for i in selected), top))
-    return _volume(lat, final), {
-        tuple(reversed(tail)): Fraction(x, lat.den)
-        for (_, tail), x in final[lat.full].items()
+    final = _last(_levels(prep, budget, sum(1 << i for i in selected), top))
+    return _volume(prep, final), {
+        tuple(reversed(tail)): Fraction(x, prep.den)
+        for (_, tail), x in final[prep.full].items()
     }
 
 
@@ -453,22 +438,21 @@ class ExtensionDraw:
     def __init__(self, prep: _Prep, cap: int):
         """Build the forward table, refusing (``LimitExceededError``) more
         than ``cap`` moves before any of it is built."""
-        lat = _Lattice(prep, None)
-        self.lat = lat
-        moves = _move_count(lat, cap)
+        self.prep = prep
+        moves = _move_count(prep, cap)
         if moves is None:
             raise LimitExceededError(
-                f"the forward table of {lat.where()} has more than {cap} moves"
+                f"the forward table of {prep.where()} has more than {cap} moves"
             )
         self.moves = moves
-        self.levels = list(_levels(lat, DEFAULT_BUDGET))
+        self.levels = list(_levels(prep, DEFAULT_BUDGET))
         self._moves: dict[tuple[int, int], tuple[list[int], list[tuple]]] = {}
 
     def _predecessors(self, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:
         """Cumulative weights and (state, variable, its pin index or None)
         of each way into the state (``placed``, ``k``) of level ``t``."""
-        lat = self.lat
-        child_bits, pin_of = lat.prep.child_bits, lat.pin_of
+        prep = self.prep
+        child_bits, pin_index = prep.child_bits, prep.exact_index
         below = self.levels[t - 1]
         cum: list[int] = []
         moves: list[tuple] = []
@@ -482,7 +466,7 @@ class ExtensionDraw:
                 continue
             before = placed ^ low
             row = below[before]
-            j = pin_of.get(v)
+            j = pin_index.get(v)
             if j is None:
                 f = row.get((k - 1, ())) if k else None
                 if f:
@@ -490,10 +474,10 @@ class ExtensionDraw:
                     cum.append(total)
                     moves.append(((before, k - 1), v, None))
             elif not k:
-                closing = (before & lat.unknowns).bit_count()
+                closing = (before & prep.unknowns).bit_count()
                 for (open_, _), f in row.items():
                     if open_:
-                        f *= lat.scale[j - 1] ** open_ * comb(closing, open_)
+                        f *= prep.scale[j - 1] ** open_ * comb(closing, open_)
                     total += f
                     cum.append(total)
                     moves.append(((before, open_), v, j))
@@ -503,11 +487,11 @@ class ExtensionDraw:
         """The extension that ``picks`` (one uniform integer in [0, 2^53)
         per level) choose, as (interval j, the unknowns placed between
         pins j and j + 1, bottom up) for every nonempty fragment."""
-        lat, moves_of = self.lat, self._moves
+        prep, moves_of = self.prep, self._moves
         out: list[tuple[int, list[int]]] = []
         frag: list[int] = []
-        state = (lat.full, 0)
-        for t in range(lat.size, 0, -1):
+        state = (prep.full, 0)
+        for t in range(prep.size, 0, -1):
             moves = moves_of.get(state)
             if moves is None:
                 moves = moves_of[state] = self._predecessors(t, *state)

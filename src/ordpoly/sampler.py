@@ -107,6 +107,8 @@ class SamplerConfig:
             raise MalformedInputError("burn_in must be >= 0")
         if self.thinning is not None and self.thinning < 1:
             raise MalformedInputError("thinning must be >= 1")
+        if self.seed < 0:  # numpy seeds from non-negative integers only
+            raise MalformedInputError("seed must be >= 0")
 
     def sample_count(self) -> int:
         """N = ceil(2 ln(2/delta) / epsilon^2), the Hoeffding sample size."""
@@ -212,7 +214,7 @@ class _Walk:
         # largest first: a set beyond the bound is refused early
         for no in sorted(range(len(d.parts)), key=lambda no: -len(d.classes[no])):
             try:
-                ext = ExtensionDraw(_prepare(Prepared(d.parts[no])), left)
+                ext = ExtensionDraw(_prepare(d.parts[no]), left)
             except LimitExceededError:
                 return None
             left -= ext.moves
@@ -296,10 +298,10 @@ class _PartDraw:
     at the sorted values of as many uniforms on the fragment's interval."""
 
     def __init__(self, ext: ExtensionDraw, column: dict[str, int]):
-        prep = ext.lat.prep
+        prep = ext.prep
         names = prep.quotient.variables
         self.ext = ext
-        self.size = ext.lat.size
+        self.size = prep.size
         self.slot = {v: i for i, v in enumerate(prep.unknown_ids)}
         self.columns = [column[names[v].name] for v in prep.unknown_ids]
         self.lo = [float(x) for x in prep.values]
@@ -562,6 +564,8 @@ def rejection_sample_mean(
     """
     if accepted <= 0:
         raise MalformedInputError("accepted sample count must be positive")
+    if seed < 0:
+        raise MalformedInputError("seed must be >= 0")
     walk = _Walk(cs)
     vid = cs.resolve(x)
     cls = walk.class_of[vid.id]

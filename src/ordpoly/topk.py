@@ -173,34 +173,26 @@ def local_topk(
 # u and global semantics: one pass over the downset lattice
 
 
-@dataclass
-class _SelTally:
-    volume: Fraction
-    sequences: dict[tuple[int, ...], Fraction] | None
-    ranks: dict[int, dict[int, Fraction]] | None
+def _lattice(cs: ConstraintSet, chosen: Sequence[VariableId]) -> tuple[_Prep, list[int]]:
+    """The lattice form of the tie quotient of ``cs`` (persistent user ties
+    refused) and the ids of the ``chosen`` variables in it."""
+    from .lattice import _prepare  # first use, as in tree.solve_part
+
+    prepared = Prepared(cs)
+    prepared.reject_user_ties()
+    return _prepare(prepared.ties.quotient), [prepared.target(v).id for v in chosen]
 
 
-def _selected_tally(
-    cs: ConstraintSet,
-    chosen: Sequence[VariableId],
-    k: int | None,
-    want_sequences: bool,
-    budget: int,
-) -> tuple[_Prep, _SelTally]:
-    """The volume, plus either the volume of every descending sequence of
-    the top ``k`` selected variables (all of them when ``k`` is None) or,
-    without ``want_sequences``, every selected variable's volume per rank."""
-    # first use, as in tree.solve_part
-    from .lattice import _prepare, rank_tally, sequence_tally
+def _sequences(
+    cs: ConstraintSet, chosen: Sequence[VariableId], top: int, budget: int
+) -> tuple[_Prep, Fraction, dict[tuple[int, ...], Fraction]]:
+    """The lattice, the volume and the volume of every descending sequence
+    of the ``top`` highest selected variables."""
+    from .lattice import sequence_tally
 
-    prep = _prepare(Prepared(cs), reject_user_ties=True)
-    sel_ids = [prep.class_of[cs.resolve(v.name).id].id for v in chosen]
+    prep, ids = _lattice(cs, chosen)
     try:
-        if not want_sequences:
-            volume, ranks = rank_tally(prep, sel_ids, budget)
-            return prep, _SelTally(volume, None, ranks)
-        top = len(sel_ids) if k is None else k
-        volume, sequences = sequence_tally(prep, sel_ids, top, budget)
+        volume, sequences = sequence_tally(prep, ids, top, budget)
     except BudgetExceededError as err:
         raise _with_estimate_hint(err) from None
     if len(sequences) > _SEQUENCE_TABLE_LIMIT:
@@ -208,7 +200,7 @@ def _selected_tally(
             f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
             "sequences; lower k or use estimate_topk"
         )
-    return prep, _SelTally(volume, sequences, None)
+    return prep, volume, sequences
 
 
 def _sequence_argmax(
@@ -231,8 +223,8 @@ def u_topk(
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(cs, chosen, min(k, len(chosen)), True, budget)
-    seq, prob = _sequence_argmax(prep, tally.sequences, tally.volume)
+    prep, volume, sequences = _sequences(cs, chosen, min(k, len(chosen)), budget)
+    seq, prob = _sequence_argmax(prep, sequences, volume)
     entries = tuple((v, prob) for v in seq)
     return TopKResult(SEMANTICS_U, k, entries)
 
@@ -251,24 +243,33 @@ def u_sequence_probabilities(
     """
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(cs, chosen, min(k, len(chosen)), True, budget)
+    prep, volume, sequences = _sequences(cs, chosen, min(k, len(chosen)), budget)
     return {
-        tuple(prep.quotient.variables[i].name for i in seq): vol / tally.volume
-        for seq, vol in tally.sequences.items()
+        tuple(prep.quotient.variables[i].name for i in seq): vol / volume
+        for seq, vol in sequences.items()
     }
 
 
-def _global_ranking(
-    prep: _Prep, tally: _SelTally, chosen: Sequence[VariableId], k: int
-) -> list[tuple[VariableId, Fraction]]:
-    scored = []
-    for v in chosen:
-        qid = prep.class_of[v.id].id if v.id in prep.class_of else v.id
-        bucket = tally.ranks[qid]
-        p = sum((vol for r, vol in bucket.items() if r <= k), Fraction(0))
-        scored.append((v, p / tally.volume))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].name))
-    return scored
+def _global_rankings(
+    cs: ConstraintSet, chosen: Sequence[VariableId], budget: int
+) -> list[list[tuple[VariableId, Fraction]]]:
+    """For k = 1 .. len(chosen), the chosen variables with their
+    probability of ranking among the k highest, most probable first."""
+    from .lattice import rank_tally
+
+    prep, ids = _lattice(cs, chosen)
+    try:
+        volume, ranks = rank_tally(prep, ids, budget)
+    except BudgetExceededError as err:
+        raise _with_estimate_hint(err) from None
+    rankings = []
+    for k in range(1, len(chosen) + 1):
+        scored = [
+            (v, sum((x for r, x in ranks[i].items() if r <= k), Fraction(0)) / volume)
+            for v, i in zip(chosen, ids)
+        ]
+        rankings.append(sorted(scored, key=lambda pair: (-pair[1], pair[0].name)))
+    return rankings
 
 
 def global_topk(
@@ -280,8 +281,7 @@ def global_topk(
     """The k selected variables most likely to rank among the k highest."""
     _require_k(k)
     chosen = _selection_vars(cs, sel)
-    prep, tally = _selected_tally(cs, chosen, None, False, budget)
-    scored = _global_ranking(prep, tally, chosen, k)
+    scored = _global_rankings(cs, chosen, budget)[min(k, len(chosen)) - 1]
     return TopKResult(SEMANTICS_GLOBAL, k, tuple(scored[:k]))
 
 
@@ -305,21 +305,18 @@ def check_containment(
         full = local_topk(cs, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        prep, tally = _selected_tally(cs, chosen, None, True, budget)
+        prep, volume, sequences = _sequences(cs, chosen, m, budget)
         answers = []
         for k in range(1, m + 1):
             grouped: dict[tuple[int, ...], Fraction] = {}
-            for seq, vol in tally.sequences.items():
+            for seq, vol in sequences.items():
                 head = seq[:k]
                 grouped[head] = grouped.get(head, Fraction(0)) + vol
-            seq_vars, _ = _sequence_argmax(prep, grouped, tally.volume)
+            seq_vars, _ = _sequence_argmax(prep, grouped, volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
-        prep, tally = _selected_tally(cs, chosen, None, False, budget)
-        answers = [
-            tuple(v.name for v, _ in _global_ranking(prep, tally, chosen, k)[:k])
-            for k in range(1, m + 1)
-        ]
+        rankings = enumerate(_global_rankings(cs, chosen, budget), start=1)
+        answers = [tuple(v.name for v, _ in scored[:k]) for k, scored in rankings]
     else:
         raise MalformedInputError(
             f"unknown semantics {semantics!r}; expected one of "

@@ -26,13 +26,12 @@ times the volumes of c's siblings at w (a pinned leaf caps w at its
 value), piecewise polynomial with breakpoints at pinned values.
 
 Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
-one path, ``solve``.  Under ``exact`` it answers from the lattice of
-downsets (``lattice.answer``) on the whole tie quotient, behind a
-pre-count of its linear extensions; under the others it calls
-``solve_part`` once per decomposition part, which picks the engine by
-shape: the tree engine on trees and on the mirror image v -> 1 - v of
-reverse trees, closed forms on total orders, the same ``lattice.answer``
-on general parts.
+one path, ``solve``, which calls ``solve_part`` once per decomposition
+part; under ``exact`` it first pre-counts the linear extensions of the
+whole tie quotient against the budget.  ``solve_part`` picks the engine
+by shape: the tree engine on trees and on the mirror image v -> 1 - v of
+reverse trees, closed forms on total orders, the lattice of downsets
+(``lattice.answer``) on general parts.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from math import factorial, gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET, MalformedInputError, ShapeError
+from .errors import DEFAULT_BUDGET, LimitExceededError, MalformedInputError, ShapeError
 from .model import (  # the query constants are re-exported for the engines' callers
     MARGINAL,
     SHAPE_GENERAL,
@@ -473,7 +472,7 @@ def solve_part(
     # a CLI process pays for every module it imports.
     from .lattice import answer
 
-    return answer(Prepared(skel.part), query, names, budget, shape)
+    return answer(skel.part, query, names, budget)
 
 
 def solve(
@@ -487,10 +486,10 @@ def solve(
     ``{x: value}`` for the source variables ``names`` (VALUES; STABLE for
     the stable scheme), or the density of the one variable in ``names``
     (MARGINAL).  A pinned tie class gives its value (a MARGINAL of one is
-    malformed input).  ``engine`` is the CLI's: "exact" answers on the
-    whole tie quotient, its linear extensions bounded by the budget;
-    "auto" and "tree" answer part by part, and under "tree" or STABLE a
-    general part raises ``ShapeError`` first.
+    malformed input).  Every engine answers part by part; ``engine`` is
+    the CLI's.  Under "exact" the linear extensions of the whole tie
+    quotient are first pre-counted against the budget; under "tree" or
+    STABLE a general part raises ``ShapeError`` first.
     """
     if query == VOLUME:
         prep.reject_user_ties()
@@ -508,17 +507,16 @@ def solve(
             )
         else:
             values[x] = pinned[target.id]
-    if engine == "exact" and query != STABLE:
-        # one lattice pass over the whole tie quotient, never decomposed
-        if not unknown and query != VOLUME:
-            return values
-        from .lattice import answer
+    if engine == "exact" and query != STABLE and (unknown or query == VOLUME):
+        from .lattice import _LEVEL_MASK_CAP, _count_extensions, _prepare
 
-        solved = answer(prep, query, list(unknown), budget)
-        if query != VALUES:
-            return solved
-        values.update(solved)
-        return {x: values[x] for x in names}
+        whole = _prepare(prep.ties.quotient)
+        if _count_extensions(whole, budget) is None:
+            raise LimitExceededError(
+                f"pre-counting the linear extensions of {whole.where()} needs "
+                f"more than {_LEVEL_MASK_CAP} prefixes in one level; use --engine "
+                "auto, which answers part by part, or the sampler for an estimate"
+            )
     wanted: dict[int, dict] = {}
     if query == VOLUME:
         wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}

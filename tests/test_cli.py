@@ -543,6 +543,18 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert json.loads(err)["error"] == "malformed"
 
+    def test_negative_seed_is_exit_3(self, tmp_path):
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        for argv in (
+            ["sample", path, "--count", "3"],
+            ["interpolate", path, "--engine", "sample"],
+            ["interpolate", path, "--engine", "sample", "--chains", "3"],
+            ["topk", path, "--engine", "sample", "--k", "1", "--select", "x,xp"],
+        ):
+            code, out, err = run_cli([*argv, "--seed", "-1"])
+            assert code == 3 and out == "", argv
+            assert json.loads(err)["error"] == "malformed", argv
+
     def test_negative_budget_is_exit_3(self, tmp_path):
         path = write_doc(tmp_path, "diamond.json", DIAMOND_HALF)
         for argv in (

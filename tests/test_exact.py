@@ -219,9 +219,8 @@ class TestBudget:
     def test_counting_branch_when_precount_gives_up(self, monkeypatch):
         # With the per-level cap at 1 the pre-count gives up at once.  The
         # extension tables and count_extensions then count extensions as
-        # the walk produces them; volume_exact and interpolate_all answer
-        # from the lattice, whose state cap refuses the set by name
-        # without walking.
+        # the walk produces them; volume_exact and interpolate_all refuse
+        # the set by name without walking.
         cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})  # 720 extensions
         calls = {
             "count_extensions": lambda b: count_extensions(cs, b),
@@ -269,8 +268,31 @@ class TestBudget:
                     call(budget)
                 message = str(exc_info.value)
                 assert "the set containing 'v0'" in message, name
-                assert "more than 1 states" in message, name
+                assert "more than 1 prefixes" in message, name
         assert produced == []
+
+    def test_precount_gives_up_with_the_budget_already_exceeded(self, monkeypatch):
+        # The 6-antichain's first level holds 6 distinct prefixes, over a
+        # budget of 5: the pre-count gives up with proof in hand, so every
+        # guarded call refuses the set without walking.
+        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})
+        calls = {
+            "count_extensions": lambda: count_extensions(cs, 5),
+            "enumerate_extensions": lambda: enumerate_extensions(cs, 5),
+            "extension_volumes": lambda: extension_volumes(cs, 5),
+            "volume_exact": lambda: volume_exact(cs, 5),
+            "interpolate_all": lambda: interpolate_all(cs, 5),
+        }
+
+        def no_walk(prep):
+            raise AssertionError("the walk must not run")
+
+        monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
+        monkeypatch.setattr(exact, "_walk", no_walk)
+        for name, call in calls.items():
+            with pytest.raises(BudgetExceededError) as exc_info:
+                call()
+            assert (exc_info.value.budget, exc_info.value.lower_bound) == (5, 6), name
 
     def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
         # u and global top-k walk the downset lattice: on the 6-antichain
@@ -325,7 +347,7 @@ def forest() -> ConstraintSet:
 
 def test_exact_folds_answer_from_the_lattice_without_walking(monkeypatch):
     # --engine exact answers a set with a million extensions as auto does,
-    # in one lattice pass, never entering the enumeration walk
+    # part by part, never entering the enumeration walk
     cs = forest()
     assert count_extensions(cs) == 1_027_080
 
@@ -339,3 +361,58 @@ def test_exact_folds_answer_from_the_lattice_without_walking(monkeypatch):
     assert interpolate_all(cs) == solve(prep, VALUES, unknowns)
     for x in ("t0_u2", "t3_u1"):
         assert marginal_exact(cs, x) == solve(prep, MARGINAL, [x])
+
+
+def fences() -> ConstraintSet:
+    """Two independent zigzag fences of 8 unknowns, each between its own
+    two pins, the pins' intervals overlapping."""
+    names, order, exact_values = [], [], {}
+    for f, (lo, hi) in enumerate(((F(1, 10), F(6, 10)), (F(3, 10), F(9, 10)))):
+        fence = [f"f{f}_{i}" for i in range(8)]
+        names += fence + [f"f{f}_lo", f"f{f}_hi"]
+        exact_values.update({f"f{f}_lo": lo, f"f{f}_hi": hi})
+        for low, high in zip(fence[0::2], fence[1::2]):
+            order += [(f"f{f}_lo", low), (low, high), (high, f"f{f}_hi")]
+        order += list(zip(fence[2::2], fence[1::2]))
+    return ConstraintSet(names, order, exact_values)
+
+
+def test_exact_engine_answers_part_by_part(monkeypatch):
+    # Under --engine exact the budget bounds the whole set's extensions,
+    # but no lattice holds unknowns of both fences, and the answers equal
+    # auto's
+    cs = fences()
+    budget = 10**12
+    prep = Prepared(cs)
+    assert [skel.shape for skel in prep.decomposition.skeletons] == ["general"] * 2
+    unknowns = [v.name for v in cs.unknowns()]
+    auto = (
+        solve(prep, VOLUME),
+        solve(prep, VALUES, unknowns),
+        solve(prep, MARGINAL, ["f1_3"]),
+    )
+    seen = []
+    levels = lattice._levels
+
+    def spy(prep, *args):
+        seen.append({prep.quotient.variables[u].name[:2] for u in prep.unknown_ids})
+        return levels(prep, *args)
+
+    monkeypatch.setattr(lattice, "_levels", spy)
+    exact_answers = (
+        volume_exact(cs, budget),
+        interpolate_all(cs, budget),
+        marginal_exact(cs, "f1_3", budget),
+    )
+    assert exact_answers == auto
+    assert seen and all(len(fences_held) == 1 for fences_held in seen)
+    # When the pre-count gives up below the budget, the set is refused by
+    # name before any lattice is built
+    seen.clear()
+    monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
+    with pytest.raises(LimitExceededError) as exc_info:
+        volume_exact(cs, budget)
+    message = str(exc_info.value)
+    assert "the set containing 'f0_0'" in message
+    assert "more than 1 prefixes" in message
+    assert seen == []

@@ -65,6 +65,7 @@ class TestConfig:
             {"delta": 1.5},
             {"burn_in": -1},
             {"thinning": 0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -356,14 +357,14 @@ class TestExactDraws:
         ]
         docs += [gen.tied_doc(rng, rng.randint(3, 8), 2) for _ in range(10)]
         for doc in docs:
-            lat = lattice._Lattice(lattice._prepare(Prepared(gen.to_cs(doc))), None)
+            prep = lattice._prepare(Prepared(gen.to_cs(doc)).ties.quotient)
             moves = sum(
-                len(row) * len(list(lat.prep.successors(placed)))
-                for level in lattice._levels(lat, 10**9)
+                len(row) * len(list(prep.successors(placed)))
+                for level in lattice._levels(prep, 10**9)
                 for placed, row in level.items()
             )
-            assert lattice._move_count(lat, moves) == moves, doc
-            assert lattice._move_count(lat, moves - 1) is None, doc
+            assert lattice._move_count(prep, moves) == moves, doc
+            assert lattice._move_count(prep, moves - 1) is None, doc
 
 
 class TestRejection:
@@ -403,3 +404,7 @@ class TestRejection:
     def test_accepted_count_must_be_positive(self):
         with pytest.raises(MalformedInputError):
             rejection_sample_mean(two_chain(), "x", 0)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(MalformedInputError):
+            rejection_sample_mean(two_chain(), "x", 10, seed=-1)
