@@ -65,13 +65,9 @@ _EXPORTS = {
     ),
     "fileio": (),
     "exact": (
-        "FragmentView",
-        "LinearExtension",
         "count_extensions",
-        "enumerate_extensions",
         "expected_rank",
         "expected_val_frag",
-        "extension_volumes",
         "interpolate_all",
         "interpolate_exact",
         "marginal_exact",

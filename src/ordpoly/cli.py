@@ -187,10 +187,6 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
         u_topk,
     )
 
-    if args.select is None:
-        raise MalformedInputError("topk requires --select a,b,c")
-    if args.k is None:
-        raise MalformedInputError("topk requires --k")
     names = [s.strip() for s in args.select.split(",") if s.strip()]
     sel = select(prep.source, names)
     diagnostics: dict = {}
@@ -208,11 +204,7 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             SEMANTICS_LOCAL: local_topk,
             SEMANTICS_U: u_topk,
             SEMANTICS_GLOBAL: global_topk,
-        }.get(args.semantics)
-        if fn is None:
-            raise MalformedInputError(
-                f"semantics must be local|u|global, not {args.semantics!r}"
-            )
+        }[args.semantics]
         ranked = fn(prep.closed, sel, args.k, budget=args.max_extensions).entries
     entries = [{"variable": v.name, "value": _value_json(val)} for v, val in ranked]
     return (
@@ -344,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="uniform-expectation or stable-balanced values",
             )
         if name == "topk":
-            p.add_argument("--semantics", required=True, help="local | u | global")
+            p.add_argument("--semantics", required=True, choices=("local", "u", "global"))
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--select", required=True, help="comma-separated variable names")
         if name == "sample":

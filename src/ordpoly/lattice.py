@@ -43,9 +43,12 @@ is a proven lower bound on the extension count), and a level with more
 than ``_LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
 
 ``tree.solve_part`` reaches volumes, expected values and marginals of a
-general part through ``answer``; under ``--engine exact``, ``tree.solve``
-first pre-counts the linear extensions of the whole tie quotient against
-the budget (``_count_extensions``).
+general part through ``answer``.  ``_count_extensions`` counts linear
+extensions as prefixes per downset, level by level: more prefixes than
+the budget raise ``BudgetExceededError``, more than ``_LEVEL_MASK_CAP``
+downsets in one level ``LimitExceededError``.  Under ``--engine exact``,
+``tree.solve`` first pre-counts the whole tie quotient with it;
+``exact.count_extensions`` is the same call.
 """
 from __future__ import annotations
 
@@ -148,13 +151,14 @@ def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
     )
 
 
-def _count_extensions(prep: _Prep, budget: int) -> int | None:
-    """Exact linear-extension count, or None when pre-counting would need
-    more than ``_LEVEL_MASK_CAP`` prefixes in one level.  Raises
+def _count_extensions(prep: _Prep, budget: int) -> int:
+    """Exact linear-extension count, pre-counted level by level.  Raises
     ``BudgetExceededError`` as soon as any level's prefix count (a lower
     bound on the total) exceeds the budget, the last level (the count
-    itself) included, and when it gives up with more distinct prefixes
-    than the budget (each is a prefix of a distinct extension)."""
+    itself) included.  Gives up with ``LimitExceededError`` once a level
+    holds more than ``_LEVEL_MASK_CAP`` distinct prefixes, or with
+    ``BudgetExceededError`` when those already exceed the budget (each is
+    a prefix of a distinct extension)."""
     _check_budget(budget)
     level: dict[int, int] = {0: 1}
     for _ in range(prep.size):
@@ -169,7 +173,11 @@ def _count_extensions(prep: _Prep, budget: int) -> int | None:
             if len(nxt) > _LEVEL_MASK_CAP:
                 if len(nxt) > budget:
                     raise BudgetExceededError(budget, len(nxt))
-                return None
+                raise LimitExceededError(
+                    f"pre-counting the linear extensions of {prep.where()} needs "
+                    f"more than {_LEVEL_MASK_CAP} prefixes in one level; use --engine "
+                    "auto, which answers part by part, or the sampler for an estimate"
+                )
         total = sum(nxt.values())
         if total > budget:
             raise BudgetExceededError(budget, total)

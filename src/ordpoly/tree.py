@@ -43,7 +43,7 @@ from math import factorial, gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET, LimitExceededError, MalformedInputError, ShapeError
+from .errors import DEFAULT_BUDGET, MalformedInputError, ShapeError
 from .model import (  # the query constants are re-exported for the engines' callers
     MARGINAL,
     SHAPE_GENERAL,
@@ -508,15 +508,9 @@ def solve(
         else:
             values[x] = pinned[target.id]
     if engine == "exact" and query != STABLE and (unknown or query == VOLUME):
-        from .lattice import _LEVEL_MASK_CAP, _count_extensions, _prepare
+        from .lattice import _count_extensions, _prepare
 
-        whole = _prepare(prep.ties.quotient)
-        if _count_extensions(whole, budget) is None:
-            raise LimitExceededError(
-                f"pre-counting the linear extensions of {whole.where()} needs "
-                f"more than {_LEVEL_MASK_CAP} prefixes in one level; use --engine "
-                "auto, which answers part by part, or the sampler for an estimate"
-            )
+        _count_extensions(_prepare(prep.ties.quotient), budget)
     wanted: dict[int, dict] = {}
     if query == VOLUME:
         wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}

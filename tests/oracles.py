@@ -63,6 +63,7 @@ def lp_feasible(names: Sequence[str], order: Order, exact: Exact) -> bool:
 # ordered uniform points, so the class volume is the product of w^m/m!
 # and the expected value of the unknown ranked r among those m is
 # lo + (hi-lo) * r/(m+1).  Summing classes is exponential but exact.
+# With its pins placed by value, a class is one linear extension.
 
 
 def _admissible_unknown_orders(
@@ -132,17 +133,22 @@ def _pin_pin_consistent(names: Sequence[str], order: Order, exact: Exact) -> boo
     return True
 
 
-def brute_volume_and_means(
+# An unknown's place in a class: its gap (lo, hi), its rank in the gap
+# (1 = lowest) and the number of unknowns in the gap.
+Place = tuple[tuple[Fraction, Fraction], int, int]
+
+
+def brute_worlds(
     names: Sequence[str], order: Order, exact: Exact
-) -> tuple[Fraction, dict[str, Fraction]]:
-    """Exact volume and per-unknown expected values by full enumeration."""
+) -> Iterator[tuple[tuple[str, ...], Fraction, dict[str, Place]]]:
+    """Every class of worlds: its names in ascending value, pins included
+    (equal pins by name), its volume, and each unknown's gap, rank in the
+    gap and the gap's number of unknowns.  Nothing for an inconsistent set."""
     if not _pin_pin_consistent(names, order, exact):
-        return Fraction(0), {}
+        return
     gaps = _gaps(exact)
     lo, hi = _direct_bounds(names, order, exact)
-    unknowns = [n for n in names if n not in exact]
-    total = Fraction(0)
-    weighted = {u: Fraction(0) for u in unknowns}
+    pins = {p: (v, 0, p) for p, v in exact.items()}
     for perm in _admissible_unknown_orders(names, order, exact):
         for assign in _monotone_assignments(perm, gaps, lo, hi):
             counts = Counter(assign)
@@ -150,18 +156,29 @@ def brute_volume_and_means(
             for g, m in counts.items():
                 width = gaps[g][1] - gaps[g][0]
                 vol *= width**m / math.factorial(m)
-            if not vol:
-                continue
-            total += vol
             rank_in_gap: Counter[int] = Counter()
-            for u, g in zip(perm, assign):
+            places: dict[str, Place] = {}
+            keys = dict(pins)
+            for i, (u, g) in enumerate(zip(perm, assign)):
                 rank_in_gap[g] += 1
-                a, b = gaps[g]
-                mean = a + (b - a) * Fraction(rank_in_gap[g], counts[g] + 1)
-                weighted[u] += vol * mean
+                places[u] = (gaps[g], rank_in_gap[g], counts[g])
+                keys[u] = (gaps[g][0], 1, i)
+            yield tuple(sorted(keys, key=keys.get)), vol, places
+
+
+def brute_volume_and_means(
+    names: Sequence[str], order: Order, exact: Exact
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """Exact volume and per-unknown expected values by full enumeration."""
+    total = Fraction(0)
+    weighted = {u: Fraction(0) for u in names if u not in exact}
+    for _, vol, places in brute_worlds(names, order, exact):
+        total += vol
+        for u, ((a, b), rank, size) in places.items():
+            weighted[u] += vol * (a + (b - a) * Fraction(rank, size + 1))
     if not total:
         return Fraction(0), {}
-    return total, {u: weighted[u] / total for u in unknowns}
+    return total, {u: w / total for u, w in weighted.items()}
 
 
 def brute_volume(names: Sequence[str], order: Order, exact: Exact) -> Fraction:

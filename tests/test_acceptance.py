@@ -20,6 +20,7 @@ import gen
 import oracles
 from conftest import record_acceptance
 from test_cli import run_cli
+from test_tree import lattice_answers
 
 from ordpoly import (
     ConstraintSet,
@@ -32,7 +33,6 @@ from ordpoly import (
     decompose,
     estimate_expected_value,
     expected_rank,
-    extension_volumes,
     global_topk,
     interpolate_all,
     interpolate_decomposed,
@@ -77,9 +77,9 @@ def criterion(cid: str, fn, budget_s: float | None = None) -> None:
 # shared instances
 
 
-def diamond(gamma: Fraction) -> ConstraintSet:
+def diamond(gamma: Fraction) -> gen.Doc:
     """x below two parallel middles below z; one middle pinned at gamma."""
-    return ConstraintSet(
+    return (
         ["x", "y", "yp", "z"],
         [("x", "y"), ("x", "yp"), ("y", "z"), ("yp", "z"), ("x", "z")],
         {"yp": gamma},
@@ -111,16 +111,17 @@ def u_lemma() -> ConstraintSet:
 def test_c01_pinned_middle_diamond():
     def body():
         for gamma, expected in ((F(1, 2), F(1, 2)), (F(1, 4), F(5, 12))):
-            cs = diamond(gamma)
+            cs = gen.to_cs(diamond(gamma))
             assert interpolate_exact(cs, "y") == expected
             # Two admissible ascending orders; the one placing y below the
             # pin has volume g^2(1-g)/2, the other g(1-g)^2/2.
             vols = {
                 names.index("y") < names.index("yp"): vol
-                for names, vol in extension_volumes(cs)
+                for names, vol, _ in oracles.brute_worlds(*diamond(gamma))
             }
             assert vols[True] == gamma**2 * (1 - gamma) / 2
             assert vols[False] == gamma * (1 - gamma) ** 2 / 2
+            assert volume_exact(cs) == vols[True] + vols[False]
             doc = {
                 "variables": ["x", "y", "yp", "z"],
                 "order": [["x", "y"], ["x", "yp"], ["y", "z"], ["yp", "z"], ["x", "z"]],
@@ -225,18 +226,18 @@ def test_c06_cross_engine_on_random_trees():
         for _ in range(200):
             cs = gen.to_cs(gen.tree_doc(rng, rng.randint(1, 8)))
             t = as_tree(cs)
-            assert volume_tree(t) == volume_exact(cs)
-            whole = interpolate_all(cs)
             unknowns = t.unknown_nodes()
+            probe = rng.choice(unknowns)
+            volume, whole, marginals = lattice_answers(cs, [probe.name])
+            assert volume_tree(t) == volume
             for u in unknowns:
                 assert interpolate_tree(t, u) == whole[u.name]
-            probe = rng.choice(unknowns)
-            assert (
-                marginal_tree(t, probe).canonical()
-                == marginal_exact(cs, probe.name).canonical()
-            )
+            assert marginal_tree(t, probe).canonical() == marginals[probe.name]
             trees += 1
-        return f"{trees} random trees: volumes, all expected values, and one marginal each agree exactly"
+        return (
+            f"{trees} random trees: volumes, all expected values, and one marginal "
+            "each agree exactly with the downset lattice"
+        )
 
     criterion("06", body, budget_s=60.0)
 

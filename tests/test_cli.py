@@ -1029,7 +1029,7 @@ class TestTreeEngineDispatch:
     )
     def test_budget_hint_names_only_remedies_that_apply(self, tmp_path, engine, remedy):
         # a general part and two totally ordered ones: the lattice's guard
-        # fires under auto, the enumerator's under exact
+        # fires under auto, the extension pre-count's under exact
         doc = _cli_doc(gen.mixed_doc(random.Random(0), 5, 2))
         assert self._general_unknowns(doc)
         path = write_doc(tmp_path, "mixed.json", doc)
@@ -1074,7 +1074,7 @@ def _loaded_after(argv, modules):
 
 def test_lattice_answers_leave_the_enumerator_unloaded(tmp_path):
     # --engine exact and a general part under auto answer from the lattice;
-    # the enumerator's module serves only the extension tables
+    # the exact module holds only the library's wrappers
     path = write_doc(tmp_path, "k22.json", K22)
     for argv in (["volume", path, "--engine", "exact"], ["volume", path]):
         assert _loaded_after(argv, ["ordpoly.exact", "ordpoly.lattice"]) == (

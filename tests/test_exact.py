@@ -1,4 +1,5 @@
-"""Extension enumeration engine: counts, volumes, interpolation, marginals."""
+"""Exact engine entry points: extension counts, volumes, interpolation,
+marginals and their budget guard, against the brute-force oracles."""
 import math
 import random
 from fractions import Fraction
@@ -14,10 +15,8 @@ from ordpoly import (
     ConstraintSet,
     LimitExceededError,
     count_extensions,
-    enumerate_extensions,
     expected_rank,
     expected_val_frag,
-    extension_volumes,
     global_topk,
     interpolate_all,
     interpolate_exact,
@@ -28,7 +27,7 @@ from ordpoly import (
     volume_exact,
     volume_frag,
 )
-from ordpoly import exact, lattice
+from ordpoly import lattice
 from ordpoly.model import Prepared
 from ordpoly.tree import MARGINAL, VALUES, VOLUME, solve
 
@@ -60,31 +59,11 @@ class TestFragments:
 
 
 class TestEnumeration:
-    def test_diamond_has_two_extensions(self):
-        cs = diamond(F(1, 2))
-        exts = list(enumerate_extensions(cs))
-        assert len(exts) == 2
-        middles = {
-            tuple(
-                v.name
-                for v in e.order
-                if v.name in ("y", "yp")
-            )
-            for e in exts
-        }
-        assert middles == {("y", "yp"), ("yp", "y")}
-
-    def test_extension_respects_edges_and_pin_order(self):
+    def test_count_matches_brute_worlds_on_pinned_sets(self):
         rng = random.Random(5)
-        for _ in range(20):
-            doc = gen.mixed_doc(rng, rng.randint(1, 5), rng.randint(0, 2))
-            cs = gen.to_cs(doc)
-            closed = None
-            for ext in enumerate_extensions(cs):
-                pos = {v.name: i for i, v in enumerate(ext.order)}
-                for a, b in doc[1]:
-                    assert pos[a] <= pos[b]
-                assert list(ext.exact_values) == sorted(ext.exact_values)
+        for _ in range(30):
+            doc = gen.mixed_doc(rng, rng.randint(1, 5), rng.randint(1, 3))
+            assert count_extensions(gen.to_cs(doc)) == len(list(oracles.brute_worlds(*doc)))
 
     def test_antichain_count_is_factorial(self):
         for n in range(1, 7):
@@ -105,14 +84,6 @@ class TestVolume:
         for g in (F(1, 2), F(1, 4), F(2, 7)):
             want = g**2 * (1 - g) / 2 + g * (1 - g) ** 2 / 2
             assert volume_exact(diamond(g)) == want
-
-    def test_extension_volumes_sum_and_positivity(self):
-        rng = random.Random(21)
-        for _ in range(20):
-            cs = gen.to_cs(gen.mixed_doc(rng, rng.randint(1, 5), rng.randint(0, 2)))
-            table = list(extension_volumes(cs))
-            assert all(v > 0 for _, v in table)
-            assert sum(v for _, v in table) == volume_exact(cs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -207,107 +178,48 @@ class TestBudget:
         assert err.budget == 1000
         assert err.lower_bound > 1000
 
-    def test_enumeration_guard_fires_eagerly(self):
-        cs = ConstraintSet([f"v{i}" for i in range(10)], [], {})
-        with pytest.raises(BudgetExceededError):
-            enumerate_extensions(cs, budget=1000)
-
     def test_within_budget_succeeds(self):
         cs = ConstraintSet([f"v{i}" for i in range(5)], [], {})
         assert count_extensions(cs, budget=120) == 120
 
-    def test_counting_branch_when_precount_gives_up(self, monkeypatch):
+    def test_precount_gives_up_with_the_budget_already_exceeded(self, monkeypatch):
         # With the per-level cap at 1 the pre-count gives up at once.  The
-        # extension tables and count_extensions then count extensions as
-        # the walk produces them; volume_exact and interpolate_all refuse
-        # the set by name without walking.
+        # 6-antichain's first level holds 6 distinct prefixes: over a
+        # budget of 5 that is proof enough of a budget error; at 719 and
+        # 720 every guarded call refuses the set by name.
         cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})  # 720 extensions
         calls = {
-            "count_extensions": lambda b: count_extensions(cs, b),
-            "enumerate_extensions": lambda b: list(enumerate_extensions(cs, b)),
-            "extension_volumes": lambda b: list(extension_volumes(cs, b)),
+            "count_extensions": count_extensions,
+            "volume_exact": volume_exact,
+            "interpolate_all": interpolate_all,
         }
-        capped = {
-            "volume_exact": lambda b: volume_exact(cs, b),
-            "interpolate_all": lambda b: interpolate_all(cs, b),
-        }
-        unpatched = {name: call(720) for name, call in calls.items()}
-        produced = []
-        walk = exact._walk
-
-        def counting_walk(prep):
-            for item in walk(prep):
-                produced.append(item)
-                yield item
-
-        precounts = []
-        precount = exact._count_extensions
-
-        def counting_precount(prep, budget):
-            precounts.append(budget)
-            return precount(prep, budget)
-
         monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
-        monkeypatch.setattr(exact, "_walk", counting_walk)
-        monkeypatch.setattr(exact, "_count_extensions", counting_precount)
         for name, call in calls.items():
-            produced.clear()
-            precounts.clear()
             with pytest.raises(BudgetExceededError) as exc_info:
-                call(719)
-            assert (exc_info.value.budget, exc_info.value.lower_bound) == (719, 720), name
-            assert len(produced) == 720, name
-            assert precounts == [719], name
-            precounts.clear()
-            assert call(720) == unpatched[name], name
-            assert precounts == [720], name
-        produced.clear()
-        for name, call in capped.items():
+                call(cs, 5)
+            assert (exc_info.value.budget, exc_info.value.lower_bound) == (5, 6), name
             for budget in (719, 720):
                 with pytest.raises(LimitExceededError) as exc_info:
-                    call(budget)
+                    call(cs, budget)
                 message = str(exc_info.value)
                 assert "the set containing 'v0'" in message, name
                 assert "more than 1 prefixes" in message, name
-        assert produced == []
-
-    def test_precount_gives_up_with_the_budget_already_exceeded(self, monkeypatch):
-        # The 6-antichain's first level holds 6 distinct prefixes, over a
-        # budget of 5: the pre-count gives up with proof in hand, so every
-        # guarded call refuses the set without walking.
-        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})
-        calls = {
-            "count_extensions": lambda: count_extensions(cs, 5),
-            "enumerate_extensions": lambda: enumerate_extensions(cs, 5),
-            "extension_volumes": lambda: extension_volumes(cs, 5),
-            "volume_exact": lambda: volume_exact(cs, 5),
-            "interpolate_all": lambda: interpolate_all(cs, 5),
-        }
-
-        def no_walk(prep):
-            raise AssertionError("the walk must not run")
-
-        monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
-        monkeypatch.setattr(exact, "_walk", no_walk)
-        for name, call in calls.items():
-            with pytest.raises(BudgetExceededError) as exc_info:
-                call()
-            assert (exc_info.value.budget, exc_info.value.lower_bound) == (5, 6), name
 
     def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
         # u and global top-k walk the downset lattice: on the 6-antichain
         # its widest level holds C(6, 3) = 20 downsets, so budget 19 is
         # refused (with the sampler hint) and budget 20 answers as the
-        # enumerator does over all 720 extensions; a low state cap names
-        # the set instead.
-        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})
+        # oracle's 720 world classes do; a low state cap names the set
+        # instead.
+        doc = ([f"v{i}" for i in range(6)], [], {})
+        cs = gen.to_cs(doc)
         sel = ["v0", "v1", "v2"]
         sequences, ranks = {}, {}
-        for ext in enumerate_extensions(cs, 720):
-            top = tuple(v.name for v in reversed(ext.order) if v.name in sel)
-            sequences[top] = sequences.get(top, 0) + ext.volume()
+        for ascending, vol, _ in oracles.brute_worlds(*doc):
+            top = tuple(name for name in reversed(ascending) if name in sel)
+            sequences[top] = sequences.get(top, 0) + vol
             for r, name in enumerate(top, start=1):
-                ranks[name, r] = ranks.get((name, r), 0) + ext.volume()
+                ranks[name, r] = ranks.get((name, r), 0) + vol
         volume = sum(sequences.values())
         for k in (1, 2, 3):
             heads = {}
@@ -345,16 +257,11 @@ def forest() -> ConstraintSet:
     return ConstraintSet(names, order, exact_values)
 
 
-def test_exact_folds_answer_from_the_lattice_without_walking(monkeypatch):
+def test_exact_folds_answer_from_the_lattice_without_walking():
     # --engine exact answers a set with a million extensions as auto does,
-    # part by part, never entering the enumeration walk
+    # part by part
     cs = forest()
     assert count_extensions(cs) == 1_027_080
-
-    def no_walk(prep):
-        raise AssertionError("the exact folds must not enumerate")
-
-    monkeypatch.setattr(exact, "_walk", no_walk)
     prep = Prepared(cs)
     unknowns = [v.name for v in cs.unknowns()]
     assert volume_exact(cs) == solve(prep, VOLUME)

@@ -1,13 +1,13 @@
-"""Cross-engine battery: the downset lattice against extension enumeration.
+"""Cross-engine battery: the downset lattice against the brute-force
+world classes of ``oracles.brute_worlds``.
 
 Every answer is compared with ``==`` as exact fractions.  The exact
 engine's public folds (``volume_exact``, ``interpolate_all``,
 ``marginal_exact``) and top-k answer from the lattice; the reference side
-is written out here from ``enumerate_extensions`` (fragment volumes,
-``expected_val_frag`` and ``order_statistic_density``), independent of the
-library's tallies.  Enumeration refuses tied documents, so those are
-checked on their tie-free rewriting (``oracles.merge_ties``): values
-against ``oracles.brute_volume_and_means``, marginals against enumeration.
+is summed here over the oracle's classes (fragment volumes, means and
+``oracles.beta_rescaled_coeffs`` densities), independent of the
+library's tallies.  The oracle handles tie-free documents, so tied ones
+are checked on their tie-free rewriting (``oracles.merge_ties``).
 """
 import random
 from fractions import Fraction
@@ -19,12 +19,9 @@ from ordpoly import (
     PiecewisePolynomial,
     Polynomial,
     check_containment,
-    enumerate_extensions,
-    expected_val_frag,
     global_topk,
     interpolate_all,
     marginal_exact,
-    order_statistic_density,
     u_sequence_probabilities,
     volume_exact,
 )
@@ -59,34 +56,26 @@ def tie_free(doc: gen.Doc):
     return oracles.merge_ties(names, [*order, *implied], exact)
 
 
-def enumerated_answers(cs):
+def enumerated_answers(doc: gen.Doc):
     """Volume, and each unknown's expected value and marginal, summed over
-    the fragments of every extension."""
-    volume = Fraction(0)
-    means: dict = {}
+    the oracle's world classes of the tie-free ``doc``."""
+    volume, means = oracles.brute_volume_and_means(*doc)
+    breakpoints = sorted({Fraction(0), Fraction(1), *doc[2].values()})
     pieces: dict = {}
-    breakpoints = ()
-    for ext in enumerate_extensions(cs):
-        vol = ext.volume()
-        volume += vol
-        breakpoints = ext.exact_values
-        for j, frag in enumerate(ext.fragments()):
-            n = frag.q - frag.p - 1
-            for k in frag.member_ranks:
-                name = ext.order[k].name
-                mean = expected_val_frag(frag.p, frag.q, k, frag.alpha, frag.beta)
-                means[name] = means.get(name, 0) + vol * mean
-                density = order_statistic_density(k - frag.p, n, frag.alpha, frag.beta)
-                own = pieces.setdefault(name, {})
-                own[j] = own.get(j, Polynomial()) + density * vol
+    for _, vol, places in oracles.brute_worlds(*doc):
+        for name, ((a, b), rank, size) in places.items():
+            density = Polynomial.of(oracles.beta_rescaled_coeffs(rank, size, a, b))
+            own = pieces.setdefault(name, {})
+            j = breakpoints.index(a)
+            own[j] = own.get(j, Polynomial()) + density * (vol / volume)
     marginals = {
         name: PiecewisePolynomial(
-            breakpoints,
-            tuple(own.get(j, Polynomial()) * (1 / volume) for j in range(len(breakpoints) - 1)),
+            tuple(breakpoints),
+            tuple(own.get(j, Polynomial()) for j in range(len(breakpoints) - 1)),
         ).canonical()
         for name, own in pieces.items()
     }
-    return volume, {name: m / volume for name, m in means.items()}, marginals
+    return volume, means, marginals
 
 
 def test_values_and_marginals_match_enumeration():
@@ -100,28 +89,26 @@ def test_values_and_marginals_match_enumeration():
         if has_user_ties(cs):
             tied += 1
             names, order, exact, rep = tie_free(doc)
-            _, means = oracles.brute_volume_and_means(names, order, exact)
-            _, _, marginals = enumerated_answers(gen.to_cs((names, order, exact)))
+            _, means, marginals = enumerated_answers((names, order, exact))
             assert values == {x: exact.get(rep[x], means.get(rep[x])) for x in values}, doc
             for x in values:
                 if rep[x] in marginals:
                     assert marginal_exact(cs, x) == marginals[rep[x]], (doc, x)
             continue
-        volume, means, marginals = enumerated_answers(cs)
+        volume, means, marginals = enumerated_answers(doc)
         assert volume == volume_exact(cs), doc
-        assert volume == oracles.brute_volume_and_means(*doc)[0], doc
         assert values == means, doc
         for name, pw in marginals.items():
             assert marginal_exact(cs, name) == pw, (doc, name)
     assert tied >= 10
 
 
-def enumerated_topk(cs, sel):
-    """Sequence and rank volumes over every extension, descending."""
+def enumerated_topk(doc: gen.Doc, sel):
+    """Sequence and rank volumes over the oracle's world classes,
+    descending."""
     sequences, ranks = {}, {}
-    for ext in enumerate_extensions(cs):
-        vol = ext.volume()
-        top = tuple(v.name for v in reversed(ext.order) if v.name in sel)
+    for ascending, vol, _ in oracles.brute_worlds(*doc):
+        top = tuple(name for name in reversed(ascending) if name in sel)
         sequences[top] = sequences.get(top, 0) + vol
         for r, name in enumerate(top, start=1):
             ranks[name, r] = ranks.get((name, r), 0) + vol
@@ -144,7 +131,7 @@ def test_topk_matches_enumeration():
         if has_user_ties(cs):
             continue  # u and global top-k refuse persistent ties
         sel = sorted(rng.sample(names, rng.randint(1, len(names))))
-        sequences, ranks, volume = enumerated_topk(cs, sel)
+        sequences, ranks, volume = enumerated_topk((names, order, pins), sel)
         u_answers, global_answers = [], []
         for k in range(1, len(sel) + 1):
             heads = {}

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+import oracles
 from ordpoly import (
     ConstraintSet,
     MalformedInputError,
@@ -15,7 +16,6 @@ from ordpoly import (
     SamplerError,
     estimate_expected_value,
     estimate_topk,
-    extension_volumes,
     hit_and_run_sample,
     interior_point,
     interpolate_exact,
@@ -246,8 +246,9 @@ class TestExactDraws:
         rng = random.Random(211)
         draws = 4000
         for _ in range(4):
-            cs = gen.to_cs(gen.mixed_doc(rng, 4, 2, p=0.3))
-            shares = dict(extension_volumes(cs))
+            doc = gen.mixed_doc(rng, 4, 2, p=0.3)
+            cs = gen.to_cs(doc)
+            shares = {names: vol for names, vol, _ in oracles.brute_worlds(*doc)}
             total = sum(shares.values())
             drawn = sample_points(cs, SamplerConfig(seed=5), draws)
             assert drawn.sampler == sampler.EXACT

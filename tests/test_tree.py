@@ -1,4 +1,4 @@
-"""PTIME tree engine, cross-checked against the enumeration engine."""
+"""PTIME tree engine, cross-checked against the downset lattice."""
 import random
 from fractions import Fraction
 
@@ -11,19 +11,35 @@ from ordpoly import (
     ShapeError,
     as_tree,
     flip_constraints,
-    interpolate_all,
     interpolate_decomposed,
     interpolate_exact,
     interpolate_tree,
     marginal_decomposed,
-    marginal_exact,
     marginal_tree,
     subtree_volume_fns,
-    volume_exact,
     volume_tree,
 )
+from ordpoly import lattice
+from ordpoly.model import Prepared
+from ordpoly.tree import MARGINAL, VALUES, VOLUME
 
 F = Fraction
+
+
+def lattice_answers(cs: ConstraintSet, marginal_of=()):
+    """The volume, every unknown's expected value and the marginals of
+    ``marginal_of``, from ``lattice.answer`` on each decomposition part.
+    The exact wrappers would send these tree-shaped parts back to the
+    tree engine; the lattice takes any closed, tie-free part."""
+    d = Prepared(cs).decomposition
+    volume, values = F(1), {}
+    for part, cls in zip(d.parts, d.classes):
+        volume *= lattice.answer(part, VOLUME)
+        values.update(lattice.answer(part, VALUES, [v.name for v in cls]))
+    marginals = {
+        x: lattice.answer(d.parts[d.part_index[x]], MARGINAL, [x]) for x in marginal_of
+    }
+    return volume, values, marginals
 
 
 def lemma_tree(extra_pin=None) -> ConstraintSet:
@@ -104,7 +120,7 @@ class TestVolume:
         rng = random.Random(5)
         for _ in range(30):
             cs = gen.to_cs(gen.tree_doc(rng, rng.randint(1, 8)))
-            assert volume_tree(as_tree(cs)) == volume_exact(cs)
+            assert volume_tree(as_tree(cs)) == lattice_answers(cs)[0]
 
 
 class TestInterpolation:
@@ -124,7 +140,7 @@ class TestInterpolation:
         for _ in range(30):
             cs = gen.to_cs(gen.tree_doc(rng, rng.randint(1, 8)))
             t = as_tree(cs)
-            whole = interpolate_all(cs)
+            whole = lattice_answers(cs)[1]
             for u in t.unknown_nodes():
                 assert interpolate_tree(t, u) == whole[u.name]
 
@@ -155,8 +171,9 @@ class TestInterpolation:
         cs = ConstraintSet(
             ["u", "v", "s"], [("u", "s"), ("s", "v")], {"s": F(1, 2)}
         )
-        assert interpolate_decomposed(cs, "u") == interpolate_exact(cs, "u")
-        assert interpolate_decomposed(cs, "v") == interpolate_exact(cs, "v")
+        whole = lattice_answers(cs)[1]
+        assert interpolate_decomposed(cs, "u") == whole["u"]
+        assert interpolate_decomposed(cs, "v") == whole["v"]
 
 
 class TestMarginal:
@@ -168,20 +185,17 @@ class TestMarginal:
     def test_matches_enumeration_engine(self):
         cs = lemma_tree()
         t = as_tree(cs)
-        for u in t.unknown_nodes():
-            assert (
-                marginal_tree(t, u).canonical()
-                == marginal_exact(cs, u.name).canonical()
-            )
+        unknowns = t.unknown_nodes()
+        _, _, marginals = lattice_answers(cs, [u.name for u in unknowns])
+        for u in unknowns:
+            assert marginal_tree(t, u).canonical() == marginals[u.name]
 
     def test_decomposed_dispatch(self):
         cs = ConstraintSet(
             ["u", "v", "s"], [("u", "s"), ("s", "v")], {"s": F(1, 2)}
         )
-        assert (
-            marginal_decomposed(cs, "u").canonical()
-            == marginal_exact(cs, "u").canonical()
-        )
+        _, _, marginals = lattice_answers(cs, ["u"])
+        assert marginal_decomposed(cs, "u").canonical() == marginals["u"]
 
     def test_mirrored_parts_match_enumeration(self):
         # Trees and their mirror images (reverse-tree parts are solved on
@@ -195,13 +209,11 @@ class TestMarginal:
             cs = gen.to_cs((names, order, exact))
             if k % 2:
                 cs = flip_constraints(cs)
-            whole = interpolate_all(cs)
-            for u in cs.unknowns():
-                assert interpolate_decomposed(cs, u.name) == whole[u.name]
-                assert (
-                    marginal_decomposed(cs, u.name).canonical()
-                    == marginal_exact(cs, u.name).canonical()
-                )
+            names = [u.name for u in cs.unknowns()]
+            _, whole, marginals = lattice_answers(cs, names)
+            for name in names:
+                assert interpolate_decomposed(cs, name) == whole[name]
+                assert marginal_decomposed(cs, name).canonical() == marginals[name]
 
     def test_breakpoints_are_pin_values(self):
         t = as_tree(lemma_tree())
