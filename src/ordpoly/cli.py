@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     _check_budget,
 )
-from .model import ConstraintSet, Prepared, check_consistency, polytope_dimension
+from .model import ConstraintSet, Prepared, polytope_dimension
 from .poly import PiecewisePolynomial
 
 # The engines (ordpoly.exact, ordpoly.tree, ordpoly.topk, and ordpoly.sampler
@@ -88,7 +88,7 @@ def _marginal_json(pw: PiecewisePolynomial) -> dict:
 
 
 def _cmd_check(prep: Prepared, args) -> tuple[dict, int]:
-    report = check_consistency(prep.closed)
+    report = prep.consistency
     if report.ok:
         return {"consistent": True}, 0
     return (
@@ -400,7 +400,7 @@ def run(argv: Sequence[str]) -> int:
                 # read pinned values directly cannot answer for an empty
                 # polytope.  `check` is exempt: reporting inconsistency is its
                 # result.
-                report = check_consistency(prep.closed)
+                report = prep.consistency
                 if not report.ok:
                     raise ContradictionError(
                         report.message, tuple(v.name for v in report.witness)

@@ -27,7 +27,9 @@ et al., IJCAI 2016).
 * Walking the forward table back from (full, 0), each step choosing a
   predecessor state with probability F times the transition weight over
   F here, draws a linear extension with probability its volume over the
-  total (``ExtensionDraw``, the sampler's exact path).
+  total.  ``ExtensionDraw`` gives each state's predecessors as integer
+  thresholds, which the sampler's exact path compiles, for the states its
+  draws reach, into arrays that walk many points at once.
 
 Weights are integers.  With L the common denominator of the interval
 widths (w_j = c_j / L), N the number of unknowns and s the unknowns in
@@ -52,7 +54,6 @@ downsets in one level ``LimitExceededError``.  Under ``--engine exact``,
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -438,9 +439,13 @@ class ExtensionDraw:
     predecessor state with probability F(pred) times the transition factor
     of ``_levels`` over F(here): 1 for placing an unknown, w_j^k / k! (in
     the table's scale, ``scale[j-1]**k * comb(closing, k)``) for placing
-    pin j.  A state's cumulative predecessor weights are computed on its
-    first visit and kept.  The picks stay in integers: scaled weights
-    outgrow the float range on large sets.
+    pin j.  ``ways`` gives a state's predecessors as integer thresholds
+    over picks uniform in [0, 2^53): a caller draws by comparing picks
+    with thresholds, and may compile the states its draws reach into
+    arrays that walk many draws at once (the sampler does, in numpy).  The
+    thresholds are computed from the integer weights, which outgrow the
+    float range on large sets, and select exactly the predecessor that
+    bisecting the cumulative weights would.
     """
 
     def __init__(self, prep: _Prep, cap: int):
@@ -454,33 +459,46 @@ class ExtensionDraw:
             )
         self.moves = moves
         self.levels = list(_levels(prep, DEFAULT_BUDGET))
-        self._moves: dict[tuple[int, int], tuple[list[int], list[tuple]]] = {}
 
-    def _predecessors(self, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:
-        """Cumulative weights and (state, variable, its pin index or None)
-        of each way into the state (``placed``, ``k``) of level ``t``."""
+    def ways(
+        self, t: int, placed: int, k: int
+    ) -> tuple[list[int], list[tuple[int, int]], list[int], list[int]]:
+        """The ways into the state (``placed``, ``k``) of level ``t``,
+        ordered by variable, then by the predecessor's place in the forward
+        table, as four lists: per way its threshold, the predecessor state,
+        the variable placed and its pin index (-1: an unknown).
+
+        A pick p, uniform in [0, 2^53), takes the way numbered
+        #{i : threshold_i <= p}.  With cum_i the cumulative weights of the
+        ways and threshold_i = ceil(cum_i 2^53 / total), that is
+        bisect_right(cum, (total p) >> 53), so each way is taken with
+        probability its weight over the total up to a rounding of 2^-53.
+        The last threshold is 2^53, which no pick reaches."""
         prep = self.prep
-        child_bits, pin_index = prep.child_bits, prep.exact_index
         below = self.levels[t - 1]
         cum: list[int] = []
-        moves: list[tuple] = []
+        preds: list[tuple[int, int]] = []
+        variables: list[int] = []
+        pins: list[int] = []
         total = 0
         rest = placed
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if child_bits[v] & placed:  # not maximal: the rest is no downset
+            if prep.child_bits[v] & placed:  # not maximal: the rest is no downset
                 continue
             before = placed ^ low
             row = below[before]
-            j = pin_index.get(v)
-            if j is None:
+            j = prep.exact_index.get(v, -1)
+            if j < 0:
                 f = row.get((k - 1, ())) if k else None
                 if f:
                     total += f
                     cum.append(total)
-                    moves.append(((before, k - 1), v, None))
+                    preds.append((before, k - 1))
+                    variables.append(v)
+                    pins.append(j)
             elif not k:
                 closing = (before & prep.unknowns).bit_count()
                 for (open_, _), f in row.items():
@@ -488,30 +506,7 @@ class ExtensionDraw:
                         f *= prep.scale[j - 1] ** open_ * comb(closing, open_)
                     total += f
                     cum.append(total)
-                    moves.append(((before, open_), v, j))
-        return cum, moves
-
-    def fragments(self, picks: Sequence[int]) -> list[tuple[int, list[int]]]:
-        """The extension that ``picks`` (one uniform integer in [0, 2^53)
-        per level) choose, as (interval j, the unknowns placed between
-        pins j and j + 1, bottom up) for every nonempty fragment."""
-        prep, moves_of = self.prep, self._moves
-        out: list[tuple[int, list[int]]] = []
-        frag: list[int] = []
-        state = (prep.full, 0)
-        for t in range(prep.size, 0, -1):
-            moves = moves_of.get(state)
-            if moves is None:
-                moves = moves_of[state] = self._predecessors(t, *state)
-            cum, steps = moves
-            if len(steps) > 1:
-                state, v, j = steps[bisect_right(cum, (cum[-1] * picks[t - 1]) >> 53)]
-            else:
-                state, v, j = steps[0]
-            if j is None:
-                frag.append(v)
-            elif frag:
-                frag.reverse()
-                out.append((j, frag))
-                frag = []
-        return out
+                    preds.append((before, open_))
+                    variables.append(v)
+                    pins.append(j)
+        return [((c << 53) + total - 1) // total for c in cum], preds, variables, pins

@@ -402,30 +402,43 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """Decide whether the admissible polytope is non-empty.
 
     The polytope is empty exactly when some pinned variable reaches a
-    strictly smaller pinned value through the closed order.  The witness is
-    the shortest such chain over the direct (pre-closure) edges.
+    strictly smaller pinned value through the closed order.  Each pin is
+    tested against the mask of the strictly smaller pins, one integer AND
+    apiece.  The first failing pin i in (-value, name) order and the
+    smallest-valued j it reaches (later names first among equal values)
+    name the contradiction; the witness is the shortest chain from i to j
+    over the direct (pre-closure) edges.
     """
     closed = close_under_implication(cs)
     succ = closed._succ
     pinned = sorted(
         closed.exact_values.items(), key=lambda kv: (-kv[1], closed.variables[kv[0]].name)
     )
-    for i, vi in pinned:
-        for j, vj in reversed(pinned):
-            if vj >= vi:
-                break
-            if succ[i] >> j & 1:
-                chain = _witness_chain(closed, i, j)
-                names = " <= ".join(v.name for v in chain)
-                return ConsistencyReport(
-                    ok=False,
-                    witness=chain,
-                    message=(
-                        f"chain {names} forces {vi} <= {vj}, but "
-                        f"{closed.variables[i].name} = {vi} and "
-                        f"{closed.variables[j].name} = {vj}"
-                    ),
-                )
+    # the mask of the pins of strictly smaller value, per pin of ``pinned``
+    below: list[int] = []
+    smaller = equal = 0
+    last = None
+    for i, value in reversed(pinned):
+        if value != last:
+            smaller, equal, last = smaller | equal, 0, value
+        equal |= 1 << i
+        below.append(smaller)
+    for (i, vi), mask in zip(pinned, reversed(below)):
+        hit = succ[i] & mask
+        if not hit:
+            continue
+        j, vj = next((j, vj) for j, vj in reversed(pinned) if hit >> j & 1)
+        chain = _witness_chain(closed, i, j)
+        names = " <= ".join(v.name for v in chain)
+        return ConsistencyReport(
+            ok=False,
+            witness=chain,
+            message=(
+                f"chain {names} forces {vi} <= {vj}, but "
+                f"{closed.variables[i].name} = {vi} and "
+                f"{closed.variables[j].name} = {vj}"
+            ),
+        )
     return ConsistencyReport(ok=True)
 
 
@@ -465,13 +478,14 @@ class TieQuotient:
         return self.class_of[source.resolve(x).id]
 
 
-def collapse_ties(cs: ConstraintSet) -> TieQuotient:
+def collapse_ties(cs: ConstraintSet, report: ConsistencyReport | None = None) -> TieQuotient:
     """Merge every persistent-tie class into a single variable.
 
     The quotient is closed, tie-free, and carries the class's unique exact
     value when one exists.  Interpolating a variable in the original set
     equals interpolating its class in the quotient (equal-value worlds
-    differ on a measure-zero set only).  Inconsistent input is rejected.
+    differ on a measure-zero set only).  Inconsistent input is rejected,
+    by ``report`` (the set's consistency report) when the caller has it.
     """
     closed = close_under_implication(cs)
     if not closed.has_persistent_tie():
@@ -482,7 +496,8 @@ def collapse_ties(cs: ConstraintSet) -> TieQuotient:
         identity = {v.id: v for v in closed.variables}
         singletons = {v.id: (v,) for v in closed.variables}
         return TieQuotient(closed, MappingProxyType(identity), MappingProxyType(singletons))
-    report = check_consistency(closed)
+    if report is None:
+        report = check_consistency(closed)
     if not report.ok:
         raise ContradictionError(report.message, tuple(v.name for v in report.witness))
     # Tied variables reach each other, so a tie class is the set of
@@ -679,16 +694,23 @@ def _restrict(quotient: ConstraintSet, ids: list[int]) -> ConstraintSet:
 class Prepared:
     """One request's pipeline, each stage run at most once: the input is
     closed on construction, its tie quotient and its parts (with skeletons)
-    are built on first use, and engines read them from here.  Checking
-    consistency is the caller's step; collapsing rejects a contradiction."""
+    are built on first use, and engines read them from here.  Gating on
+    ``consistency`` is the caller's step; collapsing rejects a
+    contradiction with the same report."""
 
     def __init__(self, cs: ConstraintSet):
         self.source = cs
         self.closed = close_under_implication(cs)
 
     @cached_property
+    def consistency(self) -> ConsistencyReport:
+        return check_consistency(self.closed)
+
+    @cached_property
     def ties(self) -> TieQuotient:
-        return collapse_ties(self.closed)
+        # a tie-free set collapses to itself without the check
+        report = self.consistency if self.closed.has_persistent_tie() else None
+        return collapse_ties(self.closed, report)
 
     @cached_property
     def decomposition(self) -> UninfluenceDecomposition:

@@ -10,10 +10,14 @@ Ties collapse before sampling (tied variables share one coordinate),
 pinned variables are constants, and the decomposition parts are
 independent given the pins, so each part is drawn on its own.  When the
 forward tables of all parts' downset lattices hold at most
-``EXACT_MOVE_CAP`` moves together, draws are exact and independent: a part draws a linear
-extension with probability its volume over the total, walking its
-forward table back (``lattice.ExtensionDraw``), then places each
-fragment's unknowns at sorted uniforms on the fragment's pinned interval.
+``EXACT_MOVE_CAP`` moves together, draws are exact and independent: a
+part draws a linear extension with probability its volume over the
+total, walking its forward table back, then places each fragment's
+unknowns at sorted uniforms on the fragment's pinned interval.  The walk
+runs in numpy for a chunk of points at once: one comparison of picks with
+integer thresholds per level, then one sort per row that orders every
+fragment's uniforms.  A state's thresholds (``lattice.ExtensionDraw.ways``)
+are compiled into the part's arrays when a draw first reaches it.
 
 Beyond the bound, points come from hit-and-run, which is almost uniform
 and correlated, so the count above holds only up to the walk's mixing,
@@ -80,6 +84,8 @@ _RETRY_ROW_PAD = 128
 EXACT_MOVE_CAP = 100_000
 # Exact draws generate their random numbers this many points at a time.
 _EXACT_CHUNK_ROWS = 1024
+# Exact draws pick an integer in [0, _PICK_END) at each level.
+_PICK_END = 1 << 53
 EXACT = "exact"
 HIT_AND_RUN = "hit-and-run"
 
@@ -293,35 +299,109 @@ def interior_point(cs: ConstraintSet) -> SamplePoint:
 
 
 class _PartDraw:
-    """Exact draws of one decomposition part's unknowns: a linear extension
-    from its lattice, then each fragment's unknowns, in placement order,
-    at the sorted values of as many uniforms on the fragment's interval."""
+    """Exact draws of one decomposition part's unknowns, for all points of
+    a chunk at once: a linear extension, walking the forward table back
+    with the thresholds of ``ExtensionDraw.ways``, then each fragment's
+    unknowns, in placement order, at the sorted values of as many uniforms
+    on the fragment's interval.
+
+    A state's ways are compiled when a draw first reaches it (``done``),
+    into one padded row of ``table`` indexed by the state's number, states
+    numbered as they are first seen, (full, 0) first.  Per way, the table
+    holds four entries on its first axis: the threshold, the predecessor's
+    number, the variable placed and its pin index (-1: an unknown).  The
+    padding holds the threshold 2^53, which no pick reaches."""
 
     def __init__(self, ext: ExtensionDraw, column: dict[str, int]):
         prep = ext.prep
         names = prep.quotient.variables
         self.ext = ext
         self.size = prep.size
-        self.slot = {v: i for i, v in enumerate(prep.unknown_ids)}
-        self.columns = [column[names[v].name] for v in prep.unknown_ids]
-        self.lo = [float(x) for x in prep.values]
-        self.width = [float(w) for w in prep.widths]
+        self.unknowns = len(prep.unknown_ids)
+        # the quotient column of each of the part's variables (-1: a pin)
+        self.column = np.full(prep.size, -1, dtype=np.intp)
+        for v in prep.unknown_ids:
+            self.column[v] = column[names[v].name]
+        self.lo = np.array([float(x) for x in prep.values])
+        self.width = np.array([float(w) for w in prep.widths])
+        self.states = [(prep.full, 0)]
+        self.number = {(prep.full, 0): 0}
+        # the most ways into a compiled state, per level
+        self.wide = [0] * (prep.size + 1)
+        self.done = np.zeros(1, dtype=bool)
+        self.table = np.zeros((4, 1, 1), dtype=np.int64)
+        self.table[0] = _PICK_END
+
+    def _compile(self, t: int, numbers: list[int]) -> None:
+        """Compile the rows of the states ``numbers`` of level ``t``."""
+        states, number = self.states, self.number
+        found = [self.ext.ways(t, *states[n]) for n in numbers]
+        thr: list[int] = []
+        nxt: list[int] = []
+        var: list[int] = []
+        pin: list[int] = []
+        for thresholds, preds, variables, pins in found:
+            for state in preds:
+                m = number.get(state)
+                if m is None:
+                    m = number[state] = len(states)
+                    states.append(state)
+                nxt.append(m)
+            thr += thresholds
+            var += variables
+            pin += pins
+        wide = max(len(preds) for _, preds, _, _ in found)
+        self.wide[t] = max(self.wide[t], wide)
+        _, rows, width = self.table.shape
+        if len(states) > rows or wide > width:
+            width = max(wide, width)
+            table = np.zeros((4, max(len(states), 2 * rows), width), dtype=np.int64)
+            table[0] = _PICK_END
+            table[:, :rows, : self.table.shape[2]] = self.table
+            self.table = table
+            self.done = np.concatenate([self.done, np.zeros(table.shape[1] - rows, dtype=bool)])
+        at: list[int] = []
+        for n, (_, preds, _, _) in zip(numbers, found):
+            at += range(n * width, n * width + len(preds))
+        self.table.reshape(4, -1)[:, at] = [thr, nxt, var, pin]
+        self.done[numbers] = True
 
     def fill(self, rows: np.ndarray, rng: np.random.Generator) -> None:
         """Draw this part's columns of ``rows``."""
-        count, n = rows.shape[0], len(self.columns)
-        picks = rng.integers(0, 1 << 53, size=(count, self.size), dtype=np.int64).tolist()
-        unifs = rng.random((count, n)).tolist()
-        slot, lo, width = self.slot, self.lo, self.width
-        out = [[0.0] * n for _ in range(count)]
-        for r in range(count):
-            vals, u, at = out[r], unifs[r], 0
-            for j, frag in self.ext.fragments(picks[r]):
-                a, w = lo[j], width[j]
-                for v, x in zip(frag, sorted(u[at : at + len(frag)])):
-                    vals[slot[v]] = a + x * w
-                at += len(frag)
-        rows[:, self.columns] = out
+        count, n = rows.shape[0], self.unknowns
+        picks = rng.integers(0, _PICK_END, size=(count, self.size), dtype=np.int64)
+        unifs = rng.random((count, n))
+        # the walk, from level size down to 1: the variable placed at each
+        # level and its pin index
+        var = np.empty((count, self.size), dtype=np.int64)
+        pin = np.empty((count, self.size), dtype=np.int64)
+        state = np.zeros(count, dtype=np.int64)
+        for t in range(self.size, 0, -1):
+            reached = self.done.take(state)
+            if not reached.all():
+                self._compile(t, sorted(set(state[~reached].tolist())))
+            table = self.table
+            at = state * table.shape[2]
+            wide = self.wide[t]
+            if wide > 1:
+                # the first way whose threshold is above the pick
+                above = table[0].take(state, axis=0)[:, :wide] > picks[:, t - 1, None]
+                at += above.argmax(axis=1)
+            var[:, t - 1] = table[2].take(at)
+            pin[:, t - 1] = table[3].take(at)
+            state = table[1].take(at)
+        # in placement order, each unknown and the interval above the last
+        # pin placed before it
+        unknown = pin < 0
+        interval = np.maximum.accumulate(pin, axis=1)[unknown].reshape(count, n)
+        columns = self.column[var[unknown].reshape(count, n)]
+        # a fragment takes the next uniforms of the row as the walk meets
+        # it, from the top interval down, and gives them out in descending
+        # order: sort each row by (interval from the top, descending uniform)
+        rank = len(self.width) - 1 - interval[:, ::-1]
+        order = np.lexsort((-unifs, rank), axis=1)
+        x = np.take_along_axis(unifs, order, axis=1)[:, ::-1]
+        rows[np.arange(count)[:, None], columns] = self.lo[interval] + x * self.width[interval]
 
 
 def _point_walk(cs: ConstraintSet, count: int) -> _Walk:

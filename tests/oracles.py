@@ -5,10 +5,14 @@ package: candidate orders are filtered one permutation at a time,
 volumes come from summing closed-form products over explicit gap
 assignments, feasibility goes through scipy's LP solver, and means come
 from plain rejection sampling in the unit cube.  Slow, small, and
-obviously correct — which is the point.
+obviously correct — which is the point.  The one exception is the
+exact-draw reference at the end: it builds the package's forward tables
+and walks them back one point at a time with Python integers, the
+reference for the sampler's batched walk.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -313,3 +317,90 @@ def merge_ties(
         {(rep[a], rep[b]) for a, b in order if rep[a] != rep[b]}
     )
     return new_names, new_order, new_exact, rep
+
+
+# ---------------------------------------------------------------------------
+# exact draws one point at a time (for checking the sampler's batched walk)
+
+
+def _ways_in(ext, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:
+    """Cumulative weights and (state, variable, pin index or None) of each
+    way into the state (``placed``, ``k``) of level ``t`` of ``ext``'s
+    forward table."""
+    prep = ext.prep
+    below = ext.levels[t - 1]
+    cum: list[int] = []
+    ways: list[tuple] = []
+    for v in range(prep.size):
+        low = 1 << v
+        if not placed & low or prep.child_bits[v] & placed:
+            continue  # v is not a maximal variable of the downset
+        before = placed ^ low
+        row = below[before]
+        j = prep.exact_index.get(v)
+        if j is None:
+            f = row.get((k - 1, ())) if k else None
+            if f:
+                cum.append((cum[-1] if cum else 0) + f)
+                ways.append(((before, k - 1), v, None))
+        elif not k:
+            closing = (before & prep.unknowns).bit_count()
+            for (open_, _), f in row.items():
+                if open_:
+                    f *= prep.scale[j - 1] ** open_ * math.comb(closing, open_)
+                cum.append((cum[-1] if cum else 0) + f)
+                ways.append(((before, open_), v, j))
+    return cum, ways
+
+
+def _fragments(ext, picks: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """The extension that ``picks`` (one integer in [0, 2^53) per level)
+    choose by bisecting each state's cumulative weights, as (interval j,
+    the unknowns placed between pins j and j + 1, bottom up) for every
+    nonempty fragment, from the top down."""
+    out: list[tuple[int, list[int]]] = []
+    frag: list[int] = []
+    state = (ext.prep.full, 0)
+    for t in range(ext.prep.size, 0, -1):
+        cum, ways = _ways_in(ext, t, *state)
+        state, v, j = ways[bisect.bisect_right(cum, (cum[-1] * picks[t - 1]) >> 53)]
+        if j is None:
+            frag.append(v)
+        elif frag:
+            out.append((j, frag[::-1]))
+            frag = []
+    return out
+
+
+def per_point_draw(walk, count: int, seed: int, chunk_rows: int) -> np.ndarray:
+    """The sampler's exact draws of ``walk`` (whose parts all draw
+    exactly), one point at a time in Python integers, from forward tables
+    of its own.  Per chunk of ``chunk_rows`` points and part, the random
+    numbers are the sampler's: one pick in [0, 2^53) per level, then one
+    uniform per unknown.  Each fragment, from the top down, takes the
+    row's next uniforms and places its unknowns, bottom up, at their
+    sorted values on its interval."""
+    from ordpoly.lattice import ExtensionDraw, _prepare
+    from ordpoly.sampler import EXACT_MOVE_CAP
+
+    column = {walk.quotient.variables[q].name: c for q, c in walk.column.items()}
+    exts = [
+        ExtensionDraw(_prepare(part), EXACT_MOVE_CAP)
+        for part in walk.prepared.decomposition.parts
+    ]
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, walk.dimension))
+    for start in range(0, count, chunk_rows):
+        rows = out[start : start + chunk_rows]
+        for ext in exts:
+            prep = ext.prep
+            picks = rng.integers(0, 1 << 53, size=(len(rows), prep.size), dtype=np.int64)
+            unifs = rng.random((len(rows), len(prep.unknown_ids)))
+            for row, pick, u in zip(rows, picks.tolist(), unifs.tolist()):
+                at = 0
+                for j, frag in _fragments(ext, pick):
+                    lo, width = float(prep.values[j]), float(prep.widths[j])
+                    for v, x in zip(frag, sorted(u[at : at + len(frag)])):
+                        row[column[prep.quotient.variables[v].name]] = lo + x * width
+                    at += len(frag)
+    return out

@@ -26,8 +26,13 @@ from ordpoly import (
     part_skeleton,
     polytope_dimension,
 )
-from ordpoly import fileio
-from ordpoly.model import _reachability, _strong_components
+from ordpoly import fileio, model
+from ordpoly.model import (
+    ConsistencyReport,
+    _reachability,
+    _strong_components,
+    _witness_chain,
+)
 
 F = Fraction
 
@@ -214,6 +219,91 @@ class TestConsistency:
                 order = list(order) + [(b, a)]
         cs = ConstraintSet(names, order, exact)
         assert check_consistency(cs).ok == oracles.lp_feasible(names, order, exact)
+
+
+def _pairwise_consistency(cs: ConstraintSet) -> ConsistencyReport:
+    """The reference scan: every pin, in (-value, name) order, against
+    every strictly smaller pin in reverse order, the first reached pair
+    naming the contradiction."""
+    closed = close_under_implication(cs)
+    succ = closed._succ
+    pinned = sorted(
+        closed.exact_values.items(), key=lambda kv: (-kv[1], closed.variables[kv[0]].name)
+    )
+    for i, vi in pinned:
+        for j, vj in reversed(pinned):
+            if vj >= vi:
+                break
+            if succ[i] >> j & 1:
+                chain = _witness_chain(closed, i, j)
+                names = " <= ".join(v.name for v in chain)
+                return ConsistencyReport(
+                    ok=False,
+                    witness=chain,
+                    message=(
+                        f"chain {names} forces {vi} <= {vj}, but "
+                        f"{closed.variables[i].name} = {vi} and "
+                        f"{closed.variables[j].name} = {vj}"
+                    ),
+                )
+    return ConsistencyReport(ok=True)
+
+
+def _violations(cs: ConstraintSet) -> int:
+    """The pairs of pins whose order contradicts their values."""
+    closed = close_under_implication(cs)
+    pins = closed.exact_values
+    return sum(
+        1 for i in pins for j in pins if pins[j] < pins[i] and closed._succ[i] >> j & 1
+    )
+
+
+class TestConsistencyWitness:
+    """The mask test names the same pair, witness and message as the
+    pairwise scan, on sets made contradictory with reversed edges, equal
+    pins and pins at 0 and 1."""
+
+    def _doc(self, rng: random.Random):
+        names, order, exact = gen.mixed_doc(rng, rng.randint(0, 6), rng.randint(2, 7))
+        pins = sorted(exact)
+        for p in pins:
+            roll = rng.random()
+            if roll < 0.15:
+                exact[p] = F(0)
+            elif roll < 0.3:
+                exact[p] = F(1)
+            elif roll < 0.5:
+                exact[p] = exact[rng.choice(pins)]
+        order = list(order)
+        for _ in range(rng.randint(1, 4)):
+            order.append(tuple(rng.sample(names, 2)))
+        return names, order, exact
+
+    def test_agrees_with_the_pairwise_scan(self):
+        rng = random.Random(307)
+        several = 0
+        failing = 0
+        for _ in range(400):
+            cs = gen.to_cs(self._doc(rng))
+            want = _pairwise_consistency(cs)
+            assert check_consistency(cs) == want
+            failing += not want.ok
+            several += _violations(cs) > 1
+        assert failing > 150 and several > 100
+
+    def test_prepared_reuses_its_report(self, monkeypatch):
+        # the request's gate and the tie collapse share one check
+        cs = ConstraintSet(["p", "u", "v"], [("p", "u"), ("u", "v")], {"p": F(0)})
+        calls = []
+        check = model.check_consistency
+        monkeypatch.setattr(model, "check_consistency", lambda c: calls.append(c) or check(c))
+        prep = model.Prepared(cs)
+        assert prep.consistency.ok and not prep.ties.quotient.has_persistent_tie()
+        assert len(calls) == 1
+        # a tie-free set collapses to itself, unchecked
+        free = model.Prepared(ConstraintSet(["u", "v"], [("u", "v")], {"v": F(1, 2)}))
+        assert free.ties.quotient is free.closed
+        assert len(calls) == 1
 
 
 class TestTies:

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gen
@@ -366,6 +367,41 @@ class TestExactDraws:
             )
             assert lattice._move_count(prep, moves) == moves, doc
             assert lattice._move_count(prep, moves - 1) is None, doc
+
+
+class TestBatchedWalk:
+    """Exact draws walk every point of a chunk at once in numpy; a walk of
+    one point at a time with Python integers (``oracles.per_point_draw``)
+    gives the same floats, bit for bit."""
+
+    counts = (1, sampler._EXACT_CHUNK_ROWS, sampler._EXACT_CHUNK_ROWS + 1)
+
+    def _assert_same(self, cs, seed):
+        walk = sampler._Walk(cs)
+        assert walk.sampler == sampler.EXACT
+        for count in self.counts:
+            drawn = sampler._draw(walk, SamplerConfig(), count, seed)
+            walked = oracles.per_point_draw(walk, count, seed, sampler._EXACT_CHUNK_ROWS)
+            assert np.array_equal(drawn, walked), (seed, count)
+
+    def test_random_sets(self):
+        rng = random.Random(241)
+        for seed in range(6):
+            doc = gen.mixed_doc(rng, rng.randint(1, 8), rng.randint(0, 3), rng.choice([0.2, 0.4]))
+            self._assert_same(gen.to_cs(doc), seed)
+        self._assert_same(gen.to_cs(gen.tied_doc(rng, 6, 2)), 6)
+        self._assert_same(gen.to_cs(_pinned_to_bounds(rng)), 7)
+
+    def test_bottom_and_top_intervals(self):
+        # a stays below the lowest pin (interval 0) and b above the
+        # highest; x, y, z and the free f range over all three intervals
+        cs = ConstraintSet(
+            ["a", "b", "x", "y", "z", "f", "p", "q"],
+            [("a", "p"), ("a", "y"), ("x", "y"), ("y", "z"), ("x", "q"), ("p", "z"),
+             ("q", "b"), ("y", "b")],
+            {"p": F(1, 3), "q": F(5, 7)},
+        )
+        self._assert_same(cs, 11)
 
 
 class TestRejection:
