@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     _check_budget,
 )
-from .model import ConstraintSet, Prepared, polytope_dimension
+from .model import ConstraintSet, Prepared
 from .poly import PiecewisePolynomial
 
 # The engines (ordpoly.exact, ordpoly.tree, ordpoly.topk, and ordpoly.sampler
@@ -87,10 +87,10 @@ def _marginal_json(pw: PiecewisePolynomial) -> dict:
 # commands
 
 
-def _cmd_check(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_check(prep: Prepared, args) -> tuple[dict, int, dict]:
     report = prep.consistency
     if report.ok:
-        return {"consistent": True}, 0
+        return {"consistent": True}, 0, {}
     return (
         {
             "consistent": False,
@@ -98,15 +98,16 @@ def _cmd_check(prep: Prepared, args) -> tuple[dict, int]:
             "witness": [v.name for v in report.witness],
         },
         1,
+        {},
     )
 
 
-def _cmd_close(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_close(prep: Prepared, args) -> tuple[dict, int, dict]:
     # run() has already rejected contradictory input.
-    return {"constraints": json.loads(fileio.dumps(prep.closed))}, 0
+    return {"constraints": json.loads(fileio.dumps(prep.closed))}, 0, {}
 
 
-def _cmd_decompose(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_decompose(prep: Prepared, args) -> tuple[dict, int, dict]:
     prep.reject_user_ties()
     d = prep.decomposition
     parts = []
@@ -125,21 +126,21 @@ def _cmd_decompose(prep: Prepared, args) -> tuple[dict, int]:
             }
         )
     parts.sort(key=lambda p: p["unknowns"])
-    return {"parts": parts, "dimension": polytope_dimension(prep.ties.quotient)}, 0
+    return {"parts": parts, "dimension": len(prep.ties.quotient.unknowns())}, 0, {}
 
 
-def _cmd_dim(prep: Prepared, args) -> tuple[dict, int]:
-    return {"dimension": polytope_dimension(prep.ties.quotient)}, 0
+def _cmd_dim(prep: Prepared, args) -> tuple[dict, int, dict]:
+    return {"dimension": len(prep.ties.quotient.unknowns())}, 0, {}
 
 
-def _cmd_volume(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_volume(prep: Prepared, args) -> tuple[dict, int, dict]:
     from .tree import VOLUME, solve
 
     vol = solve(prep, VOLUME, budget=args.max_extensions, engine=args.engine)
-    return {"volume": _value_json(vol)}, 0
+    return {"volume": _value_json(vol)}, 0, {}
 
 
-def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int, dict]:
     cs = prep.source
     if args.var is not None:
         names = [cs.resolve(args.var).name]
@@ -150,7 +151,7 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
         from .sampler import EXACT, EstimateResult, _estimate_values
 
         # one shared stream: every estimate has the same samples and sampler
-        estimates = _estimate_values(prep.closed, names, _sampler_config(args), args.chains)
+        estimates = _estimate_values(prep, names, _sampler_config(args), args.chains)
         values = {x: e.value for x, e in estimates.items()}
         e = estimates[names[0]] if names else EstimateResult(0.0, 0, EXACT)
         diagnostics = {"samples": e.samples, "sampler": e.sampler}
@@ -166,17 +167,17 @@ def _cmd_interpolate(prep: Prepared, args) -> tuple[dict, int]:
     )
 
 
-def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_marginal(prep: Prepared, args) -> tuple[dict, int, dict]:
     if args.var is None:
         raise MalformedInputError("marginal requires --var")
     name = prep.source.resolve(args.var).name
     from .tree import MARGINAL, solve
 
     pw = solve(prep, MARGINAL, [name], args.max_extensions, args.engine)
-    return {"variable": name, "marginal": _marginal_json(pw)}, 0
+    return {"variable": name, "marginal": _marginal_json(pw)}, 0, {}
 
 
-def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_topk(prep: Prepared, args) -> tuple[dict, int, dict]:
     from .topk import (
         SEMANTICS_GLOBAL,
         SEMANTICS_LOCAL,
@@ -197,7 +198,7 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             )
         from .sampler import estimate_topk
 
-        est = estimate_topk(prep.closed, sel, args.k, _sampler_config(args), args.chains)
+        est = estimate_topk(prep, sel, args.k, _sampler_config(args), args.chains)
         ranked, diagnostics["sampler"] = est.entries, est.sampler
     else:
         fn = {
@@ -205,7 +206,7 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
             SEMANTICS_U: u_topk,
             SEMANTICS_GLOBAL: global_topk,
         }[args.semantics]
-        ranked = fn(prep.closed, sel, args.k, budget=args.max_extensions).entries
+        ranked = fn(prep, sel, args.k, budget=args.max_extensions).entries
     entries = [{"variable": v.name, "value": _value_json(val)} for v, val in ranked]
     return (
         {
@@ -219,10 +220,10 @@ def _cmd_topk(prep: Prepared, args) -> tuple[dict, int]:
     )
 
 
-def _cmd_sample(prep: Prepared, args) -> tuple[dict, int]:
+def _cmd_sample(prep: Prepared, args) -> tuple[dict, int, dict]:
     from .sampler import sample_points
 
-    drawn = sample_points(prep.closed, _sampler_config(args), args.count)
+    drawn = sample_points(prep, _sampler_config(args), args.count)
     points = [
         {n: float(v) for n, v in sorted(p.as_dict().items())} for p in drawn.points
     ]
@@ -408,12 +409,7 @@ def run(argv: Sequence[str]) -> int:
             # Every command takes the flag; closed forms and tree parts never
             # consult it, so a negative value is refused here, not by a guard.
             _check_budget(args.max_extensions)
-            outcome = _COMMANDS[args.command](prep, args)
-        if len(outcome) == 3:
-            results, code, diagnostics = outcome
-        else:
-            results, code = outcome
-            diagnostics = {}
+            results, code, diagnostics = _COMMANDS[args.command](prep, args)
     except ContradictionError as err:
         print(_error_json("contradiction", err, witness=list(err.witness)), file=sys.stderr)
         return 1

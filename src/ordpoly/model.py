@@ -696,11 +696,18 @@ class Prepared:
     closed on construction, its tie quotient and its parts (with skeletons)
     are built on first use, and engines read them from here.  Gating on
     ``consistency`` is the caller's step; collapsing rejects a
-    contradiction with the same report."""
+    contradiction with the same report.  The CLI builds one per request
+    and hands it to every engine it calls (``tree.solve``, the sampler and
+    top-k), which prepare a bare ``ConstraintSet`` once, on entry."""
 
     def __init__(self, cs: ConstraintSet):
         self.source = cs
         self.closed = close_under_implication(cs)
+
+    @classmethod
+    def of(cls, x: ConstraintSet | Prepared) -> Prepared:
+        """``x`` itself when it is prepared, else its pipeline."""
+        return x if isinstance(x, Prepared) else cls(x)
 
     @cached_property
     def consistency(self) -> ConsistencyReport:

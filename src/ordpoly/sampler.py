@@ -30,6 +30,9 @@ one numpy loop in 64-bit floats.
 Both are deterministic per seed.  Independent chains run one after
 another in one thread, chain c seeded seed + c, and their samples are
 pooled into one mean.
+
+Every entry point takes a ``ConstraintSet`` or the request's
+``model.Prepared``; a set is prepared once, on entry.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import LimitExceededError, MalformedInputError, SamplerError
 from .lattice import ExtensionDraw, _prepare
-from .model import ConstraintSet, Prepared, VariableId, _bits
+from .model import ConstraintSet, Prepared, VariableId, _bits, _cover_edges
 
 if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
     from .topk import SelectionPredicate
@@ -179,8 +182,8 @@ class TopKEstimate:
 class _Walk:
     """Quotient geometry shared by every sampler entry point."""
 
-    def __init__(self, cs: ConstraintSet):
-        prep = Prepared(cs)
+    def __init__(self, cs: ConstraintSet | Prepared):
+        prep = Prepared.of(cs)
         q = prep.ties.quotient
         self.prepared = prep
         self.closed = prep.closed
@@ -200,10 +203,11 @@ class _Walk:
             highs = [values[e] for e in _bits(succ[qid]) if e in values]
             self.box_lo[c] = float(max(lows))
             self.box_hi[c] = float(min(highs))
+        # the cover pairs between unknowns: every other pair is implied
         pairs = sorted(
             (self.column[a], self.column[b])
-            for a, b in q._base_edges
-            if a in self.column and b in self.column and not _implied(q, a, b)
+            for a, b in _cover_edges(q)
+            if a in self.column and b in self.column
         )
         self.pair_a = np.array([a for a, _ in pairs], dtype=np.int64)
         self.pair_b = np.array([b for _, b in pairs], dtype=np.int64)
@@ -284,13 +288,7 @@ class _Walk:
         return SamplePoint(MappingProxyType(out))
 
 
-def _implied(q: ConstraintSet, a: int, b: int) -> bool:
-    """True when base edge a<=b is implied by a longer path, so the chord
-    computation can skip it.  Only cover edges are kept."""
-    return bool(q._succ[a] & q._preds()[b])
-
-
-def interior_point(cs: ConstraintSet) -> SamplePoint:
+def interior_point(cs: ConstraintSet | Prepared) -> SamplePoint:
     """A strictly feasible start point (the unique point when pinned flat)."""
     walk = _Walk(cs)
     if walk.dimension == 0:
@@ -404,7 +402,7 @@ class _PartDraw:
         rows[np.arange(count)[:, None], columns] = self.lo[interval] + x * self.width[interval]
 
 
-def _point_walk(cs: ConstraintSet, count: int) -> _Walk:
+def _point_walk(cs: ConstraintSet | Prepared, count: int) -> _Walk:
     """The walk for ``count`` points of ``cs``, refusing a negative count
     or a point buffer (count x dimension) beyond ``MAX_POINT_FLOATS``."""
     if count < 0:
@@ -497,7 +495,7 @@ def _raw_samples(walk: _Walk, cfg: SamplerConfig, count: int, seed: int) -> np.n
     return out
 
 
-def sample_points(cs: ConstraintSet, cfg: SamplerConfig, count: int) -> PointSample:
+def sample_points(cs: ConstraintSet | Prepared, cfg: SamplerConfig, count: int) -> PointSample:
     """``count`` uniform feasible points, drawn exactly and independently
     when every part's forward table fits ``EXACT_MOVE_CAP``, by hit-and-run
     (as ``hit_and_run_sample``) beyond it."""
@@ -509,7 +507,7 @@ def sample_points(cs: ConstraintSet, cfg: SamplerConfig, count: int) -> PointSam
 
 
 def hit_and_run_sample(
-    cs: ConstraintSet, cfg: SamplerConfig, count: int
+    cs: ConstraintSet | Prepared, cfg: SamplerConfig, count: int
 ) -> Iterator[SamplePoint]:
     """Yield ``count`` almost-uniform feasible points of the hit-and-run
     walk."""
@@ -571,14 +569,14 @@ def _chain_means(
 
 
 def _estimate_values(
-    cs: ConstraintSet, xs: Iterable, cfg: SamplerConfig, chains: int
+    cs: ConstraintSet | Prepared, xs: Iterable, cfg: SamplerConfig, chains: int
 ) -> dict:
     """Estimates of several variables from one shared stream, so every one
     carries the same samples and sampler.  A variable whose tie class is
     pinned is that constant; when all are, nothing is sampled."""
     walk = _Walk(cs)
     pinned = walk.quotient.exact_values
-    classes = {x: walk.class_of[cs.resolve(x).id] for x in xs}
+    classes = {x: walk.prepared.target(x) for x in xs}
     if all(c.id in pinned for c in classes.values()):
         return {x: EstimateResult(float(pinned[c.id]), 0, EXACT) for x, c in classes.items()}
     means, used = _chain_means(walk, cfg, cfg.sample_count(), chains)
@@ -593,33 +591,27 @@ def _estimate_values(
 
 
 def estimate_expected_value(
-    cs: ConstraintSet, x, cfg: SamplerConfig | None = None, chains: int = 1
+    cs: ConstraintSet | Prepared, x, cfg: SamplerConfig | None = None, chains: int = 1
 ) -> EstimateResult:
     """Monte-Carlo estimate of E[x] from N Hoeffding-sized samples."""
     return _estimate_values(cs, [x], cfg or SamplerConfig(), chains)[x]
 
 
 def estimate_topk(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     selection: SelectionPredicate | Iterable[str],
     k: int,
     cfg: SamplerConfig | None = None,
     chains: int = 1,
 ) -> TopKEstimate:
     """Sampled analogue of local top-k: one shared stream estimates all
-    selected unknowns, exact values join as constants, sort, truncate."""
-    if k < 1:
-        raise MalformedInputError(f"k must be a positive integer, got {k!r}")
-    from .topk import SelectionPredicate
+    selected unknowns, exact values join as constants, sort, truncate.
+    The selection and ``k`` are checked as ``topk.local_topk`` checks them."""
+    from .topk import _require_k, _selection_vars
 
-    if isinstance(selection, SelectionPredicate):
-        names = [v.name for v in selection.selected]
-    else:
-        names = list(selection)
-    if not names:
-        return TopKEstimate((), 0, EXACT)
-    chosen = sorted((cs.resolve(n) for n in names), key=lambda v: v.name)
-    est = _estimate_values(cs, chosen, cfg or SamplerConfig(), chains)
+    _require_k(k)
+    prep, chosen = _selection_vars(cs, selection)
+    est = _estimate_values(prep, chosen, cfg or SamplerConfig(), chains)
     ranked = sorted(chosen, key=lambda v: (-est[v].value, v.name))
     first = est[chosen[0]]
     return TopKEstimate(
@@ -628,7 +620,7 @@ def estimate_topk(
 
 
 def rejection_sample_mean(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     x,
     accepted: int,
     seed: int = 0,
@@ -647,8 +639,7 @@ def rejection_sample_mean(
     if seed < 0:
         raise MalformedInputError("seed must be >= 0")
     walk = _Walk(cs)
-    vid = cs.resolve(x)
-    cls = walk.class_of[vid.id]
+    cls = walk.prepared.target(x)
     if cls.id in walk.quotient.exact_values:
         return float(walk.quotient.exact_values[cls.id]), 1.0, 0.0
     col = walk.column[cls.id]

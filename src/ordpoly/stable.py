@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .errors import MalformedInputError
 from .model import VariableId, decompose
-from .tree import ConstraintTree, tree_from_part
+from .tree import ConstraintTree, _validated_tree
 
 __all__ = [
     "StableAssignment",
@@ -106,8 +106,8 @@ def check_stability(t: ConstraintTree, x) -> StabilityReport:
     pin = before.values[xid]
     pinned = t.source.with_exact(xid.name, pin)
     after: dict[str, Fraction] = {}
-    for part in decompose(pinned).parts:
-        sub = stable_interpolate(tree_from_part(part))
+    for skel in decompose(pinned).skeletons:
+        sub = stable_interpolate(_validated_tree(skel))
         after.update((v.name, val) for v, val in sub.values.items())
     mismatches = tuple(
         (v.name, val, after[v.name])

@@ -26,6 +26,9 @@ Local top-k asks for per-variable values, so like interpolation it
 answers on the tie quotient (tied variables share their class's value);
 u and global top-k ask about the order of the selected variables and
 refuse persistent user ties.
+
+Every entry point takes a ``ConstraintSet`` or the request's
+``model.Prepared``; a set is prepared once, on entry.
 """
 from __future__ import annotations
 
@@ -118,18 +121,22 @@ class ContainmentReport:
     longer: tuple[str, ...]
 
 
-def _selection_vars(cs: ConstraintSet, sel: SelectionPredicate | Iterable[str]) -> list[VariableId]:
+def _selection_vars(
+    cs: ConstraintSet | Prepared, sel: SelectionPredicate | Iterable[str]
+) -> tuple[Prepared, list[VariableId]]:
+    """The pipeline of ``cs`` and the selected variables, sorted by name."""
+    prepared = Prepared.of(cs)
     if not isinstance(sel, SelectionPredicate):
-        sel = select(cs, sel)
+        sel = select(prepared.source, sel)
     out = []
     for v in sorted(sel.selected, key=lambda v: v.name):
-        resolved = cs.resolve(v.name)
+        resolved = prepared.source.resolve(v.name)
         if resolved != v:
             raise MalformedInputError(
                 f"selected variable {v.name!r} does not belong to this constraint set"
             )
         out.append(resolved)
-    return out
+    return prepared, out
 
 
 def _require_k(k: int) -> None:
@@ -151,7 +158,7 @@ def _with_estimate_hint(err: BudgetExceededError) -> BudgetExceededError:
 
 
 def local_topk(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
@@ -159,9 +166,9 @@ def local_topk(
     """The k selected variables with the highest expected values; tied
     variables share their tie class's value."""
     _require_k(k)
-    chosen = _selection_vars(cs, sel)
+    prepared, chosen = _selection_vars(cs, sel)
     try:
-        values = solve(Prepared(cs), VALUES, [v.name for v in chosen], budget)
+        values = solve(prepared, VALUES, [v.name for v in chosen], budget)
     except BudgetExceededError as err:
         raise _with_estimate_hint(err) from None
     ranked = sorted(chosen, key=lambda v: (-values[v.name], v.name))
@@ -173,24 +180,23 @@ def local_topk(
 # u and global semantics: one pass over the downset lattice
 
 
-def _lattice(cs: ConstraintSet, chosen: Sequence[VariableId]) -> tuple[_Prep, list[int]]:
-    """The lattice form of the tie quotient of ``cs`` (persistent user ties
-    refused) and the ids of the ``chosen`` variables in it."""
+def _lattice(prepared: Prepared, chosen: Sequence[VariableId]) -> tuple[_Prep, list[int]]:
+    """The lattice form of the tie quotient (persistent user ties refused)
+    and the ids of the ``chosen`` variables in it."""
     from .lattice import _prepare  # first use, as in tree.solve_part
 
-    prepared = Prepared(cs)
     prepared.reject_user_ties()
     return _prepare(prepared.ties.quotient), [prepared.target(v).id for v in chosen]
 
 
 def _sequences(
-    cs: ConstraintSet, chosen: Sequence[VariableId], top: int, budget: int
+    prepared: Prepared, chosen: Sequence[VariableId], top: int, budget: int
 ) -> tuple[_Prep, Fraction, dict[tuple[int, ...], Fraction]]:
     """The lattice, the volume and the volume of every descending sequence
     of the ``top`` highest selected variables."""
     from .lattice import sequence_tally
 
-    prep, ids = _lattice(cs, chosen)
+    prep, ids = _lattice(prepared, chosen)
     try:
         volume, sequences = sequence_tally(prep, ids, top, budget)
     except BudgetExceededError as err:
@@ -215,22 +221,22 @@ def _sequence_argmax(
 
 
 def u_topk(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> TopKResult:
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
-    chosen = _selection_vars(cs, sel)
-    prep, volume, sequences = _sequences(cs, chosen, min(k, len(chosen)), budget)
+    prepared, chosen = _selection_vars(cs, sel)
+    prep, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
     seq, prob = _sequence_argmax(prep, sequences, volume)
     entries = tuple((v, prob) for v in seq)
     return TopKResult(SEMANTICS_U, k, entries)
 
 
 def u_sequence_probabilities(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
@@ -242,8 +248,8 @@ def u_sequence_probabilities(
     smallest name sequence).
     """
     _require_k(k)
-    chosen = _selection_vars(cs, sel)
-    prep, volume, sequences = _sequences(cs, chosen, min(k, len(chosen)), budget)
+    prepared, chosen = _selection_vars(cs, sel)
+    prep, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
     return {
         tuple(prep.quotient.variables[i].name for i in seq): vol / volume
         for seq, vol in sequences.items()
@@ -251,13 +257,13 @@ def u_sequence_probabilities(
 
 
 def _global_rankings(
-    cs: ConstraintSet, chosen: Sequence[VariableId], budget: int
+    prepared: Prepared, chosen: Sequence[VariableId], budget: int
 ) -> list[list[tuple[VariableId, Fraction]]]:
     """For k = 1 .. len(chosen), the chosen variables with their
     probability of ranking among the k highest, most probable first."""
     from .lattice import rank_tally
 
-    prep, ids = _lattice(cs, chosen)
+    prep, ids = _lattice(prepared, chosen)
     try:
         volume, ranks = rank_tally(prep, ids, budget)
     except BudgetExceededError as err:
@@ -273,15 +279,15 @@ def _global_rankings(
 
 
 def global_topk(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     sel: SelectionPredicate | Iterable[str],
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> TopKResult:
     """The k selected variables most likely to rank among the k highest."""
     _require_k(k)
-    chosen = _selection_vars(cs, sel)
-    scored = _global_rankings(cs, chosen, budget)[min(k, len(chosen)) - 1]
+    prepared, chosen = _selection_vars(cs, sel)
+    scored = _global_rankings(prepared, chosen, budget)[min(k, len(chosen)) - 1]
     return TopKResult(SEMANTICS_GLOBAL, k, tuple(scored[:k]))
 
 
@@ -290,22 +296,22 @@ def global_topk(
 
 
 def check_containment(
-    cs: ConstraintSet,
+    cs: ConstraintSet | Prepared,
     sel: SelectionPredicate | Iterable[str],
     semantics: str,
     budget: int = DEFAULT_BUDGET,
 ) -> ContainmentReport:
     """Test that the k-answer is a strict prefix of the (k+1)-answer for
     every k up to |selection| - 1."""
-    chosen = _selection_vars(cs, sel)
+    prepared, chosen = _selection_vars(cs, sel)
     m = len(chosen)
     if m < 2:
         return ContainmentReport(semantics, True, None, (), ())
     if semantics == SEMANTICS_LOCAL:
-        full = local_topk(cs, chosen, m, budget)
+        full = local_topk(prepared, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        prep, volume, sequences = _sequences(cs, chosen, m, budget)
+        prep, volume, sequences = _sequences(prepared, chosen, m, budget)
         answers = []
         for k in range(1, m + 1):
             grouped: dict[tuple[int, ...], Fraction] = {}
@@ -315,7 +321,7 @@ def check_containment(
             seq_vars, _ = _sequence_argmax(prep, grouped, volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
-        rankings = enumerate(_global_rankings(cs, chosen, budget), start=1)
+        rankings = enumerate(_global_rankings(prepared, chosen, budget), start=1)
         answers = [tuple(v.name for v, _ in scored[:k]) for k, scored in rankings]
     else:
         raise MalformedInputError(

@@ -746,9 +746,20 @@ TREE_AND_MIRROR = {
 }
 
 
+# r is pinned at 0, so closing ties it to the lower bound.
+PINNED_AT_ZERO = {
+    "variables": ["r", "a", "b", "c"],
+    "order": [["r", "a"], ["a", "b"], ["r", "c"]],
+    "exact": {"r": "0", "b": "1/2"},
+}
+
+SAMPLED = ["--engine", "sample", "--epsilon", "0.3"]
+
+
 class TestPipelineRunsOnce:
     """A request closes and tie-collapses its input once: at most two
-    closure passes, the input's and its tie quotient's."""
+    closure passes, the input's and its tie quotient's, and one
+    ``Prepared`` that every engine reads."""
 
     @pytest.mark.parametrize(
         "doc, engine, var",
@@ -772,6 +783,38 @@ class TestPipelineRunsOnce:
         code, _, err = run_cli(argv)
         assert code == 0, err
         assert len(passes) <= 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["close"],
+            ["decompose"],
+            ["dim"],
+            ["volume"],
+            ["interpolate"],
+            ["interpolate", *SAMPLED],
+            ["interpolate", "--scheme", "stable"],
+            ["marginal", "--var", "a"],
+            *(["topk", "--semantics", s, "--k", "2", "--select", "a,c"] for s in ("local", "u", "global")),
+            ["topk", "--semantics", "local", "--k", "2", "--select", "a,c", *SAMPLED],
+            ["sample", "--count", "3"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("--k", "2", "--select", "a,c")),
+    )
+    def test_one_pipeline_per_request(self, tmp_path, monkeypatch, argv):
+        built = []
+        init = model.Prepared.__init__
+
+        def counted(prep, cs):
+            built.append(cs)
+            init(prep, cs)
+
+        monkeypatch.setattr(model.Prepared, "__init__", counted)
+        path = write_doc(tmp_path, "doc.json", PINNED_AT_ZERO)
+        code, _, err = run_cli([argv[0], path, *argv[1:]])
+        assert code == 0, err
+        assert len(built) == 1
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

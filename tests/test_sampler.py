@@ -23,6 +23,7 @@ from ordpoly import (
     local_topk,
     rejection_sample_mean,
     sample_points,
+    select,
 )
 from ordpoly import lattice, sampler
 from ordpoly.model import Prepared
@@ -104,6 +105,7 @@ class TestFeasibility:
             cs = gen.to_cs(doc)
             pt = interior_point(cs)
             assert self._violation(doc, pt) < 0.0
+            assert interior_point(Prepared(cs)) == pt
 
     def test_samples_satisfy_constraints(self):
         rng = random.Random(101)
@@ -131,7 +133,8 @@ class TestDeterminism:
         cfg = SamplerConfig(seed=42)
         a = [pt.as_dict() for pt in hit_and_run_sample(cs, cfg, 25)]
         b = [pt.as_dict() for pt in hit_and_run_sample(cs, cfg, 25)]
-        assert a == b
+        prepared = [pt.as_dict() for pt in hit_and_run_sample(Prepared(cs), cfg, 25)]
+        assert a == b == prepared
 
     def test_different_seed_different_stream(self):
         cs = two_chain()
@@ -173,6 +176,14 @@ class TestDeterminism:
             "EstimateResult(value=0.4418887725680416, samples=185, sampler='exact')"
         )
 
+    def test_chords_meet_only_the_cover_pairs(self):
+        # x <= z is implied by x <= y <= z, so the walk tests only the covers
+        cs = ConstraintSet(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")], {})
+        walk = sampler._Walk(cs)
+        column = {walk.quotient.variables[qid].name: c for qid, c in walk.column.items()}
+        pairs = set(zip(walk.pair_a.tolist(), walk.pair_b.tolist()))
+        assert pairs == {(column["x"], column["y"]), (column["y"], column["z"])}
+
     def test_walk_without_feasible_chords_stalls(self, monkeypatch):
         # every chord is shorter than this tolerance, so every row is rejected
         monkeypatch.setattr(sampler, "CHORD_EPS", math.inf)
@@ -209,8 +220,10 @@ class TestEstimates:
         for name in each_sampler(monkeypatch):
             a = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
             b = estimate_expected_value(cs, "x", SamplerConfig(seed=17), chains=3)
+            prepared = estimate_expected_value(Prepared(cs), "x", SamplerConfig(seed=17), chains=3)
             assert a.sampler == name
             assert a.value == b.value
+            assert a == prepared
             assert abs(a.value - 2 / 3) <= 0.05
 
     def test_estimate_topk_matches_exact_order_when_separated(self, monkeypatch):
@@ -222,6 +235,17 @@ class TestEstimates:
             est = estimate_topk(cs, ["lo", "hi", "y"], 2, SamplerConfig(seed=19))
             assert est.sampler == name
             assert [v.name for v, _ in est.entries] == list(exact.names())
+            assert estimate_topk(Prepared(cs), ["lo", "hi", "y"], 2, SamplerConfig(seed=19)) == est
+
+    def test_estimate_topk_checks_its_input_as_local_topk_does(self):
+        cs = ConstraintSet(["lo", "hi", "y"], [("lo", "hi")], {"y": F(9, 10)})
+        # "lo" has another id in this set
+        foreign = select(ConstraintSet(["hi", "lo"], [], {}), ["lo"])
+        for bad in ((foreign, 1), (["lo", "hi"], 1.5), ([], 1)):
+            with pytest.raises(MalformedInputError):
+                local_topk(cs, *bad)
+            with pytest.raises(MalformedInputError):
+                estimate_topk(cs, *bad)
 
 
 def _order(point) -> tuple[str, ...]:
@@ -296,7 +320,8 @@ class TestExactDraws:
         first = [pt.as_dict() for pt in sample_points(cs, cfg, 30).points]
         again = [pt.as_dict() for pt in sample_points(cs, cfg, 30).points]
         other = [pt.as_dict() for pt in sample_points(cs, SamplerConfig(seed=14), 30).points]
-        assert first == again != other
+        prepared = [pt.as_dict() for pt in sample_points(Prepared(cs), cfg, 30).points]
+        assert first == again == prepared != other
         a = estimate_expected_value(cs, "u0", cfg, chains=3)
         b = estimate_expected_value(cs, "u0", cfg, chains=3)
         assert a == b and a != estimate_expected_value(cs, "u0", cfg, chains=2)
@@ -408,10 +433,12 @@ class TestRejection:
     def test_pinned_variable_short_circuits(self):
         cs = ConstraintSet(["a", "b"], [("a", "b")], {"a": F(1, 5)})
         assert rejection_sample_mean(cs, "a", 100) == (0.2, 1.0, 0.0)
+        assert rejection_sample_mean(Prepared(cs), "a", 100) == (0.2, 1.0, 0.0)
 
     def test_agrees_with_exact_value(self):
         cs = two_chain()
         mean, rate, se = rejection_sample_mean(cs, "x", 50_000, seed=23)
+        assert rejection_sample_mean(Prepared(cs), "x", 50_000, seed=23) == (mean, rate, se)
         assert rate == pytest.approx(0.5, abs=0.02)
         assert abs(mean - 2 / 3) <= 4 * se
 

@@ -17,8 +17,14 @@ from ordpoly import (
     u_sequence_probabilities,
     u_topk,
 )
+from ordpoly.model import Prepared
 
 F = Fraction
+
+
+def both(cs: ConstraintSet) -> tuple:
+    """A set and its pipeline: every entry point takes either."""
+    return cs, Prepared(cs)
 
 
 def u_lemma() -> ConstraintSet:
@@ -49,10 +55,10 @@ ALL = ["x_l", "x_h", "x_fp", "x_fm"]
 
 class TestLocal:
     def test_ranks_by_expected_value(self):
-        cs = local_vs_u()
-        top = local_topk(cs, ["x", "y"], 1)
-        assert top.names() == ("y",)
-        assert top.entries[0][1] == F(7, 10)
+        for cs in both(local_vs_u()):
+            top = local_topk(cs, ["x", "y"], 1)
+            assert top.names() == ("y",)
+            assert top.entries[0][1] == F(7, 10)
 
     def test_k_larger_than_selection_truncates(self):
         cs = local_vs_u()
@@ -72,8 +78,8 @@ class TestLocal:
             vals = interpolate_all(cs)
             if len(set(vals.values())) != len(vals):
                 continue  # strict prefixes need distinct values
-            report = check_containment(cs, doc[0], "local")
-            assert report.holds
+            for x in both(cs):
+                assert check_containment(x, doc[0], "local").holds
 
 
 class TestU:
@@ -84,6 +90,7 @@ class TestU:
 
     def test_k2_probabilities_and_sum(self):
         probs = u_sequence_probabilities(u_lemma(), ALL, 2)
+        assert u_sequence_probabilities(Prepared(u_lemma()), ALL, 2) == probs
         assert probs[("x_fp", "x_fm")] == F(4761, 10000)
         assert probs[("x_h", "x_fp")] == F(42, 100)
         assert probs[("x_h", "x_l")] == F(9, 100)
@@ -91,8 +98,9 @@ class TestU:
         assert sum(probs.values()) == 1
 
     def test_argmax_answers(self):
-        assert u_topk(u_lemma(), ALL, 1).names() == ("x_h",)
-        assert u_topk(u_lemma(), ALL, 2).names() == ("x_fp", "x_fm")
+        for cs in both(u_lemma()):
+            assert u_topk(cs, ALL, 1).names() == ("x_h",)
+            assert u_topk(cs, ALL, 2).names() == ("x_fp", "x_fm")
 
     def test_containment_violated(self):
         report = check_containment(u_lemma(), ALL, "u")
@@ -100,6 +108,7 @@ class TestU:
         assert report.violated_at == 1
         assert report.shorter == ("x_h",)
         assert report.longer[:1] != report.shorter
+        assert check_containment(Prepared(u_lemma()), ALL, "u") == report
 
     def test_u_top1_differs_from_local_top1(self):
         cs = local_vs_u()
@@ -114,6 +123,7 @@ class TestGlobal:
         top1 = global_topk(cs, sel, 1)
         assert top1.names() == ("x_h",)
         top2 = global_topk(cs, sel, 2)
+        assert global_topk(Prepared(cs), sel, 2) == top2
         assert top2.names()[0] == "x_f"
         # the two inclusion probabilities are exactly ordered
         p_f = top2.entries[0][1]
@@ -135,9 +145,10 @@ class TestGlobal:
                     assert 0 <= p <= 1
 
     def test_containment_violated(self):
-        report = check_containment(global_lemma(), ["x_h", "x_f", "x_s"], "global")
-        assert not report.holds
-        assert report.violated_at == 1
+        for cs in both(global_lemma()):
+            report = check_containment(cs, ["x_h", "x_f", "x_s"], "global")
+            assert not report.holds
+            assert report.violated_at == 1
 
 
 class TestValidation:
