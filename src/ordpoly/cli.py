@@ -21,6 +21,7 @@ ordered by name so output is byte-stable for golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,7 +272,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building its nine subparsers
+    costs far more than a parse."""
     ap = _Parser(
         prog="ordpoly",
         description="Interpolation, volumes, marginals, and top-k over "
@@ -439,8 +443,12 @@ def run(argv: Sequence[str]) -> int:
     response = {"command": args.command, "results": results, "diagnostics": diagnostics}
     text = json.dumps(response, indent=2, ensure_ascii=False)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except (OSError, UnicodeEncodeError) as err:  # a surrogate from stdin cannot be UTF-8
+            print(_error_json("malformed", err), file=sys.stderr)
+            return 3
     else:
         try:
             print(text)

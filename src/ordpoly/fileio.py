@@ -38,13 +38,12 @@ def loads(text: str) -> ConstraintSet:
 
 def load(source: Source) -> ConstraintSet:
     """Read a constraint set from a path or open text file."""
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise MalformedInputError(f"cannot read {source}: {exc}") from exc
-    else:
-        text = source.read()
+    is_path = isinstance(source, (str, Path))
+    try:
+        text = Path(source).read_text(encoding="utf-8") if is_path else source.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name = source if is_path else getattr(source, "name", "input")
+        raise MalformedInputError(f"cannot read {name}: {exc}") from exc
     return loads(text)
 
 

@@ -1,11 +1,15 @@
 """Exact rational, polynomial, and piecewise-polynomial arithmetic.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
-denominator); ``Rational`` is exported as an alias.  Polynomials are dense
-coefficient tuples in ascending degree with no trailing zero, the zero
-polynomial being the empty tuple.  A piecewise polynomial attaches one
-polynomial to each interval between consecutive breakpoints and is zero
-outside the covered span; all its arithmetic is exact.
+denominator); ``Rational`` is exported as an alias.  A polynomial keeps
+integer numerators in ascending degree over one positive denominator, with
+no trailing zero, the zero polynomial having no numerators: the exact
+answers of the engines share factorial-sized denominators, and one
+denominator per polynomial spares a gcd per coefficient operation, which
+is what makes 1000-node trees fast.  ``Polynomial.coeffs`` gives the
+coefficients as lowest-terms rationals.  A piecewise polynomial attaches
+one polynomial to each interval between consecutive breakpoints and is
+zero outside the covered span; all its arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -54,73 +58,118 @@ class NonNormalizedError(ValueError):
         self.mass = mass
 
 
-def _strip(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs: tuple[Fraction, ...] = ()
+    ``num[i] / den`` is the coefficient of t^i: integer numerators in
+    ascending degree over one positive denominator, with no trailing zero
+    (the zero polynomial has no numerators).  Sums are reduced to lowest
+    terms; products, powers and antiderivatives are kept as computed, so a
+    chain of products pays no gcd until the next sum.  Equality compares
+    values, whatever the scale.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Iterable[int] = (), den: int = 1):
+        num = tuple(num)
+        while num and not num[-1]:
+            num = num[:-1]
+        self.num = num
+        self.den = den if num else 1
 
     @staticmethod
     def of(coeffs: Iterable[RationalLike]) -> "Polynomial":
-        return Polynomial(_strip(parse_rational(c) for c in coeffs))
+        fracs = [parse_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return Polynomial([c.numerator * (den // c.denominator) for c in fracs], den)
 
     @staticmethod
     def constant(c: RationalLike) -> "Polynomial":
-        return Polynomial.of([c])
+        c = parse_rational(c)
+        return Polynomial((c.numerator,), c.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending degree, each in lowest terms."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        a, b = self.den, other.den
+        return len(self.num) == len(other.num) and all(
+            x * b == y * a for x, y in zip(self.num, other.num)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial({list(self.num)!r}, {self.den})"
 
     def __call__(self, t: RationalLike) -> Fraction:
+        if not self.num:
+            return Fraction(0)
         t = parse_rational(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        p, q = t.numerator, t.denominator
+        acc, qpow = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self.den * qpow)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(_strip(out))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, in lowest terms."""
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        a, b = self.num, other.num
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [c * sa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        while out and not out[-1]:
+            out.pop()
+        # Cheap probe first: most sums have trivial content, and one gcd
+        # settles that without touching every coefficient.
+        if out and gcd(den, out[-1], out[0]) > 1:
+            g = gcd(den, *out)
+            out = [c // g for c in out]
+            den //= g
+        return Polynomial(out, den)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial([-c for c in self.num], self.den)
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if not isinstance(other, Polynomial):
             k = parse_rational(other)
-            if k == 0:
-                return Polynomial()
-            return Polynomial(tuple(c * k for c in self.coeffs))
-        if self.is_zero or other.is_zero:
+            return Polynomial([c * k.numerator for c in self.num], self.den * k.denominator)
+        if not self.num or not other.num:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(_strip(out))
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    if b:
+                        out[i + j] += a * b
+        return Polynomial(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -137,17 +186,14 @@ class Polynomial:
         return out
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            _strip(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-        )
+        return Polynomial([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def antideriv(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
+        scale = lcm(*range(1, len(self.num) + 1))
         return Polynomial(
-            _strip(
-                [Fraction(0)]
-                + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-            )
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(self.num)],
+            self.den * scale,
         )
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -62,73 +62,6 @@ from .model import (  # the query constants are re-exported for the engines' cal
     part_skeleton,
 )
 from .poly import POLY_ONE, PiecewisePolynomial, Polynomial
-
-# ---------------------------------------------------------------------------
-# integer-scaled polynomials
-#
-# Bottom-up volume passes on large trees produce polynomials whose rational
-# coefficients share factorial-sized denominators.  Keeping one integer
-# denominator per polynomial (normalized once per node) avoids a gcd per
-# coefficient operation, which is what makes 1000-node trees fast.
-
-_IPoly = tuple[list[int], int]  # (integer coefficients, positive denominator)
-
-_IP_ONE: _IPoly = ([1], 1)
-
-
-def _ip_normalize(coeffs: list[int], den: int) -> _IPoly:
-    # Cheap probe first: most products have trivial content, and two gcds
-    # settle that without touching every coefficient.
-    g = gcd(den, coeffs[-1], coeffs[0])
-    if g == 1:
-        return coeffs, den
-    g = gcd(den, *coeffs)
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-        den //= g
-    return coeffs, den
-
-
-def _ip_mul(a: _IPoly, b: _IPoly) -> _IPoly:
-    ca, da = a
-    cb, db = b
-    out = [0] * (len(ca) + len(cb) - 1)
-    for i, ai in enumerate(ca):
-        if ai:
-            for j, bj in enumerate(cb):
-                if bj:
-                    out[i + j] += ai * bj
-    return out, da * db
-
-
-def _ip_antideriv(a: _IPoly) -> _IPoly:
-    coeffs, den = a
-    scale = 1
-    for i in range(1, len(coeffs) + 1):
-        scale = scale * i // gcd(scale, i)
-    out = [0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] = c * (scale // (i + 1))
-    return out, den * scale
-
-
-def _ip_eval(a: _IPoly, at: Fraction) -> Fraction:
-    coeffs, den = a
-    if not coeffs:
-        return Fraction(0)
-    p, q = at.numerator, at.denominator
-    acc = coeffs[-1]
-    qpow = 1
-    for c in reversed(coeffs[:-1]):
-        qpow *= q
-        acc = acc * p + c * qpow
-    return Fraction(acc, den * qpow)
-
-
-def _ip_to_polynomial(a: _IPoly) -> Polynomial:
-    coeffs, den = a
-    return Polynomial.of(Fraction(c, den) for c in coeffs)
-
 
 # ---------------------------------------------------------------------------
 # the tree itself
@@ -176,7 +109,7 @@ class ConstraintTree:
         return self.children[self.root][0]
 
     @cached_property
-    def _polys(self) -> dict[VariableId, _IPoly]:
+    def _polys(self) -> dict[VariableId, Polynomial]:
         """V_x(v') for every unknown node: one bottom-up pass per tree,
         shared by every query on it."""
         return _volume_polys(self)
@@ -291,24 +224,19 @@ def _top_down(root: VariableId, children) -> list[VariableId]:
     return order
 
 
-def _node_step(factors: Sequence[_IPoly], upper: Fraction) -> _IPoly:
+def _node_step(factors: Sequence[Polynomial], upper: Fraction) -> Polynomial:
     """One node of the bottom-up pass: v' -> integral from v' to ``upper``
     of the product of ``factors``."""
-    prod = _IP_ONE
-    for f in factors:
-        prod = _ip_mul(prod, f)
-    anti = _ip_antideriv(prod)
-    top = _ip_eval(anti, upper)
-    coeffs, den = anti
-    scale = top.denominator
-    out = [-c * scale for c in coeffs]
-    out[0] = top.numerator * den
-    return _ip_normalize(out, den * scale)
+    prod = factors[0] if factors else POLY_ONE
+    for f in factors[1:]:
+        prod = prod * f
+    anti = prod.antideriv()
+    return Polynomial.constant(anti(upper)) - anti
 
 
-def _volume_polys(t: ConstraintTree) -> dict[VariableId, _IPoly]:
+def _volume_polys(t: ConstraintTree) -> dict[VariableId, Polynomial]:
     """Bottom-up V_x(v') for every unknown node, children before parents."""
-    polys: dict[VariableId, _IPoly] = {}
+    polys: dict[VariableId, Polynomial] = {}
     for v in reversed(_top_down(t.root, t.children)):
         if t.is_unknown(v):
             polys[v] = _node_step(
@@ -320,20 +248,20 @@ def _volume_polys(t: ConstraintTree) -> dict[VariableId, _IPoly]:
 def subtree_volume_fns(t: ConstraintTree) -> dict[VariableId, SubtreeVolumeFn]:
     """The per-node volume polynomials as public, exact-rational objects."""
     return {
-        v: SubtreeVolumeFn(v, _ip_to_polynomial(p), t.min_leaf_below[v])
+        v: SubtreeVolumeFn(v, p, t.min_leaf_below[v])
         for v, p in t._polys.items()
     }
 
 
 def volume_tree(t: ConstraintTree) -> Fraction:
     """Exact polytope volume of the tree: root child's V evaluated at the root."""
-    return _ip_eval(t._polys[t.root_child], t.root_value)
+    return t._polys[t.root_child](t.root_value)
 
 
 # ---------------------------------------------------------------------------
 # expected values and marginals
 
-_IP_ONE_MINUS_V: _IPoly = ([1, -1], 1)
+_ONE_MINUS_V = Polynomial([1, -1])
 
 
 def _path_up(t: ConstraintTree, x) -> list[VariableId]:
@@ -357,11 +285,11 @@ def _expected_values(t: ConstraintTree, names: Sequence) -> dict:
     for x in names:
         path = _path_up(t, x)
         # (1 - v) joins x's own factors; above x it replaces the path child's.
-        poly, below = _IP_ONE_MINUS_V, None
+        poly, below = _ONE_MINUS_V, None
         for v in path:
             factors = [polys[c] for c in t.children[v] if c in polys and c != below]
             poly, below = _node_step([*factors, poly], t.min_leaf_below[v]), v
-        value = 1 - _ip_eval(poly, t.root_value) / total
+        value = 1 - poly(t.root_value) / total
         assert t.root_value < value < t.min_leaf_below[path[0]], "expected value off support"
         values[x] = value
     return values
@@ -375,13 +303,13 @@ def interpolate_tree(t: ConstraintTree, x) -> Fraction:
 def _factor(t: ConstraintTree, polys: Mapping, nodes) -> PiecewisePolynomial:
     """v -> product of the subtree volumes of ``nodes`` (unknowns, or pinned
     leaves as indicators of v <= value), zero beyond the smallest cap."""
-    prod = _IP_ONE
+    prod = POLY_ONE
     cap = Fraction(1)
     for c in nodes:
         cap = min(cap, t.min_leaf_below[c])
         if c in polys:
-            prod = _ip_mul(prod, polys[c])
-    return PiecewisePolynomial((Fraction(0), cap), (_ip_to_polynomial(prod),))
+            prod = prod * polys[c]
+    return PiecewisePolynomial((Fraction(0), cap), (prod,))
 
 
 def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:

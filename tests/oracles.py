@@ -282,6 +282,39 @@ def beta_rescaled_coeffs(
 
 
 # ---------------------------------------------------------------------------
+# subtree volume polynomials of a tree, bottom up
+
+
+def tree_volume_polys(order: Order, exact: Exact) -> dict[str, list[Fraction]]:
+    """Ascending coefficients of V_x(v') for every unknown x of a
+    tree-shaped document whose edges point from the pinned root up to the
+    pinned leaves: V_x(v') is the integral from v' to m_x (the smallest
+    pinned leaf above x) of the product of V_c over x's unknown children."""
+    children: dict[str, list[str]] = {}
+    for a, b in order:
+        children.setdefault(a, []).append(b)
+    polys: dict[str, list[Fraction]] = {}
+
+    def cap(x: str) -> Fraction:
+        return exact[x] if x in exact else min(cap(c) for c in children[x])
+
+    def volume(x: str) -> list[Fraction]:
+        prod = [Fraction(1)]
+        for c in children[x]:
+            if c not in exact:
+                prod = _poly_mul(prod, volume(c))
+        anti = [Fraction(0)] + [a / (i + 1) for i, a in enumerate(prod)]
+        top = sum(a * cap(x) ** i for i, a in enumerate(anti))
+        polys[x] = [top] + [-a for a in anti[1:]]
+        return polys[x]
+
+    for a, b in order:
+        if a in exact and b not in exact:
+            volume(b)
+    return polys
+
+
+# ---------------------------------------------------------------------------
 # tie-free rewriting (for checking the tie-collapse quotient)
 
 

@@ -525,6 +525,33 @@ class TestExitCodes:
         code, _, _ = run_cli(["--help"])
         assert code == 0
 
+    def test_one_parser_serves_every_request(self, tmp_path):
+        cli._build_parser.cache_clear()
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        for argv in (["volume", path], ["interpolate", path], ["--help"], ["dim", path]):
+            assert run_cli(argv)[0] == 0, argv
+        code, out, err = run_cli(["topk", path, "--k", "1", "--select", "x"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "malformed"
+        assert run_cli(["volume", path])[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_unwritable_output_is_exit_3(self, tmp_path):
+        path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
+        for target in (tmp_path / "no" / "such" / "out.json", tmp_path):
+            code, out, err = run_cli(["volume", path, "--output", str(target)])
+            assert code == 3 and out == "", target
+            payload = json.loads(err)
+            assert payload["error"] == "malformed", target
+            assert str(target) in payload["message"], target
+        # stdin decoded with surrogateescape lets a non-UTF-8 name through
+        out_path = str(tmp_path / "out.json")
+        code, out, err = run_cli(
+            ["close", "-", "--output", out_path], stdin_text='{"variables": ["a\udcff"]}'
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "malformed"
+
     def test_chain_count_above_cap_is_exit_3(self, tmp_path):
         path = write_doc(tmp_path, "chain.json", TWO_CHAIN)
         for chains in (sampler.MAX_CHAINS + 1, 3000):
@@ -621,7 +648,9 @@ class TestExitCodes:
             '{"variables": ["a"], "exact": {"a": ' + "1" * 5000 + "}}", encoding="utf-8"
         )
         huge_pin = write_doc(tmp_path, "pin.json", {"variables": ["a"], "exact": {"a": "1e999999"}})
-        for path in (str(deep), str(huge_int), huge_pin):
+        not_utf8 = tmp_path / "utf16.json"
+        not_utf8.write_bytes(b"\xff\xfe" + '{"variables": ["a"]}'.encode("utf-16-le"))
+        for path in (str(deep), str(huge_int), huge_pin, str(not_utf8)):
             code, out, err = run_cli(["volume", path])
             assert code == 3 and out == "", path
             assert json.loads(err)["error"] == "malformed", path

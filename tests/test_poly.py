@@ -1,4 +1,5 @@
 """Exact polynomial and piecewise-polynomial arithmetic."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,31 @@ class TestPolynomial:
     @given(polys)
     def test_derivative_of_antiderivative(self, p):
         assert p.antideriv().derivative() == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys, polys)
+    def test_equal_values_are_equal_polynomials(self, p, q):
+        # products keep their scale; sums and Polynomial.of reduce it
+        for r in (p, p * q, p * q * q, p + q, p.antideriv()):
+            assert Polynomial.of(r.coeffs) == r
+            assert hash(Polynomial.of(r.coeffs)) == hash(r)
+            assert r.den > 0 and (not r.num or r.num[-1] != 0)
+            assert all(math.gcd(c.numerator, c.denominator) == 1 for c in r.coeffs)
+        s = p + q
+        assert math.gcd(s.den, *s.num) == 1
+        assert (p * q == q * p) and hash(p * q) == hash(q * p)
+
+    def test_unreduced_product_equals_its_reduced_form(self):
+        prod = poly(2, 4) * poly(F(1, 2))  # numerators (2, 4) over 2
+        reduced = poly(1, 2)
+        assert (prod.num, prod.den) != (reduced.num, reduced.den)
+        assert prod == reduced and hash(prod) == hash(reduced)
+        assert prod != poly(1, 2, 1) and prod != poly(1, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys, rationals, rationals, rationals)
+    def test_compose_affine_is_evaluation_at_the_line(self, p, c0, c1, t):
+        assert p.compose_affine(c0, c1)(t) == p(c0 + c1 * t)
 
 
 class TestOrderStatisticDensity:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+import oracles
 import ordpoly.tree as tree_module
 from ordpoly import (
     ConstraintSet,
@@ -115,6 +116,25 @@ class TestVolume:
 
             for v, fn in subtree_volume_fns(t).items():
                 assert fn.poly.degree <= size(v)
+
+    def test_volume_polynomials_match_reference(self):
+        # Trees and their mirror images (a reverse tree's polynomials come
+        # from its mirrored skeleton), half with the root pinned at 0.
+        rng = random.Random(23)
+        for k in range(40):
+            names, order, exact = gen.tree_doc(rng, rng.randint(1, 10))
+            if k % 4 < 2:
+                exact["r"] = F(0)
+            want = oracles.tree_volume_polys(order, exact)
+            cs = gen.to_cs((names, order, exact))
+            if k % 2:
+                (skel,) = Prepared(flip_constraints(cs)).decomposition.skeletons
+                t = tree_module._build_tree(skel, mirrored=True)
+            else:
+                t = as_tree(cs)
+            got = {v.name: fn.poly.coeffs for v, fn in subtree_volume_fns(t).items()}
+            assert got == {x: tuple(c) for x, c in want.items()}
+            assert volume_tree(t) == sum(c * exact["r"] ** i for i, c in enumerate(want["u0"]))
 
     def test_cross_engine_on_random_trees(self):
         rng = random.Random(5)
