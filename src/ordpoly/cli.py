@@ -380,7 +380,9 @@ def _any_digits():
 
 def _load(path: str) -> ConstraintSet:
     if path == "-":
-        return fileio.load(sys.stdin)
+        # stdin's bytes, decoded strictly as a file's are: the interpreter's
+        # text layer may pass bytes that are not UTF-8 on as lone surrogates
+        return fileio.load(getattr(sys.stdin, "buffer", sys.stdin))
     with open(path, "r", encoding="utf-8") as fh:
         return fileio.load(fh)
 

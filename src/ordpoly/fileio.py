@@ -36,11 +36,13 @@ def loads(text: str) -> ConstraintSet:
     return _from_document(doc)
 
 
-def load(source: Source) -> ConstraintSet:
-    """Read a constraint set from a path or open text file."""
+def load(source: Source | IO[bytes]) -> ConstraintSet:
+    """Read a constraint set from a path or an open file (bytes: UTF-8)."""
     is_path = isinstance(source, (str, Path))
     try:
         text = Path(source).read_text(encoding="utf-8") if is_path else source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         name = source if is_path else getattr(source, "name", "input")
         raise MalformedInputError(f"cannot read {name}: {exc}") from exc

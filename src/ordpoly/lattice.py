@@ -29,7 +29,14 @@ et al., IJCAI 2016).
   F here, draws a linear extension with probability its volume over the
   total.  ``ExtensionDraw`` gives each state's predecessors as integer
   thresholds, which the sampler's exact path compiles, for the states its
-  draws reach, into arrays that walk many points at once.
+  draws reach, into arrays that walk many points at once.  It counts the
+  table's moves as each level is built and refuses a set at the first
+  level that takes them past the sampler's cap.
+
+Every walk carries with each downset D the variables that may join it,
+those outside D whose cover parents are all in D.  Placing v drops v and
+adds each child of v whose cover parents are then all placed
+(``_Prep.joinable``), so a step never rereads the rest of D.
 
 Weights are integers.  With L the common denominator of the interval
 widths (w_j = c_j / L), N the number of unknowns and s the unknowns in
@@ -60,7 +67,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
-from .model import MARGINAL, SHAPE_GENERAL, VOLUME, ConstraintSet, _cover_edges
+from .model import MARGINAL, SHAPE_GENERAL, VOLUME, ConstraintSet, _bits, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
 # The most prefixes the extension pre-count, and states the lattice,
@@ -89,24 +96,27 @@ class _Prep:
     scale: list[int]
     den: int
 
-    def successors(self, placed: int) -> Iterator[tuple[int, int]]:
-        """(variable, its bit), ascending, for every variable whose cover
-        parents are all in the downset ``placed``: the step of the
-        extension pre-count and of the lattice.  Only the roots and the
-        placed variables' children can qualify, so only they are tried."""
+    def joinable(self, ready: int, v: int, placed: int) -> int:
+        """The variables that may join the downset ``placed``, which
+        placing ``v`` made from a downset that ``ready`` may join: those
+        of ``ready`` but v, and each child of v whose cover parents are
+        all placed.  The one step of every walk of the lattice."""
         parents = self.parents
-        cand, rest = self.roots, placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand |= self.child_bits[low.bit_length() - 1]
-        cand &= ~placed
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if not parents[v] & ~placed:
-                yield v, low
+        grown = ready ^ (1 << v)
+        kids = self.child_bits[v]
+        while kids:
+            kid = kids & -kids
+            kids ^= kid
+            if not parents[kid.bit_length() - 1] & ~placed:
+                grown |= kid
+        return grown
+
+    def pin_factor(self, j: int, k: int, m: int) -> int:
+        """The factor, w_j^k / k! in the tables' integer scale, by which
+        placing pin ``j`` closes an open fragment of ``k`` unknowns: m
+        counts the unknowns placed once it closes (forward table), or
+        those from its first on (backward table)."""
+        return self.scale[j - 1] ** k * comb(m, k)
 
     def where(self) -> str:
         """The set as the guards' errors name it: shape (a part's),
@@ -161,16 +171,26 @@ def _count_extensions(prep: _Prep, budget: int) -> int:
     ``BudgetExceededError`` when those already exceed the budget (each is
     a prefix of a distinct extension)."""
     _check_budget(budget)
-    level: dict[int, int] = {0: 1}
+    # one int per downset: its prefix count above the variables that may
+    # join it, so adding counts keeps the mask
+    shift = prep.size
+    level: dict[int, int] = {0: 1 << shift | prep.roots}
     for _ in range(prep.size):
         nxt: dict[int, int] = {}
-        for mask, ways in level.items():
-            for _v, low in prep.successors(mask):
+        total = 0
+        for mask, packed in level.items():
+            ready = packed & prep.full
+            ways = packed ^ ready
+            total += (ways >> shift) * ready.bit_count()
+            rest = ready
+            while rest:
+                low = rest & -rest
+                rest ^= low
                 key = mask | low
                 if key in nxt:
                     nxt[key] += ways
                 else:
-                    nxt[key] = ways
+                    nxt[key] = ways | prep.joinable(ready, low.bit_length() - 1, key)
             if len(nxt) > _LEVEL_MASK_CAP:
                 if len(nxt) > budget:
                     raise BudgetExceededError(budget, len(nxt))
@@ -179,40 +199,44 @@ def _count_extensions(prep: _Prep, budget: int) -> int:
                     f"more than {_LEVEL_MASK_CAP} prefixes in one level; use --engine "
                     "auto, which answers part by part, or the sampler for an estimate"
                 )
-        total = sum(nxt.values())
         if total > budget:
             raise BudgetExceededError(budget, total)
         level = nxt
-    return sum(level.values())
+    return level[prep.full] >> shift
 
 
 def _levels(
     prep: _Prep, budget: int, selected: int = 0, top: int = 0
-) -> Iterator[dict[int, dict[tuple[int, tuple[int, ...]], int]]]:
+) -> Iterator[dict[int, tuple[int, dict[tuple[int, tuple[int, ...]], int]]]]:
     """The forward table, one level at a time: level t maps each downset D
-    of size t to {(k, tail): scaled F}.  ``tail`` lists, in placement
-    order, the variables of the ``selected`` mask placed while at most
-    ``top`` selected variables were still unplaced; it is () without a
-    selection."""
+    of size t to the variables that may join D and {(k, tail): scaled F}.
+    ``tail`` lists, in placement order, the variables of the ``selected``
+    mask placed while at most ``top`` selected variables were still
+    unplaced; it is () without a selection."""
     _check_budget(budget)
     cap = _LEVEL_MASK_CAP
-    scale, pin_index, unknowns = prep.scale, prep.exact_index, prep.unknowns
-    level: dict = {0: {(0, ()): 1}}
+    pin_index, unknowns = prep.exact_index, prep.unknowns
+    level: dict = {0: (prep.roots, {(0, ()): 1})}
     yield level
     for t in range(1, prep.size + 1):
         nxt: dict = {}
         states = 0
-        for placed, row in level.items():
+        for placed, (ready, row) in level.items():
             closing = (placed & unknowns).bit_count()
-            for v, low in prep.successors(placed):
+            rest = ready
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 key = placed | low
-                out = nxt.get(key)
-                if out is None:
+                got = nxt.get(key)
+                if got is None:
                     if len(nxt) >= budget:
                         raise BudgetExceededError(
                             budget, len(nxt) + 1, prep.where(), "the sampler"
                         )
-                    out = nxt[key] = {}
+                    got = nxt[key] = (prep.joinable(ready, v, key), {})
+                out = got[1]
                 j = pin_index.get(v)
                 carry = low & selected and (selected & ~placed).bit_count() <= top
                 for (k, tail), f in row.items():
@@ -222,7 +246,7 @@ def _levels(
                         state = (k + 1, tail)
                     else:
                         if k:
-                            f *= scale[j - 1] ** k * comb(closing, k)
+                            f *= prep.pin_factor(j, k, closing)
                         state = (0, tail)
                     if state in out:
                         out[state] += f
@@ -239,60 +263,6 @@ def _levels(
         yield level
 
 
-def _move_count(prep: _Prep, cap: int) -> int | None:
-    """The number of moves of ``_levels``' table without a selection (a
-    state and a variable that may join its downset: one multiply-add of
-    the build), found from the downsets alone, or None once it passes
-    ``cap``.  With p the highest pin of a downset D, the unknowns of D
-    placed after p are those above p plus any upset of D among those
-    neither above nor below p, so D holds one state per size of the
-    latter: |D & free(p)| + 1.
-
-    A refused set should cost a small share of its walk, so this is
-    leaner than ``_levels``: each downset is made once, from D minus its
-    highest-numbered maximal variable, and carries its maximal variables
-    and the variables that may join it."""
-    preds, succ = prep.quotient._preds(), prep.quotient._succ
-    parents, child_bits = prep.parents, prep.child_bits
-    free = {1 << p: prep.unknowns & ~preds[p] & ~succ[p] for p in prep.exact_chain}
-    total = prep.roots.bit_count()
-    # (downset, the bit of its highest pin or 0, its maximal variables,
-    # the variables that may join it)
-    level = [(0, 0, 0, prep.roots)]
-    for _ in range(prep.size):
-        nxt = []
-        for placed, last, tops, ready in level:
-            # v may join only if every maximal variable numbered above v
-            # is a parent of v: v above the highest, or that one's child
-            h = tops.bit_length()
-            cand = ready >> h << h
-            if h:
-                cand |= ready & child_bits[h - 1]
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                v = low.bit_length() - 1
-                stay = tops & ~parents[v]
-                if stay >> v:
-                    continue
-                key = placed | low
-                grown = ready ^ low
-                kids = child_bits[v]
-                while kids:
-                    kid = kids & -kids
-                    kids ^= kid
-                    if not parents[kid.bit_length() - 1] & ~key:
-                        grown |= kid
-                pin = low if low in free else last
-                nxt.append((key, pin, stay | low, grown))
-                states = (key & free.get(pin, 0)).bit_count() + 1
-                total += states * grown.bit_count()
-            if total > cap:
-                return None
-        level = nxt
-    return total
-
-
 def _backward(
     prep: _Prep,
     levels: list[dict],
@@ -303,7 +273,7 @@ def _backward(
     L^N N!) per transition: (interval, rank, final size) buckets for the
     unknowns in ``track``, and descending-rank buckets for the variables
     of the ``selected`` mask."""
-    scale, pin_index, unknowns = prep.scale, prep.exact_index, prep.unknowns
+    pin_index, unknowns = prep.exact_index, prep.unknowns
     pins, n = sum(1 << p for p in prep.exact_chain), len(prep.unknown_ids)
     buckets: dict[int, dict] = {u: {} for u in track}
     ranks: dict[int, dict[int, int]] = {}
@@ -311,11 +281,11 @@ def _backward(
     after: dict = {prep.full: {0: (1, {0: 1})}}
     for t in range(len(levels) - 2, -1, -1):
         here: dict = {}
-        for placed, row in levels[t].items():
+        for placed, (ready, row) in levels[t].items():
             in_placed = (placed & unknowns).bit_count()
             interval = (placed & pins).bit_count() - 1
             rank = (selected & ~placed).bit_count()
-            moves = [(v, low, after[placed | low]) for v, low in prep.successors(placed)]
+            moves = [(v, 1 << v, after[placed | 1 << v]) for v in _bits(ready)]
             back: dict = {}
             for (k, _), f in row.items():
                 closed = in_placed - k
@@ -335,7 +305,7 @@ def _backward(
                     else:
                         through = nrow[0][0]
                         if k:
-                            through *= scale[j - 1] ** k * comb(n - closed, k)
+                            through *= prep.pin_factor(j, k, n - closed)
                         split[k] = split.get(k, 0) + through
                     total += through
                     if low & selected:
@@ -344,13 +314,13 @@ def _backward(
                 back[k] = (total, split)
             here[placed] = back
         after = here
-    assert after[0][0][0] == levels[-1][prep.full][(0, ())], "F and B disagree"
+    assert after[0][0][0] == levels[-1][prep.full][1][(0, ())], "F and B disagree"
     return buckets, ranks
 
 
 def _volume(prep: _Prep, final: dict) -> Fraction:
     """The volume from the last level, summed over any carried tails."""
-    return Fraction(sum(final[prep.full].values()), prep.den)
+    return Fraction(sum(final[prep.full][1].values()), prep.den)
 
 
 def _last(levels: Iterator[dict]) -> dict:
@@ -364,10 +334,17 @@ def _expectation(
     prep: _Prep, total: int, bucket: dict[tuple[int, int, int], int]
 ) -> Fraction:
     """The expected value from one unknown's (interval, rank, fragment
-    size) buckets, in the scale of the volume ``total``."""
-    num = Fraction(0)
+    size) buckets, in the scale of the volume ``total``: per interval j,
+    the sum a of the weights and the sum c of weight * rank / (size + 1),
+    kept in integers times M = lcm(1..N+1), give alpha_j a + w_j c."""
+    m = lcm(*range(1, len(prep.unknown_ids) + 2))
+    sums: dict[int, tuple[int, int]] = {}
     for (j, r, size), x in bucket.items():
-        num += x * (prep.values[j] + Fraction(r, size + 1) * prep.widths[j])
+        a, c = sums.get(j, (0, 0))
+        sums[j] = (a + x, c + x * r * (m // (size + 1)))
+    num = Fraction(0)
+    for j, (a, c) in sums.items():
+        num += prep.values[j] * a + prep.widths[j] * Fraction(c, m)
     return num / total
 
 
@@ -398,7 +375,7 @@ def answer(
     ids = {x: part.resolve(x).id for x in names}
     levels = list(_levels(prep, budget))
     buckets, _ = _backward(prep, levels, ids.values(), 0)
-    total = levels[-1][prep.full][(0, ())]
+    total = levels[-1][prep.full][1][(0, ())]
     if query == MARGINAL:
         return _density(prep, total, buckets[ids[names[0]]])
     return {x: _expectation(prep, total, buckets[i]) for x, i in ids.items()}
@@ -426,7 +403,7 @@ def sequence_tally(
     final = _last(_levels(prep, budget, sum(1 << i for i in selected), top))
     return _volume(prep, final), {
         tuple(reversed(tail)): Fraction(x, prep.den)
-        for (_, tail), x in final[prep.full].items()
+        for (_, tail), x in final[prep.full][1].items()
     }
 
 
@@ -437,28 +414,33 @@ class ExtensionDraw:
 
     A draw walks the forward table back from (full, 0).  Each step picks a
     predecessor state with probability F(pred) times the transition factor
-    of ``_levels`` over F(here): 1 for placing an unknown, w_j^k / k! (in
-    the table's scale, ``scale[j-1]**k * comb(closing, k)``) for placing
-    pin j.  ``ways`` gives a state's predecessors as integer thresholds
-    over picks uniform in [0, 2^53): a caller draws by comparing picks
-    with thresholds, and may compile the states its draws reach into
-    arrays that walk many draws at once (the sampler does, in numpy).  The
+    of ``_levels`` over F(here): 1 for placing an unknown, w_j^k / k!
+    (``_Prep.pin_factor``) for placing pin j.  ``ways`` gives a state's
+    predecessors as integer thresholds over picks uniform in [0, 2^53): a
+    caller draws by comparing picks with thresholds, and may compile the
+    states its draws reach into arrays that walk many draws at once (the
+    sampler does, in numpy).  The
     thresholds are computed from the integer weights, which outgrow the
     float range on large sets, and select exactly the predecessor that
     bisecting the cumulative weights would.
     """
 
     def __init__(self, prep: _Prep, cap: int):
-        """Build the forward table, refusing (``LimitExceededError``) more
-        than ``cap`` moves before any of it is built."""
+        """Build the forward table, counting its moves (a state and a
+        variable that may join its downset: one multiply-add of the build)
+        level by level as ``_levels`` yields them.  Refuses the set
+        (``LimitExceededError``) at the first level where the count passes
+        ``cap``, before the next level is built."""
         self.prep = prep
-        moves = _move_count(prep, cap)
-        if moves is None:
-            raise LimitExceededError(
-                f"the forward table of {prep.where()} has more than {cap} moves"
-            )
-        self.moves = moves
-        self.levels = list(_levels(prep, DEFAULT_BUDGET))
+        self.moves = 0
+        self.levels = []
+        for level in _levels(prep, DEFAULT_BUDGET):
+            self.levels.append(level)
+            self.moves += sum(len(row) * ready.bit_count() for ready, row in level.values())
+            if self.moves > cap:
+                raise LimitExceededError(
+                    f"the forward table of {prep.where()} has more than {cap} moves"
+                )
 
     def ways(
         self, t: int, placed: int, k: int
@@ -489,7 +471,7 @@ class ExtensionDraw:
             if prep.child_bits[v] & placed:  # not maximal: the rest is no downset
                 continue
             before = placed ^ low
-            row = below[before]
+            row = below[before][1]
             j = prep.exact_index.get(v, -1)
             if j < 0:
                 f = row.get((k - 1, ())) if k else None
@@ -503,7 +485,7 @@ class ExtensionDraw:
                 closing = (before & prep.unknowns).bit_count()
                 for (open_, _), f in row.items():
                     if open_:
-                        f *= prep.scale[j - 1] ** open_ * comb(closing, open_)
+                        f *= prep.pin_factor(j, open_, closing)
                     total += f
                     cum.append(total)
                     preds.append((before, open_))

@@ -53,6 +53,11 @@ class VariableId:
     id: int
     name: str
 
+    def __hash__(self) -> int:
+        # ids are dense and, within a set, unique: hashing the id alone
+        # spares building a tuple on every dict lookup
+        return hash(self.id)
+
     def __str__(self) -> str:
         return self.name
 
@@ -571,14 +576,20 @@ class HasseDiagram:
 def _cover_edges(closed: ConstraintSet) -> frozenset[tuple[int, int]]:
     # Every cover x ⋖ y must appear among the base edges: if it were only
     # implied transitively, the implying chain would put an element strictly
-    # between x and y.  So only base edges need the no-intermediate test.
-    # Callers pass tie-free (collapsed) sets.
+    # between x and y.  Likewise anything strictly between x and y lies
+    # above some base successor of x, so x's covers are its base successors
+    # that none of those reaches.  Callers pass tie-free (collapsed) sets.
     succ = closed._succ
-    pred = closed._preds()
-    covers = set()
+    above: dict[int, int] = {}
     for i, j in closed._base_edges:
-        if i != j and not (succ[i] & pred[j]):
-            covers.add((i, j))
+        if i != j:
+            above[i] = above.get(i, 0) | 1 << j
+    covers = set()
+    for i, direct in above.items():
+        reached = 0
+        for j in _bits(direct):
+            reached |= succ[j]
+        covers.update((i, j) for j in _bits(direct & ~reached))
     return frozenset(covers)
 
 

@@ -80,10 +80,11 @@ _CHUNK_ROWS = 32768
 _RETRY_ROW_PAD = 128
 # The most moves (a state and a variable that may join its downset) the
 # forward tables of the exact draw hold over all parts of one set.  On a
-# 2-vCPU x86 host a move costs the build 0.5-2.2 us, and the count that
-# refuses a set beyond the bound a small share of that, so either stays
-# under a 738-point walk at burn-in 4800 and thinning 6 (300-550 ms on
-# 14-40 variables).
+# 2-vCPU x86 host a move costs the build 0.5-2.2 us.  The build stops at
+# the first level that takes its count past the bound, so a refused set
+# pays at most one bound's worth (19-40 ms on 16-26 unknowns), and either
+# stays under a 738-point walk at burn-in 4800 and thinning 6 (300-550 ms
+# on 14-40 variables).
 EXACT_MOVE_CAP = 100_000
 # Exact draws generate their random numbers this many points at a time.
 _EXACT_CHUNK_ROWS = 1024

@@ -5,10 +5,11 @@ package: candidate orders are filtered one permutation at a time,
 volumes come from summing closed-form products over explicit gap
 assignments, feasibility goes through scipy's LP solver, and means come
 from plain rejection sampling in the unit cube.  Slow, small, and
-obviously correct — which is the point.  The one exception is the
-exact-draw reference at the end: it builds the package's forward tables
-and walks them back one point at a time with Python integers, the
-reference for the sampler's batched walk.
+obviously correct — which is the point.  A downset's joinable variables
+follow their definition, over cover pairs found by brute force.  The one
+exception is the exact-draw reference at the end: it builds the
+package's forward tables and walks them back one point at a time with
+Python integers, the reference for the sampler's batched walk.
 """
 from __future__ import annotations
 
@@ -353,6 +354,48 @@ def merge_ties(
 
 
 # ---------------------------------------------------------------------------
+# the step of the downset lattice, by its definition
+
+
+def covers(closed) -> set[tuple[int, int]]:
+    """The cover pairs (a, b) of a closed, tie-free set: a below b with no
+    third variable strictly between them."""
+    ids = range(len(closed.variables))
+    below = {(a, b) for a in ids for b in ids if a != b and closed.reaches(a, b)}
+    return {
+        (a, b) for a, b in below if not any((a, c) in below and (c, b) in below for c in ids)
+    }
+
+
+def joinable(cover_pairs: set[tuple[int, int]], size: int, placed: int) -> int:
+    """The variables that may join the downset ``placed`` of a set of
+    ``size`` variables with these cover pairs, as a mask: v may join when
+    v is outside it and every cover parent of v is in it."""
+    return sum(
+        1 << v
+        for v in range(size)
+        if not placed >> v & 1
+        and all(placed >> a & 1 for a, b in cover_pairs if b == v)
+    )
+
+
+def count_extensions(closed) -> int:
+    """The linear extensions of a closed, tie-free set: the ways to grow
+    the empty downset to the full one, one joinable variable at a time."""
+    pairs, size = covers(closed), len(closed.variables)
+    full = (1 << size) - 1
+    ways = {full: 1}
+
+    def completions(placed: int) -> int:
+        if placed not in ways:
+            ready = joinable(pairs, size, placed)
+            ways[placed] = sum(completions(placed | 1 << v) for v in range(size) if ready >> v & 1)
+        return ways[placed]
+
+    return completions(0)
+
+
+# ---------------------------------------------------------------------------
 # exact draws one point at a time (for checking the sampler's batched walk)
 
 
@@ -369,7 +412,7 @@ def _ways_in(ext, t: int, placed: int, k: int) -> tuple[list[int], list[tuple]]:
         if not placed & low or prep.child_bits[v] & placed:
             continue  # v is not a maximal variable of the downset
         before = placed ^ low
-        row = below[before]
+        _, row = below[before]
         j = prep.exact_index.get(v)
         if j is None:
             f = row.get((k - 1, ())) if k else None

@@ -544,7 +544,7 @@ class TestExitCodes:
             payload = json.loads(err)
             assert payload["error"] == "malformed", target
             assert str(target) in payload["message"], target
-        # stdin decoded with surrogateescape lets a non-UTF-8 name through
+        # a text stdin (no bytes beneath) can hold a name that is not UTF-8
         out_path = str(tmp_path / "out.json")
         code, out, err = run_cli(
             ["close", "-", "--output", out_path], stdin_text='{"variables": ["a\udcff"]}'
@@ -640,7 +640,7 @@ class TestExitCodes:
         code, _, err = run_cli(["volume", long_pin])
         assert code == 3 and json.loads(err)["error"] == "malformed"
 
-    def test_hostile_documents_are_exit_3(self, tmp_path):
+    def test_hostile_documents_are_exit_3(self, tmp_path, monkeypatch):
         deep = tmp_path / "deep.json"
         deep.write_text('{"variables": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
         huge_int = tmp_path / "int.json"
@@ -650,7 +650,14 @@ class TestExitCodes:
         huge_pin = write_doc(tmp_path, "pin.json", {"variables": ["a"], "exact": {"a": "1e999999"}})
         not_utf8 = tmp_path / "utf16.json"
         not_utf8.write_bytes(b"\xff\xfe" + '{"variables": ["a"]}'.encode("utf-16-le"))
-        for path in (str(deep), str(huge_int), huge_pin, str(not_utf8)):
+        latin1 = b'{"variables": ["a\xff"]}'
+        (tmp_path / "latin1.json").write_bytes(latin1)
+        # stdin as the interpreter opens it under a C locale, decoding with
+        # surrogateescape: the bytes beneath are read as a file's are
+        stdin = io.TextIOWrapper(io.BytesIO(latin1), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        for path in (str(deep), str(huge_int), huge_pin, str(not_utf8), "-",
+                     str(tmp_path / "latin1.json")):
             code, out, err = run_cli(["volume", path])
             assert code == 3 and out == "", path
             assert json.loads(err)["error"] == "malformed", path

@@ -114,6 +114,18 @@ class TestClosure:
             }
             assert closure == set(cs.order_edges)
 
+    def test_cover_edges_have_nothing_between(self):
+        # on tie quotients and their parts: a cover pair has no third
+        # variable strictly between its two
+        rng = random.Random(13)
+        docs = [gen.mixed_doc(rng, rng.randint(1, 9), rng.randint(0, 3)) for _ in range(25)]
+        docs += [gen.tied_doc(rng, rng.randint(3, 8), 2) for _ in range(5)]
+        docs += [gen.separator_doc(rng) for _ in range(10)]
+        for doc in docs:
+            prepared = model.Prepared(gen.to_cs(doc))
+            for closed in (prepared.ties.quotient, *prepared.decomposition.parts):
+                assert model._cover_edges(closed) == oracles.covers(closed), doc
+
 
 def _adjacency(n, edges):
     adj = [[] for _ in range(n)]
@@ -436,6 +448,18 @@ class TestFlip:
         cs = flip_constraints(ConstraintSet(["x"], [], {"x": F(1, 5)}))
         _, _, exact = cs.user_view()
         assert exact["x"] == F(4, 5)
+
+
+class TestVariableId:
+    def test_hash_is_that_of_the_id(self):
+        a, b = model.VariableId(3, "x"), model.VariableId(3, "x")
+        assert a == b and hash(a) == hash(b) == hash(3)
+        assert len({a, b}) == 1
+
+    def test_same_id_other_name_stays_unequal(self):
+        a, b = model.VariableId(3, "x"), model.VariableId(3, "y")
+        assert a != b
+        assert len({a, b}) == 2 and {a: 1}.get(b) is None
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ import gen
 import oracles
 from ordpoly import (
     ConstraintSet,
+    LimitExceededError,
     MalformedInputError,
     SamplerConfig,
     SamplerError,
@@ -342,7 +343,9 @@ class TestExactDraws:
         cs = ConstraintSet([*pins, *xs], order, pins)
         walk = sampler._Walk(cs)
         (part,) = walk.exact_parts
-        weights = (f for level in part.ext.levels for row in level.values() for f in row.values())
+        weights = (
+            f for level in part.ext.levels for _, row in level.values() for f in row.values()
+        )
         assert max(weights) > 10**308
         drawn = sample_points(cs, SamplerConfig(seed=1), 50)
         assert drawn.sampler == sampler.EXACT and len(drawn.points) == 50
@@ -361,37 +364,76 @@ class TestExactDraws:
         walked = [pt.as_dict() for pt in hit_and_run_sample(cs, cfg, 10)]
         assert [pt.as_dict() for pt in drawn.points] == walked
 
-    def test_a_set_beyond_the_bound_is_refused_before_any_table(self, monkeypatch):
-        levels = []
-        monkeypatch.setattr(lattice, "_levels", lambda *a, **k: levels.append(a) or iter(()))
+    def test_a_set_beyond_the_bound_is_refused_at_its_first_level_past_it(self, monkeypatch):
+        # every part's table is built level by level, and the walk is
+        # chosen at the first level whose moves take the total past the
+        # bound: no level after it is built
+        tables = []
+        levels = lattice._levels
+
+        def recorded(*args, **kwargs):
+            tables.append([])
+            for level in levels(*args, **kwargs):
+                tables[-1].append(level)
+                yield level
+
+        monkeypatch.setattr(lattice, "_levels", recorded)
         # 16 unknowns below one: 2^16 + 1 downsets
         star = ConstraintSet(
             [f"s{i}" for i in range(16)] + ["top"], [(f"s{i}", "top") for i in range(16)], {}
         )
-        assert sampler._Walk(star).sampler == sampler.HIT_AND_RUN
         # a small set beyond a low bound
         cs = gen.to_cs(gen.mixed_doc(random.Random(233), 5, 2))
-        monkeypatch.setattr(sampler, "EXACT_MOVE_CAP", 5)
-        assert sampler._Walk(cs).sampler == sampler.HIT_AND_RUN
-        assert levels == []
+        for beyond, cap in ((star, sampler.EXACT_MOVE_CAP), (cs, 5)):
+            monkeypatch.setattr(sampler, "EXACT_MOVE_CAP", cap)
+            tables.clear()
+            assert sampler._Walk(beyond).sampler == sampler.HIT_AND_RUN
+            moves = [
+                sum(len(row) * ready.bit_count() for ready, row in level.values())
+                for table in tables
+                for level in table
+            ]
+            # so the last level built has moves: it is not the full downset
+            assert sum(moves[:-1]) <= cap < sum(moves)
 
-    def test_move_count_is_that_of_the_table(self):
-        # one move per state of a downset and variable that may join it
+    @staticmethod
+    def _battery() -> list:
+        """Tie quotients of 30 random DAGs with pins and 10 tied sets."""
         rng = random.Random(239)
         docs = [
             gen.mixed_doc(rng, rng.randint(1, 9), rng.randint(0, 3), rng.choice([0.1, 0.3, 0.6]))
             for _ in range(30)
         ]
         docs += [gen.tied_doc(rng, rng.randint(3, 8), 2) for _ in range(10)]
-        for doc in docs:
-            prep = lattice._prepare(Prepared(gen.to_cs(doc)).ties.quotient)
+        return [Prepared(gen.to_cs(doc)).ties.quotient for doc in docs]
+
+    def test_move_count_is_that_of_the_table(self):
+        # one move per state of a downset and variable that may join it
+        for quotient in self._battery():
+            prep = lattice._prepare(quotient)
+            pairs = oracles.covers(quotient)
             moves = sum(
-                len(row) * len(list(prep.successors(placed)))
+                len(row) * oracles.joinable(pairs, prep.size, placed).bit_count()
                 for level in lattice._levels(prep, 10**9)
-                for placed, row in level.items()
+                for placed, (_, row) in level.items()
             )
-            assert lattice._move_count(prep, moves) == moves, doc
-            assert lattice._move_count(prep, moves - 1) is None, doc
+            assert lattice.ExtensionDraw(prep, moves).moves == moves, quotient
+            with pytest.raises(LimitExceededError):
+                lattice.ExtensionDraw(prep, moves - 1)
+
+    def test_every_downset_carries_the_variables_that_may_join_it(self):
+        for quotient in self._battery():
+            prep = lattice._prepare(quotient)
+            pairs = oracles.covers(quotient)
+            for level in lattice._levels(prep, 10**9):
+                for placed, (ready, _) in level.items():
+                    assert ready == oracles.joinable(pairs, prep.size, placed), quotient
+
+    def test_the_pre_count_is_that_of_the_definition(self):
+        for quotient in self._battery():
+            prep = lattice._prepare(quotient)
+            count = oracles.count_extensions(quotient)
+            assert lattice._count_extensions(prep, 10**9) == count, quotient
 
 
 class TestBatchedWalk:
