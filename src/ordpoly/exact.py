@@ -20,10 +20,12 @@ extensions against the budget, then answers part by part like ``auto``.
 
 The number of extensions can be astronomically large, so every entry
 point takes a budget and aborts with ``BudgetExceededError`` (carrying a
-proven lower bound) instead of hanging: ``lattice._count_extensions``
-pre-counts prefixes level by level, which aborts in milliseconds even
-when the true count is in the trillions, and refuses with
-``LimitExceededError`` a set whose pre-count needs too much memory.
+proven lower bound) instead of hanging: ``precount.count_extensions``
+counts each decomposition part's prefixes level by level and merges the
+parts' counts by multinomials over the pin intervals they share, which
+aborts in milliseconds even when the true count is in the trillions, and
+refuses with ``LimitExceededError`` a set whose pre-count needs too much
+memory.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from . import precount
 from .errors import DEFAULT_BUDGET, MalformedInputError
-from .lattice import _count_extensions, _prepare
 from .model import ConstraintSet, Prepared
 from .poly import PiecewisePolynomial
 from .tree import MARGINAL, VALUES, VOLUME, solve
@@ -78,7 +80,7 @@ def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:
     ties refused), pre-counted under the budget."""
     prepared = Prepared(cs)
     prepared.reject_user_ties()
-    return _count_extensions(_prepare(prepared.ties.quotient), budget)
+    return precount.count_extensions(prepared, budget)
 
 
 def volume_exact(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> Fraction:

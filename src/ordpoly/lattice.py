@@ -52,12 +52,9 @@ is a proven lower bound on the extension count), and a level with more
 than ``_LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
 
 ``tree.solve_part`` reaches volumes, expected values and marginals of a
-general part through ``answer``.  ``_count_extensions`` counts linear
-extensions as prefixes per downset, level by level: more prefixes than
-the budget raise ``BudgetExceededError``, more than ``_LEVEL_MASK_CAP``
-downsets in one level ``LimitExceededError``.  Under ``--engine exact``,
-``tree.solve`` first pre-counts the whole tie quotient with it;
-``exact.count_extensions`` is the same call.
+general part through ``answer``.  The ``--engine exact`` pre-count walks
+each part's downsets in ``precount``, on this module's ``_Prep`` and
+under the same ``_LEVEL_MASK_CAP``.
 """
 from __future__ import annotations
 
@@ -70,9 +67,20 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _ch
 from .model import MARGINAL, SHAPE_GENERAL, VOLUME, ConstraintSet, _bits, _cover_edges
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
-# The most prefixes the extension pre-count, and states the lattice,
-# hold in one level.
+# The most states the lattice and the extension pre-count (``precount``)
+# hold in one level, and fragment profiles the pre-count's merge holds.
 _LEVEL_MASK_CAP = 2_000_000
+
+
+def _where(quotient: ConstraintSet, unknown_ids: Sequence[int], shape: str | None = None) -> str:
+    """A set as the guards' errors name it: shape (a part's), smallest
+    unknown, unknown and pin counts."""
+    names = [quotient.variables[u].name for u in unknown_ids]
+    what = f"{shape} part" if shape else "set"
+    if names:
+        what += f" containing {min(names)!r}"
+    pins = len(quotient.exact_values)
+    return f"the {what} ({len(names)} unknowns, {pins} pinned incl. bounds)"
 
 
 @dataclass
@@ -89,6 +97,7 @@ class _Prep:
     roots: int
     exact_chain: list[int]
     exact_index: dict[int, int]
+    pins: int
     values: list[Fraction]
     widths: list[Fraction]
     unknown_ids: list[int]
@@ -119,14 +128,8 @@ class _Prep:
         return self.scale[j - 1] ** k * comb(m, k)
 
     def where(self) -> str:
-        """The set as the guards' errors name it: shape (a part's),
-        smallest unknown, unknown and pin counts."""
-        names = [self.quotient.variables[u].name for u in self.unknown_ids]
-        what = f"{self.shape} part" if self.shape else "set"
-        if names:
-            what += f" containing {min(names)!r}"
-        pins = len(self.exact_chain)
-        return f"the {what} ({len(names)} unknowns, {pins} pinned incl. bounds)"
+        """The set as the guards' errors name it."""
+        return _where(self.quotient, self.unknown_ids, self.shape)
 
 
 def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
@@ -153,6 +156,7 @@ def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
         roots=sum(1 << v for v in range(size) if not parents[v]),
         exact_chain=chain,
         exact_index={v: j for j, v in enumerate(chain)},
+        pins=sum(1 << v for v in chain),
         values=values,
         widths=widths,
         unknown_ids=unknown_ids,
@@ -160,49 +164,6 @@ def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
         scale=[w.numerator * (den // w.denominator) for w in widths],
         den=den ** len(unknown_ids) * factorial(len(unknown_ids)),
     )
-
-
-def _count_extensions(prep: _Prep, budget: int) -> int:
-    """Exact linear-extension count, pre-counted level by level.  Raises
-    ``BudgetExceededError`` as soon as any level's prefix count (a lower
-    bound on the total) exceeds the budget, the last level (the count
-    itself) included.  Gives up with ``LimitExceededError`` once a level
-    holds more than ``_LEVEL_MASK_CAP`` distinct prefixes, or with
-    ``BudgetExceededError`` when those already exceed the budget (each is
-    a prefix of a distinct extension)."""
-    _check_budget(budget)
-    # one int per downset: its prefix count above the variables that may
-    # join it, so adding counts keeps the mask
-    shift = prep.size
-    level: dict[int, int] = {0: 1 << shift | prep.roots}
-    for _ in range(prep.size):
-        nxt: dict[int, int] = {}
-        total = 0
-        for mask, packed in level.items():
-            ready = packed & prep.full
-            ways = packed ^ ready
-            total += (ways >> shift) * ready.bit_count()
-            rest = ready
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                key = mask | low
-                if key in nxt:
-                    nxt[key] += ways
-                else:
-                    nxt[key] = ways | prep.joinable(ready, low.bit_length() - 1, key)
-            if len(nxt) > _LEVEL_MASK_CAP:
-                if len(nxt) > budget:
-                    raise BudgetExceededError(budget, len(nxt))
-                raise LimitExceededError(
-                    f"pre-counting the linear extensions of {prep.where()} needs "
-                    f"more than {_LEVEL_MASK_CAP} prefixes in one level; use --engine "
-                    "auto, which answers part by part, or the sampler for an estimate"
-                )
-        if total > budget:
-            raise BudgetExceededError(budget, total)
-        level = nxt
-    return level[prep.full] >> shift
 
 
 def _levels(
@@ -273,8 +234,8 @@ def _backward(
     L^N N!) per transition: (interval, rank, final size) buckets for the
     unknowns in ``track``, and descending-rank buckets for the variables
     of the ``selected`` mask."""
-    pin_index, unknowns = prep.exact_index, prep.unknowns
-    pins, n = sum(1 << p for p in prep.exact_chain), len(prep.unknown_ids)
+    pin_index, unknowns, pins = prep.exact_index, prep.unknowns, prep.pins
+    n = len(prep.unknown_ids)
     buckets: dict[int, dict] = {u: {} for u in track}
     ranks: dict[int, dict[int, int]] = {}
     # Per state (D, k): (total, {final size of the open fragment: part}).

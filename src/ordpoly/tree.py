@@ -27,8 +27,8 @@ value), piecewise polynomial with breakpoints at pinned values.
 
 Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
 one path, ``solve``, which calls ``solve_part`` once per decomposition
-part; under ``exact`` it first pre-counts the linear extensions of the
-whole tie quotient against the budget.  ``solve_part`` picks the engine
+part; under ``exact`` it first pre-counts the linear extensions against
+the budget, part by part (``precount``).  ``solve_part`` picks the engine
 by shape: the tree engine on trees and on the mirror image v -> 1 - v of
 reverse trees, closed forms on total orders, the lattice of downsets
 (``lattice.answer``) on general parts.
@@ -415,9 +415,9 @@ def solve(
     the stable scheme), or the density of the one variable in ``names``
     (MARGINAL).  A pinned tie class gives its value (a MARGINAL of one is
     malformed input).  Every engine answers part by part; ``engine`` is
-    the CLI's.  Under "exact" the linear extensions of the whole tie
-    quotient are first pre-counted against the budget; under "tree" or
-    STABLE a general part raises ``ShapeError`` first.
+    the CLI's.  Under "exact" the linear extensions of the tie quotient
+    are first pre-counted against the budget, part by part; under "tree"
+    or STABLE a general part raises ``ShapeError`` first.
     """
     if query == VOLUME:
         prep.reject_user_ties()
@@ -436,9 +436,9 @@ def solve(
         else:
             values[x] = pinned[target.id]
     if engine == "exact" and query != STABLE and (unknown or query == VOLUME):
-        from .lattice import _count_extensions, _prepare
+        from .precount import count_extensions
 
-        _count_extensions(_prepare(prep.ties.quotient), budget)
+        count_extensions(prep, budget)
     wanted: dict[int, dict] = {}
     if query == VOLUME:
         wanted = {part_no: {} for part_no in range(len(prep.decomposition.parts))}

@@ -1,4 +1,4 @@
-"""Acceptance gate: sixteen end-to-end criteria, one test each.
+"""Acceptance gate: seventeen end-to-end criteria, one test each.
 
 Every test prints exactly one line ``[criterion NN] PASS/FAIL — detail``
 (replayed in the terminal summary section by conftest) and enforces the
@@ -23,6 +23,8 @@ from test_cli import run_cli
 from test_tree import lattice_answers
 
 from ordpoly import (
+    SHAPE_GENERAL,
+    BudgetExceededError,
     ConstraintSet,
     PiecewisePolynomial,
     Polynomial,
@@ -30,6 +32,7 @@ from ordpoly import (
     as_tree,
     check_containment,
     check_stability,
+    count_extensions,
     decompose,
     estimate_expected_value,
     expected_rank,
@@ -41,6 +44,7 @@ from ordpoly import (
     local_topk,
     marginal_exact,
     marginal_tree,
+    part_skeleton,
     pw_expectation,
     rejection_sample_mean,
     stable_interpolate,
@@ -523,3 +527,67 @@ def test_c16_lattice_beyond_enumeration():
         )
 
     criterion("16", body, budget_s=10.0)
+
+
+def blocks_doc(rng: random.Random, blocks: int = 6, size: int = 8) -> dict:
+    """``blocks`` connected general-shaped blocks of ``size`` unknowns, each
+    a random DAG redrawn until it is one general part, every unknown
+    between the pins lo = 1/10 and hi = 9/10: one interval that every
+    part shares."""
+    names, order = ["lo", "hi"], []
+    exact = {"lo": F(1, 10), "hi": F(9, 10)}
+    for b in range(blocks):
+        block = [f"b{b}x{i}" for i in range(size)]
+        bounds = [("lo", v) for v in block] + [(v, "hi") for v in block]
+        while True:
+            topo = rng.sample(block, size)
+            edges = [
+                (topo[i], topo[j])
+                for i in range(size)
+                for j in range(i + 1, size)
+                if rng.random() < 0.35
+            ]
+            block_cs = ConstraintSet(["lo", "hi", *block], edges + bounds, exact)
+            parts = decompose(block_cs).parts
+            if len(parts) == 1 and part_skeleton(parts[0]).shape == SHAPE_GENERAL:
+                break
+        names += block
+        order += edges + bounds
+    return {
+        "variables": names,
+        "order": [list(pair) for pair in order],
+        "exact": {"lo": "1/10", "hi": "9/10"},
+    }
+
+
+def test_c17_exact_pre_count_part_by_part():
+    def body():
+        # The 20-antichain has 20 singleton parts in one shared interval:
+        # their counts merge to 20! exactly.
+        anti = ConstraintSet([f"a{i:02d}" for i in range(20)], [], {})
+        assert count_extensions(anti, math.factorial(20)) == math.factorial(20)
+        try:
+            count_extensions(anti, math.factorial(20) - 1)
+        except BudgetExceededError as exc:
+            assert exc.lower_bound == math.factorial(20)
+        else:
+            raise AssertionError("a budget of 20! - 1 answered")
+        # Six independent 8-unknown general blocks between two pins: far
+        # over a budget of a million, refused from the parts' own counts.
+        doc = blocks_doc(random.Random(17))
+        code, out, err = run_cli(
+            ["marginal", "-", "--engine", "exact", "--var", "b0x0",
+             "--max-extensions", "1000000"],
+            json.dumps(doc),
+        )
+        assert code == 2 and out == "", err
+        payload = json.loads(err)
+        assert payload["error"] == "budget"
+        assert payload["lower_bound"] > payload["budget"] == 1_000_000
+        return (
+            "20-antichain counts 20! exactly; six 8-unknown blocks exit 2 under "
+            f"--engine exact with lower bound {payload['lower_bound']} over budget "
+            f"{payload['budget']}"
+        )
+
+    criterion("17", body, budget_s=2.0)

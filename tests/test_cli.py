@@ -1153,12 +1153,15 @@ def _loaded_after(argv, modules):
 
 def test_lattice_answers_leave_the_enumerator_unloaded(tmp_path):
     # --engine exact and a general part under auto answer from the lattice;
-    # the exact module holds only the library's wrappers
+    # the exact module holds only the library's wrappers, and only
+    # --engine exact loads the pre-count
     path = write_doc(tmp_path, "k22.json", K22)
-    for argv in (["volume", path, "--engine", "exact"], ["volume", path]):
-        assert _loaded_after(argv, ["ordpoly.exact", "ordpoly.lattice"]) == (
-            "0 ['ordpoly.lattice']"
-        ), argv
+    modules = ["ordpoly.exact", "ordpoly.lattice", "ordpoly.precount"]
+    for argv, loaded in (
+        (["volume", path, "--engine", "exact"], "['ordpoly.lattice', 'ordpoly.precount']"),
+        (["volume", path], "['ordpoly.lattice']"),
+    ):
+        assert _loaded_after(argv, modules) == f"0 {loaded}", argv
 
 
 def test_engine_free_commands_leave_engines_unloaded(tmp_path):

@@ -27,7 +27,7 @@ from ordpoly import (
     volume_exact,
     volume_frag,
 )
-from ordpoly import lattice
+from ordpoly import lattice, precount
 from ordpoly.model import Prepared
 from ordpoly.tree import MARGINAL, VALUES, VOLUME, solve
 
@@ -183,11 +183,14 @@ class TestBudget:
         assert count_extensions(cs, budget=120) == 120
 
     def test_precount_gives_up_with_the_budget_already_exceeded(self, monkeypatch):
-        # With the per-level cap at 1 the pre-count gives up at once.  The
-        # 6-antichain's first level holds 6 distinct prefixes: over a
-        # budget of 5 that is proof enough of a budget error; at 719 and
-        # 720 every guarded call refuses the set by name.
-        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})  # 720 extensions
+        # With the per-level cap at 1 a part whose level holds more than one
+        # prefix gives up at once.  Six unknowns under a seventh form one
+        # part whose second level holds 6 distinct prefixes: over a budget
+        # of 5 that is proof enough of a budget error; at 719 and 720 every
+        # guarded call refuses that part by name.
+        names = [f"v{i}" for i in range(6)]
+        cs = ConstraintSet([*names, "w"], [(v, "w") for v in names], {})  # 720
+        part = "the general part containing 'v0' (7 unknowns, 2 pinned incl. bounds)"
         calls = {
             "count_extensions": count_extensions,
             "volume_exact": volume_exact,
@@ -198,12 +201,30 @@ class TestBudget:
             with pytest.raises(BudgetExceededError) as exc_info:
                 call(cs, 5)
             assert (exc_info.value.budget, exc_info.value.lower_bound) == (5, 6), name
+            assert str(exc_info.value).startswith(part), name
             for budget in (719, 720):
                 with pytest.raises(LimitExceededError) as exc_info:
                     call(cs, budget)
                 message = str(exc_info.value)
-                assert "the set containing 'v0'" in message, name
+                assert part in message, name
                 assert "more than 1 prefixes" in message, name
+
+    def test_merge_refuses_the_set_by_its_running_count(self, monkeypatch):
+        # The 6-antichain's singleton parts hold one prefix per level and
+        # one fragment profile each, so cap 1 never trips.  Merging their
+        # counts gives 1, 2, 6, ...: over a budget of 5 once three parts
+        # give 3!, and over 719 at the count itself, naming the whole set.
+        cs = ConstraintSet([f"v{i}" for i in range(6)], [], {})
+        monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
+        for budget, lower in ((5, 6), (719, 720)):
+            with pytest.raises(BudgetExceededError) as exc_info:
+                count_extensions(cs, budget)
+            assert (exc_info.value.budget, exc_info.value.lower_bound) == (budget, lower)
+            assert str(exc_info.value).startswith(
+                "the set containing 'v0' (6 unknowns, 2 pinned incl. bounds)"
+            )
+        assert count_extensions(cs, 720) == 720
+        assert volume_exact(cs, 720) == 1  # the unit cube
 
     def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
         # u and global top-k walk the downset lattice: on the 6-antichain
@@ -244,6 +265,85 @@ class TestBudget:
                 call(cs, sel, 2, 20)
             message = str(exc_info.value)
             assert "'v0'" in message and "more than 5 states" in message, name
+
+
+def _fence_doc(rng: random.Random, fences: int) -> gen.Doc:
+    """``fences`` zigzag fences of 2-5 unknowns, each between its own two
+    random pins, so their pin intervals overlap."""
+    names, order, exact = [], [], {}
+    for f in range(fences):
+        fence = [f"f{f}_{i}" for i in range(rng.randint(2, 5))]
+        lo, hi = gen.distinct_fractions(rng, 2)
+        names += [*fence, f"f{f}_lo", f"f{f}_hi"]
+        exact.update({f"f{f}_lo": lo, f"f{f}_hi": hi})
+        order += [(f"f{f}_lo", x) for x in fence] + [(x, f"f{f}_hi") for x in fence]
+        zigzag = enumerate(zip(fence, fence[1:]))
+        order += [(a, b) if i % 2 == 0 else (b, a) for i, (a, b) in zigzag]
+    return names, order, exact
+
+
+def _forest_doc(rng: random.Random, trees: int) -> gen.Doc:
+    """``trees`` small trees side by side, each with its own pins."""
+    names, order, exact = [], [], {}
+    for t in range(trees):
+        tree_names, tree_order, tree_exact = gen.tree_doc(rng, rng.randint(1, 3))
+        names += [f"t{t}_{x}" for x in tree_names]
+        order += [(f"t{t}_{a}", f"t{t}_{b}") for a, b in tree_order]
+        exact.update({f"t{t}_{x}": v for x, v in tree_exact.items()})
+    return names, order, exact
+
+
+class TestPreCount:
+    """The --engine exact pre-count walks each part by fragment profile
+    and merges the parts' tables; the whole tie quotient's downsets
+    (``oracles.count_extensions``) give the reference."""
+
+    @staticmethod
+    def _multi_part_sets() -> list[Prepared]:
+        rng = random.Random(421)
+        docs = [gen.mixed_doc(rng, rng.randint(2, 8), rng.randint(0, 3), 0.1) for _ in range(40)]
+        docs += [gen.separator_doc(rng, 4) for _ in range(20)]
+        docs += [gen.tied_doc(rng, rng.randint(4, 8), 2, 0.1) for _ in range(20)]
+        docs += [_forest_doc(rng, rng.randint(2, 3)) for _ in range(20)]
+        docs += [_fence_doc(rng, rng.randint(2, 3)) for _ in range(20)]
+        sets = [Prepared(gen.to_cs(doc)) for doc in docs]
+        return [prep for prep in sets if len(prep.decomposition.parts) > 1]
+
+    def test_the_count_is_that_of_the_whole_quotient(self):
+        sets = self._multi_part_sets()
+        assert len(sets) >= 100
+        for prep in sets:
+            quotient = prep.ties.quotient
+            assert precount.count_extensions(prep, 10**12) == oracles.count_extensions(
+                quotient
+            ), quotient
+
+    def test_a_budget_of_the_count_answers_and_one_less_refuses(self):
+        for prep in self._multi_part_sets():
+            count = oracles.count_extensions(prep.ties.quotient)
+            assert precount.count_extensions(prep, count) == count
+            with pytest.raises(BudgetExceededError) as exc_info:
+                precount.count_extensions(prep, count - 1)
+            assert exc_info.value.lower_bound > count - 1
+
+    def test_a_later_part_refuses_with_the_counts_before_it(self):
+        # Each fence of fences() alone has c extensions.  At budget c the
+        # second fence's walk refuses once its prefixes times c pass the
+        # budget, naming that fence, before any merge
+        prep = Prepared(fences())
+        first = oracles.count_extensions(prep.decomposition.parts[0])
+        with pytest.raises(BudgetExceededError) as exc_info:
+            precount.count_extensions(prep, first)
+        assert str(exc_info.value).startswith("the general part containing 'f1_0'")
+        assert first < exc_info.value.lower_bound <= first**2
+
+    def test_overlapping_fences_share_their_pin_intervals(self):
+        # Two 8-unknown fences on [1/10, 6/10] and [3/10, 9/10]: only
+        # [3/10, 6/10] is tracked, and the merge gives the whole count
+        prep = Prepared(fences())
+        count = oracles.count_extensions(prep.ties.quotient)
+        assert precount.count_extensions(prep, 10**12) == count
+        assert count_extensions(fences(), 10**12) == count
 
 
 def forest() -> ConstraintSet:
@@ -313,13 +413,13 @@ def test_exact_engine_answers_part_by_part(monkeypatch):
     )
     assert exact_answers == auto
     assert seen and all(len(fences_held) == 1 for fences_held in seen)
-    # When the pre-count gives up below the budget, the set is refused by
-    # name before any lattice is built
+    # When a part's pre-count gives up below the budget, that part is
+    # refused by name before any lattice is built
     seen.clear()
     monkeypatch.setattr(lattice, "_LEVEL_MASK_CAP", 1)
     with pytest.raises(LimitExceededError) as exc_info:
         volume_exact(cs, budget)
     message = str(exc_info.value)
-    assert "the set containing 'f0_0'" in message
+    assert "the general part containing 'f0_0' (8 unknowns, 6 pinned" in message
     assert "more than 1 prefixes" in message
     assert seen == []

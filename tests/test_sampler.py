@@ -26,7 +26,7 @@ from ordpoly import (
     sample_points,
     select,
 )
-from ordpoly import lattice, sampler
+from ordpoly import lattice, precount, sampler
 from ordpoly.model import Prepared
 
 F = Fraction
@@ -431,9 +431,8 @@ class TestExactDraws:
 
     def test_the_pre_count_is_that_of_the_definition(self):
         for quotient in self._battery():
-            prep = lattice._prepare(quotient)
             count = oracles.count_extensions(quotient)
-            assert lattice._count_extensions(prep, 10**9) == count, quotient
+            assert precount.count_extensions(Prepared(quotient), 10**9) == count, quotient
 
 
 class TestBatchedWalk:
