@@ -34,9 +34,13 @@ et al., IJCAI 2016).
   level that takes them past the sampler's cap.
 
 Every walk carries with each downset D the variables that may join it,
-those outside D whose cover parents are all in D.  Placing v drops v and
-adds each child of v whose cover parents are then all placed
-(``_Prep.joinable``), so a step never rereads the rest of D.
+those outside D whose parents are all in D.  Placing v drops v and adds
+each child of v whose parents are then all placed (``_Prep.joinable``),
+so a step never rereads the rest of D.  The parents are those of a
+relation that generates the order, not necessarily its covers: a part's
+skeleton edges plus the chain of its pins (``_prepare``).  Each part's
+``_Prep`` is built once per request and kept with its skeleton
+(``model.PartSkeleton.prep``).
 
 Weights are integers.  With L the common denominator of the interval
 widths (w_j = c_j / L), N the number of unknowns and s the unknowns in
@@ -53,8 +57,9 @@ than ``_LEVEL_MASK_CAP`` states raises ``LimitExceededError``.
 
 ``tree.solve_part`` reaches volumes, expected values and marginals of a
 general part through ``answer``.  The ``--engine exact`` pre-count walks
-each part's downsets in ``precount``, on this module's ``_Prep`` and
-under the same ``_LEVEL_MASK_CAP``.
+each part's downsets in ``precount``, on the same ``_Prep`` and under the
+same ``_LEVEL_MASK_CAP``; u/global top-k walk the parts that hold the
+selection, and the sampler's exact draws each part's forward table.
 """
 from __future__ import annotations
 
@@ -64,7 +69,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, LimitExceededError, _check_budget
-from .model import MARGINAL, SHAPE_GENERAL, VOLUME, ConstraintSet, _bits, _cover_edges
+from .model import MARGINAL, VOLUME, ConstraintSet, PartSkeleton, _bits
 from .poly import PiecewisePolynomial, Polynomial, order_statistic_density
 
 # The most states the lattice and the extension pre-count (``precount``)
@@ -85,8 +90,9 @@ def _where(quotient: ConstraintSet, unknown_ids: Sequence[int], shape: str | Non
 
 @dataclass
 class _Prep:
-    """A closed, tie-free set as bitmasks: its cover graph, its pins in
-    value order and the integer scale of the gaps between them."""
+    """A closed, tie-free set as bitmasks: a relation that generates its
+    order (``parents``, ``child_bits``), its pins in value order and the
+    integer scale of the gaps between them."""
 
     quotient: ConstraintSet
     shape: str | None  # a part's shape, which the guards' errors name
@@ -108,8 +114,8 @@ class _Prep:
     def joinable(self, ready: int, v: int, placed: int) -> int:
         """The variables that may join the downset ``placed``, which
         placing ``v`` made from a downset that ``ready`` may join: those
-        of ``ready`` but v, and each child of v whose cover parents are
-        all placed.  The one step of every walk of the lattice."""
+        of ``ready`` but v, and each child of v whose parents are all
+        placed.  The one step of every walk of the lattice."""
         parents = self.parents
         grown = ready ^ (1 << v)
         kids = self.child_bits[v]
@@ -132,15 +138,27 @@ class _Prep:
         return _where(self.quotient, self.unknown_ids, self.shape)
 
 
-def _prepare(quotient: ConstraintSet, shape: str | None = None) -> _Prep:
-    """The bitmask form of ``quotient``, a closed and tie-free set."""
+def _prepare(skel: PartSkeleton, shape: str | None = None) -> _Prep:
+    """The bitmask form of the closed, tie-free set of ``skel``, whose
+    ``shape`` the guards' errors name (None: "set").
+
+    The skeleton's edges and the chain of the pins in value order generate
+    the set's order.  That is all a walk reads: a variable may join a
+    downset when its parents under any generating relation are in it, and
+    is maximal in a downset when none of its children is, just as under
+    the covers."""
+    quotient = skel.quotient
     size = len(quotient.variables)
     parents = [0] * size
     child_bits = [0] * size
-    for a, b in _cover_edges(quotient):
+    chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
+    for a, kids in skel.children.items():
+        for b in kids:
+            parents[b] |= 1 << a
+            child_bits[a] |= 1 << b
+    for a, b in zip(chain, chain[1:]):
         parents[b] |= 1 << a
         child_bits[a] |= 1 << b
-    chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
     values = [quotient.exact_values[i] for i in chain]
     widths = [values[j + 1] - values[j] for j in range(len(chain) - 1)]
     assert all(w > 0 for w in widths), "equal pinned values must have been collapsed"
@@ -325,15 +343,15 @@ def _density(
 
 
 def answer(
-    part: ConstraintSet, query: str, names: Sequence[str] = (), budget: int = DEFAULT_BUDGET
+    skel: PartSkeleton, query: str, names: Sequence[str] = (), budget: int = DEFAULT_BUDGET
 ):
-    """``tree.solve_part``'s ``query`` on a general part (closed and
-    tie-free): the volume (VOLUME), ``{x: value}`` for the part's unknowns
-    ``names`` (VALUES), or the density of ``names[0]`` (MARGINAL)."""
-    prep = _prepare(part, SHAPE_GENERAL)
+    """``tree.solve_part``'s ``query`` on the part of ``skel``: the volume
+    (VOLUME), ``{x: value}`` for the part's unknowns ``names`` (VALUES), or
+    the density of ``names[0]`` (MARGINAL)."""
+    prep = skel.prep
     if query == VOLUME:
         return _volume(prep, _last(_levels(prep, budget)))
-    ids = {x: part.resolve(x).id for x in names}
+    ids = {x: prep.quotient.resolve(x).id for x in names}
     levels = list(_levels(prep, budget))
     buckets, _ = _backward(prep, levels, ids.values(), 0)
     total = levels[-1][prep.full][1][(0, ())]

@@ -603,7 +603,7 @@ def hasse(cs: ConstraintSet, include_bounds: bool = False) -> HasseDiagram:
     prep = Prepared(cs)
     prep.reject_user_ties()
     quotient = prep.ties.quotient
-    covers = _cover_edges(quotient)
+    covers = prep.covers
     if include_bounds:
         return HasseDiagram(quotient.variables, covers)
     hidden = quotient.reserved
@@ -639,8 +639,10 @@ def decompose(cs: ConstraintSet) -> UninfluenceDecomposition:
     return prep.decomposition
 
 
-def _split(quotient: ConstraintSet) -> UninfluenceDecomposition:
-    covers = _cover_edges(quotient)
+def _split(quotient: ConstraintSet, covers: Iterable[tuple[int, int]]) -> UninfluenceDecomposition:
+    """The decomposition of ``quotient`` (closed, tie-free), whose cover
+    pairs are ``covers``: each part's skeleton takes the covers with an
+    unknown end in the part's class (``_project``)."""
     unknown_ids = [v.id for v in quotient.variables if v.id not in quotient.exact_values]
     parent = {i: i for i in unknown_ids}
 
@@ -660,35 +662,50 @@ def _split(quotient: ConstraintSet) -> UninfluenceDecomposition:
     for i in unknown_ids:
         groups.setdefault(find(i), []).append(i)
     ordered = sorted(groups.values(), key=lambda members: members[0])
+    # a cover with an unknown end joins its class to a pin or to the class
+    part_of = {find(members[0]): no for no, members in enumerate(ordered)}
+    pairs: list[list[tuple[int, int]]] = [[] for _ in ordered]
+    for a, b in covers:
+        end = a if a in parent else b if b in parent else None
+        if end is not None:
+            pairs[part_of[find(end)]].append((a, b))
 
     classes = tuple(tuple(quotient.variables[i] for i in members) for members in ordered)
-    parts = tuple(
-        _restrict(quotient, sorted(set(members).union(quotient.exact_values)))
-        for members in ordered
+    skeletons = tuple(
+        _project(quotient, sorted(set(members).union(quotient.exact_values)), own)
+        for members, own in zip(ordered, pairs)
     )
     part_index = {v.name: no for no, class_vars in enumerate(classes) for v in class_vars}
     return UninfluenceDecomposition(
         classes,
-        parts,
-        tuple(part_skeleton(part) for part in parts),
+        tuple(skel.part for skel in skeletons),
+        skeletons,
         MappingProxyType(part_index),
     )
 
 
-def _restrict(quotient: ConstraintSet, ids: list[int]) -> ConstraintSet:
-    """The closed, tie-free restriction of ``quotient`` to a part's ``ids``
-    (one class of unknowns plus every pinned variable, bounds included).
+def _project(
+    quotient: ConstraintSet, ids: list[int], covers: Iterable[tuple[int, int]]
+) -> PartSkeleton:
+    """The skeleton of the closed, tie-free restriction of ``quotient`` to
+    ``ids``: classes of unknowns plus every pinned variable, bounds
+    included.  ``covers`` are the quotient's cover pairs with an unknown
+    end in those classes.
 
-    Any order between part members is witnessed by cover chains through the
-    class and the chain of pinned variables, all inside the part, so the
-    quotient's closure is projected, never recomputed.
+    Any order between members is witnessed by cover chains through the
+    classes and the chain of pinned variables, all inside the restriction,
+    so the quotient's closure is projected, never recomputed.  Its covers
+    with an unknown end are the quotient's: were z strictly between x and y
+    in the quotient but outside, z would be an unknown of another class,
+    and the cover chain between it and the unknown end would leave that
+    end's class through a pin strictly between x and y.
     """
     if len(ids) == len(quotient.variables):
-        return quotient
+        return _skeleton(quotient, quotient, covers)
     index = {old: new for new, old in enumerate(ids)}
     mask = sum(1 << i for i in ids)
     succ = [sum(1 << index[j] for j in _bits(quotient._succ[i] & mask)) for i in ids]
-    return ConstraintSet._assemble(
+    part = ConstraintSet._assemble(
         tuple(VariableId(new, quotient.variables[old].name) for new, old in enumerate(ids)),
         tuple(
             (index[a], index[b])
@@ -700,16 +717,26 @@ def _restrict(quotient: ConstraintSet, ids: list[int]) -> ConstraintSet:
         reserved=frozenset(index[i] for i in quotient.reserved),
         succ=succ,
     )
+    return _skeleton(part, part, [(index[a], index[b]) for a, b in covers])
 
 
 class Prepared:
-    """One request's pipeline, each stage run at most once: the input is
-    closed on construction, its tie quotient and its parts (with skeletons)
-    are built on first use, and engines read them from here.  Gating on
-    ``consistency`` is the caller's step; collapsing rejects a
-    contradiction with the same report.  The CLI builds one per request
-    and hands it to every engine it calls (``tree.solve``, the sampler and
-    top-k), which prepare a bare ``ConstraintSet`` once, on entry."""
+    """One request's pipeline, each stage run at most once.  The input is
+    closed on construction; the rest is built on first use and cached:
+
+    * ``consistency``, the report the caller gates on (collapsing rejects
+      a contradiction with the same report);
+    * ``ties``, the tie quotient;
+    * ``covers``, the quotient's cover pairs, which the decomposition,
+      ``hasse`` and the sampler's chords read;
+    * ``decomposition``, the parts with their skeletons, built from
+      ``covers``.  Each skeleton builds its part's lattice form
+      (``PartSkeleton.prep``) once, for the pre-count, ``lattice.answer``,
+      top-k and the sampler's exact draws alike.
+
+    The CLI builds one per request and hands it to every engine it calls
+    (``tree.solve``, the sampler and top-k), which prepare a bare
+    ``ConstraintSet`` once, on entry."""
 
     def __init__(self, cs: ConstraintSet):
         self.source = cs
@@ -731,8 +758,12 @@ class Prepared:
         return collapse_ties(self.closed, report)
 
     @cached_property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        return _cover_edges(self.ties.quotient)
+
+    @cached_property
     def decomposition(self) -> UninfluenceDecomposition:
-        return _split(self.ties.quotient)
+        return _split(self.ties.quotient, self.covers)
 
     def reject_user_ties(self) -> None:
         """Reject tie classes that merge two or more user variables.
@@ -769,7 +800,9 @@ class PartSkeleton:
     Cover edges between two pinned variables are dropped (they constrain
     nothing once both endpoints are pinned and consistency holds) and
     pinned variables isolated by the drop are removed.  What remains is the
-    structure the shape tags and the tree engine operate on.
+    structure the shape tags and the tree engine operate on; with the
+    chain of the pins it generates the part's order, which is all the
+    lattice needs (``prep``).
     """
 
     part: ConstraintSet
@@ -779,11 +812,27 @@ class PartSkeleton:
     parents: Mapping[int, tuple[int, ...]]
     shape: str
 
+    @cached_property
+    def prep(self):
+        """The part's ``lattice._Prep``, built on first use: every walk of
+        the part's downsets in a request reads this one."""
+        from .lattice import _prepare  # the lattice loads when a walk first needs it
+
+        return _prepare(self, self.shape)
+
 
 def part_skeleton(part: ConstraintSet) -> PartSkeleton:
-    """Cleaned Hasse skeleton plus shape tag for one decomposition part."""
+    """Cleaned Hasse skeleton plus shape tag for one decomposition part,
+    from the covers of its own closed, tie-free form."""
     quotient = collapse_ties(part).quotient
-    covers = _cover_edges(quotient)
+    return _skeleton(part, quotient, _cover_edges(quotient))
+
+
+def _skeleton(
+    part: ConstraintSet, quotient: ConstraintSet, covers: Iterable[tuple[int, int]]
+) -> PartSkeleton:
+    """The skeleton of ``part`` from the cover pairs of ``quotient``, its
+    closed, tie-free form; pin-pin pairs are dropped here."""
     exact_ids = set(quotient.exact_values)
     kept = [(a, b) for a, b in covers if not (a in exact_ids and b in exact_ids)]
     touched = {a for a, _ in kept} | {b for _, b in kept}

@@ -10,7 +10,8 @@ tables merge as
     #(a + b) = A(a) B(b) prod_j C(a_j + b_j, a_j).
 
 A part counts by walking its downsets level by level, as ``lattice`` does
-(on its ``_Prep``, under its ``_LEVEL_MASK_CAP``), each state keyed by
+(on the part's ``_Prep``, which the request's later walks of the part
+read again, and under its ``_LEVEL_MASK_CAP``), each state keyed by
 its downset and its profile so far.  A set of one part tracks no
 interval, so its count is the plain prefix count per downset.  The
 per-profile table is the integer form of the part's volume as a
@@ -104,11 +105,7 @@ def count_extensions(prepared: Prepared, budget: int) -> int:
     limit errors naming the part; ``_merge`` combines the parts' tables
     where two of them share an interval."""
     _check_budget(budget)
-    decomposition = prepared.decomposition
-    preps = [
-        lattice._prepare(part, skel.shape)
-        for part, skel in zip(decomposition.parts, decomposition.skeletons)
-    ]
+    preps = [skel.prep for skel in prepared.decomposition.skeletons]
     shared: dict[int, int] = {}  # interval -> the unknowns that may lie there
     if len(preps) > 1:
         for j, lies in enumerate(zip(*(_reach(prep) for prep in preps))):

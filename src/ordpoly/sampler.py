@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import LimitExceededError, MalformedInputError, SamplerError
-from .lattice import ExtensionDraw, _prepare
-from .model import ConstraintSet, Prepared, VariableId, _bits, _cover_edges
+from .lattice import ExtensionDraw
+from .model import ConstraintSet, Prepared, VariableId, _bits
 
 if TYPE_CHECKING:  # topk loads the tree engine, which sampling never runs
     from .topk import SelectionPredicate
@@ -207,7 +207,7 @@ class _Walk:
         # the cover pairs between unknowns: every other pair is implied
         pairs = sorted(
             (self.column[a], self.column[b])
-            for a, b in _cover_edges(q)
+            for a, b in prep.covers
             if a in self.column and b in self.column
         )
         self.pair_a = np.array([a for a, _ in pairs], dtype=np.int64)
@@ -225,7 +225,7 @@ class _Walk:
         # largest first: a set beyond the bound is refused early
         for no in sorted(range(len(d.parts)), key=lambda no: -len(d.classes[no])):
             try:
-                ext = ExtensionDraw(_prepare(d.parts[no]), left)
+                ext = ExtensionDraw(d.skeletons[no].prep, left)
             except LimitExceededError:
                 return None
             left -= ext.moves

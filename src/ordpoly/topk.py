@@ -184,9 +184,12 @@ def _lattice(prepared: Prepared, chosen: Sequence[VariableId]) -> tuple[_Prep, l
     """The lattice form of the tie quotient (persistent user ties refused)
     and the ids of the ``chosen`` variables in it."""
     from .lattice import _prepare  # first use, as in tree.solve_part
+    from .model import _project
 
     prepared.reject_user_ties()
-    return _prepare(prepared.ties.quotient), [prepared.target(v).id for v in chosen]
+    quotient = prepared.ties.quotient
+    skel = _project(quotient, list(range(len(quotient.variables))), prepared.covers)
+    return _prepare(skel), [prepared.target(v).id for v in chosen]
 
 
 def _sequences(

@@ -400,7 +400,7 @@ def solve_part(
     # a CLI process pays for every module it imports.
     from .lattice import answer
 
-    return answer(skel.part, query, names, budget)
+    return answer(skel, query, names, budget)
 
 
 def solve(

@@ -461,8 +461,8 @@ def per_point_draw(walk, count: int, seed: int, chunk_rows: int) -> np.ndarray:
 
     column = {walk.quotient.variables[q].name: c for q, c in walk.column.items()}
     exts = [
-        ExtensionDraw(_prepare(part), EXACT_MOVE_CAP)
-        for part in walk.prepared.decomposition.parts
+        ExtensionDraw(_prepare(skel), EXACT_MOVE_CAP)
+        for skel in walk.prepared.decomposition.skeletons
     ]
     rng = np.random.default_rng(seed)
     out = np.empty((count, walk.dimension))

@@ -18,7 +18,7 @@ import pytest
 
 import gen
 import ordpoly
-from ordpoly import cli, fileio, model, sampler
+from ordpoly import cli, fileio, lattice, model, sampler
 
 
 def run_cli(argv, stdin_text=None):
@@ -791,11 +791,19 @@ PINNED_AT_ZERO = {
 
 SAMPLED = ["--engine", "sample", "--epsilon", "0.3"]
 
+# A general part {x, y, z} around the pin yp, and the free unknown w.
+GENERAL_AND_FREE = {
+    "variables": ["x", "y", "yp", "z", "w"],
+    "order": [["x", "y"], ["x", "yp"], ["y", "z"], ["yp", "z"]],
+    "exact": {"yp": "1/2"},
+}
+
 
 class TestPipelineRunsOnce:
     """A request closes and tie-collapses its input once: at most two
     closure passes, the input's and its tie quotient's, and one
-    ``Prepared`` that every engine reads."""
+    ``Prepared`` that every engine reads.  It finds the quotient's covers
+    once and builds each part's lattice form at most once."""
 
     @pytest.mark.parametrize(
         "doc, engine, var",
@@ -851,6 +859,37 @@ class TestPipelineRunsOnce:
         code, _, err = run_cli([argv[0], path, *argv[1:]])
         assert code == 0, err
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["close"],
+            ["decompose"],
+            ["dim"],
+            *(["volume", "--engine", e] for e in ("auto", "exact")),
+            *(["interpolate", "--engine", e] for e in ("auto", "exact")),
+            ["interpolate", *SAMPLED],
+            *(["marginal", "--var", "y", "--engine", e] for e in ("auto", "exact")),
+            *(["topk", "--semantics", s, "--k", "2", "--select", "y,z,w"] for s in ("local", "u", "global")),
+            ["topk", "--semantics", "local", "--k", "2", "--select", "y,z,w", *SAMPLED],
+            ["sample", "--count", "3"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("--k", "2", "--select", "y,z,w", "--var", "y")),
+    )
+    def test_covers_once_and_each_part_prepared_once(self, tmp_path, monkeypatch, argv):
+        covers, prepared = [], []
+        cover_edges, prepare = model._cover_edges, lattice._prepare
+        monkeypatch.setattr(model, "_cover_edges", lambda q: covers.append(q) or cover_edges(q))
+        monkeypatch.setattr(lattice, "_prepare", lambda *a: prepared.append(a[0]) or prepare(*a))
+        path = write_doc(tmp_path, "doc.json", GENERAL_AND_FREE)
+        code, _, err = run_cli([argv[0], path, *argv[1:]])
+        assert code == 0, err
+        # check, close and dim never need the covers
+        assert len(covers) == (argv[0] not in ("check", "close", "dim"))
+        # two parts, neither prepared twice
+        assert len(prepared) <= 2
+        assert len({id(skel) for skel in prepared}) == len(prepared)
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

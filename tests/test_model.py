@@ -429,6 +429,54 @@ class TestShapes:
             names = {v.name for v in skel.nodes}
             assert "p" not in names  # isolated after the pin-pin cover drops
 
+    @staticmethod
+    def _skeleton_battery() -> list:
+        """220 random sets: tied, pinned at 0 and 1, and split in several
+        parts (a separator, independent trees, sparse DAGs)."""
+        rng = random.Random(331)
+        docs = []
+        for i in range(220):
+            kind = i % 5
+            if kind == 0:
+                docs.append(gen.tied_doc(rng, rng.randint(3, 8), rng.randint(1, 2)))
+            elif kind == 1:
+                names, order, exact = gen.mixed_doc(rng, rng.randint(2, 8), rng.randint(2, 4), 0.3)
+                low, high = min(exact, key=exact.get), max(exact, key=exact.get)
+                exact[low], exact[high] = F(0), F(1)
+                docs.append((names, order, exact))
+            elif kind == 2:
+                docs.append(gen.separator_doc(rng))
+            elif kind == 3:
+                docs.append(gen.mixed_doc(rng, rng.randint(3, 9), rng.randint(0, 3), 0.1))
+            else:
+                trees = [gen.tree_doc(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+                docs.append((
+                    [f"{t}{n}" for t, (names, _, _) in enumerate(trees) for n in names],
+                    [(f"{t}{a}", f"{t}{b}") for t, (_, order, _) in enumerate(trees) for a, b in order],
+                    {f"{t}{n}": v for t, (_, _, exact) in enumerate(trees) for n, v in exact.items()},
+                ))
+        return docs
+
+    def test_skeletons_come_from_the_quotients_covers(self):
+        # each part's skeleton, built from the tie quotient's covers, holds
+        # exactly the part's own covers but the pin-pin ones, and is the
+        # skeleton the bare part gives
+        several = 0
+        for doc in self._skeleton_battery():
+            d = model.Prepared(gen.to_cs(doc)).decomposition
+            several += len(d.parts) > 1
+            for skel in d.skeletons:
+                part = skel.part
+                pins = part.exact_values
+                edges = {(a, b) for a, kids in skel.children.items() for b in kids}
+                want = {(a, b) for a, b in oracles.covers(part) if not (a in pins and b in pins)}
+                assert edges == want, doc
+                bare = part_skeleton(part)
+                assert (bare.nodes, bare.children, bare.parents, bare.shape) == (
+                    skel.nodes, skel.children, skel.parents, skel.shape
+                ), doc
+        assert several > 80
+
 
 class TestDimension:
     def test_counts_free_coordinates(self):

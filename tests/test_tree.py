@@ -34,11 +34,11 @@ def lattice_answers(cs: ConstraintSet, marginal_of=()):
     tree engine; the lattice takes any closed, tie-free part."""
     d = Prepared(cs).decomposition
     volume, values = F(1), {}
-    for part, cls in zip(d.parts, d.classes):
-        volume *= lattice.answer(part, VOLUME)
-        values.update(lattice.answer(part, VALUES, [v.name for v in cls]))
+    for skel, cls in zip(d.skeletons, d.classes):
+        volume *= lattice.answer(skel, VOLUME)
+        values.update(lattice.answer(skel, VALUES, [v.name for v in cls]))
     marginals = {
-        x: lattice.answer(d.parts[d.part_index[x]], MARGINAL, [x]) for x in marginal_of
+        x: lattice.answer(d.skeletons[d.part_index[x]], MARGINAL, [x]) for x in marginal_of
     }
     return volume, values, marginals
 
