@@ -180,26 +180,45 @@ def local_topk(
 # u and global semantics: one pass over the downset lattice
 
 
-def _lattice(prepared: Prepared, chosen: Sequence[VariableId]) -> tuple[_Prep, list[int]]:
-    """The lattice form of the tie quotient (persistent user ties refused)
-    and the ids of the ``chosen`` variables in it."""
+def _lattice(
+    prepared: Prepared, chosen: Sequence[VariableId]
+) -> tuple[_Prep, list[int], list[VariableId]]:
+    """The lattice form of the parts that hold a ``chosen`` variable, their
+    classes plus every pin (persistent user ties refused); the ids of the
+    chosen in it; and the tie quotient's variable of each of its ids.
+
+    Given the pins, the other parts are independent of these, and u and
+    global answers read only the chosen variables' joint law.  One part
+    short of the whole quotient is that part's own lattice form, and its
+    guards' errors name it; else the errors name the set walked."""
     from .lattice import _prepare  # first use, as in tree.solve_part
     from .model import _project
 
     prepared.reject_user_ties()
     quotient = prepared.ties.quotient
-    skel = _project(quotient, list(range(len(quotient.variables))), prepared.covers)
-    return _prepare(skel), [prepared.target(v).id for v in chosen]
+    d = prepared.decomposition
+    targets = [prepared.target(v) for v in chosen]
+    held = sorted({d.part_index[t.name] for t in targets if t.name in d.part_index})
+    ids = sorted({*quotient.exact_values, *(v.id for no in held for v in d.classes[no])})
+    if len(held) == 1 and len(ids) < len(quotient.variables):
+        prep = d.skeletons[held[0]].prep
+    else:
+        inside = set(ids) - quotient.exact_values.keys()
+        covers = [(a, b) for a, b in prepared.covers if a in inside or b in inside]
+        prep = _prepare(_project(quotient, ids, covers))
+    index = {old: new for new, old in enumerate(ids)}
+    return prep, [index[t.id] for t in targets], [quotient.variables[i] for i in ids]
 
 
 def _sequences(
     prepared: Prepared, chosen: Sequence[VariableId], top: int, budget: int
-) -> tuple[_Prep, Fraction, dict[tuple[int, ...], Fraction]]:
-    """The lattice, the volume and the volume of every descending sequence
-    of the ``top`` highest selected variables."""
+) -> tuple[list[VariableId], Fraction, dict[tuple[int, ...], Fraction]]:
+    """The quotient's variable of each id of the lattice walked, the
+    volume and the volume of every descending sequence of the ``top``
+    highest selected variables."""
     from .lattice import sequence_tally
 
-    prep, ids = _lattice(prepared, chosen)
+    prep, ids, variables = _lattice(prepared, chosen)
     try:
         volume, sequences = sequence_tally(prep, ids, top, budget)
     except BudgetExceededError as err:
@@ -209,18 +228,18 @@ def _sequences(
             f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
             "sequences; lower k or use estimate_topk"
         )
-    return prep, volume, sequences
+    return variables, volume, sequences
 
 
 def _sequence_argmax(
-    prep: _Prep, sequences: dict[tuple[int, ...], Fraction], volume: Fraction
+    variables: list[VariableId], sequences: dict[tuple[int, ...], Fraction], volume: Fraction
 ) -> tuple[tuple[VariableId, ...], Fraction]:
     def names_of(seq: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(prep.quotient.variables[i].name for i in seq)
+        return tuple(variables[i].name for i in seq)
 
     best_seq = min(sequences, key=lambda s: (-sequences[s], names_of(s)))
     prob = sequences[best_seq] / volume
-    return tuple(prep.quotient.variables[i] for i in best_seq), prob
+    return tuple(variables[i] for i in best_seq), prob
 
 
 def u_topk(
@@ -232,8 +251,8 @@ def u_topk(
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
     prepared, chosen = _selection_vars(cs, sel)
-    prep, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
-    seq, prob = _sequence_argmax(prep, sequences, volume)
+    variables, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
+    seq, prob = _sequence_argmax(variables, sequences, volume)
     entries = tuple((v, prob) for v in seq)
     return TopKResult(SEMANTICS_U, k, entries)
 
@@ -252,9 +271,9 @@ def u_sequence_probabilities(
     """
     _require_k(k)
     prepared, chosen = _selection_vars(cs, sel)
-    prep, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
+    variables, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
     return {
-        tuple(prep.quotient.variables[i].name for i in seq): vol / volume
+        tuple(variables[i].name for i in seq): vol / volume
         for seq, vol in sequences.items()
     }
 
@@ -266,7 +285,7 @@ def _global_rankings(
     probability of ranking among the k highest, most probable first."""
     from .lattice import rank_tally
 
-    prep, ids = _lattice(prepared, chosen)
+    prep, ids, _ = _lattice(prepared, chosen)
     try:
         volume, ranks = rank_tally(prep, ids, budget)
     except BudgetExceededError as err:
@@ -314,14 +333,14 @@ def check_containment(
         full = local_topk(prepared, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        prep, volume, sequences = _sequences(prepared, chosen, m, budget)
+        variables, volume, sequences = _sequences(prepared, chosen, m, budget)
         answers = []
         for k in range(1, m + 1):
             grouped: dict[tuple[int, ...], Fraction] = {}
             for seq, vol in sequences.items():
                 head = seq[:k]
                 grouped[head] = grouped.get(head, Fraction(0)) + vol
-            seq_vars, _ = _sequence_argmax(prep, grouped, volume)
+            seq_vars, _ = _sequence_argmax(variables, grouped, volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
         rankings = enumerate(_global_rankings(prepared, chosen, budget), start=1)

@@ -480,3 +480,34 @@ def per_point_draw(walk, count: int, seed: int, chunk_rows: int) -> np.ndarray:
                         row[column[prep.quotient.variables[v].name]] = lo + x * width
                     at += len(frag)
     return out
+
+
+# ---------------------------------------------------------------------------
+# u/global top-k over the whole tie quotient (for checking the walk of the
+# parts that hold the selection)
+
+
+def whole_set_topk(cs, names: Sequence[str], k: int):
+    """u and global top-k of the selection ``names`` (sorted) from the
+    package's lattice of the whole tie quotient, every part included: the
+    probability of every descending sequence of the ``min(k, len(names))``
+    highest, by name, and each name's probability of ranking among them."""
+    from ordpoly.lattice import _prepare, rank_tally, sequence_tally
+    from ordpoly.model import Prepared, part_skeleton
+
+    prepared = Prepared(cs)
+    quotient = prepared.ties.quotient
+    prep = _prepare(part_skeleton(quotient))
+    ids = [prepared.target(n).id for n in names]
+    top = min(k, len(names))
+    volume, sequences = sequence_tally(prep, ids, top, 10**12)
+    u = {
+        tuple(quotient.variables[i].name for i in seq): vol / volume
+        for seq, vol in sequences.items()
+    }
+    volume, ranks = rank_tally(prep, ids, 10**12)
+    in_top = {
+        n: sum((x for r, x in ranks[i].items() if r <= top), Fraction(0)) / volume
+        for n, i in zip(names, ids)
+    }
+    return u, in_top

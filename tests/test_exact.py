@@ -227,14 +227,15 @@ class TestBudget:
         assert volume_exact(cs, 720) == 1  # the unit cube
 
     def test_lattice_guard_counts_downsets_per_level(self, monkeypatch):
-        # u and global top-k walk the downset lattice: on the 6-antichain
-        # its widest level holds C(6, 3) = 20 downsets, so budget 19 is
+        # u and global top-k walk the downset lattice of the parts that
+        # hold the selection: with all of the 6-antichain selected, its
+        # widest level holds C(6, 3) = 20 downsets, so budget 19 is
         # refused (with the sampler hint) and budget 20 answers as the
         # oracle's 720 world classes do; a low state cap names the set
         # instead.
         doc = ([f"v{i}" for i in range(6)], [], {})
         cs = gen.to_cs(doc)
-        sel = ["v0", "v1", "v2"]
+        sel = [f"v{i}" for i in range(6)]
         sequences, ranks = {}, {}
         for ascending, vol, _ in oracles.brute_worlds(*doc):
             top = tuple(name for name in reversed(ascending) if name in sel)

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import gen
+import oracles
 from ordpoly import (
     BudgetExceededError,
     ConstraintSet,
     MalformedInputError,
+    PersistentTieError,
     check_containment,
     global_topk,
     interpolate_all,
@@ -17,6 +19,7 @@ from ordpoly import (
     u_sequence_probabilities,
     u_topk,
 )
+from ordpoly import topk
 from ordpoly.model import Prepared
 
 F = Fraction
@@ -173,3 +176,90 @@ class TestValidation:
         with pytest.raises(BudgetExceededError) as exc_info:
             u_topk(cs, [f"v{i}" for i in range(10)], 2, budget=100)
         assert "estimate_topk" in str(exc_info.value)
+
+
+def fence_doc(rng: random.Random, count: int, size: int) -> gen.Doc:
+    """``count`` independent zigzag fences of ``size`` unknowns, each
+    between its own two pins, the pins' intervals overlapping."""
+    names, order, exact = [], [], {}
+    for f in range(count):
+        lo, hi = gen.distinct_fractions(rng, 2, F(f, 10), F(6 + f, 10))
+        fence = [f"f{f}_{i}" for i in range(size)]
+        names += fence + [f"f{f}_lo", f"f{f}_hi"]
+        exact.update({f"f{f}_lo": lo, f"f{f}_hi": hi})
+        for low, high in zip(fence[0::2], fence[1::2]):
+            order += [(f"f{f}_lo", low), (low, high), (high, f"f{f}_hi")]
+        order += list(zip(fence[2::2], fence[1::2]))
+        if size % 2:
+            order += [(f"f{f}_lo", fence[-1]), (fence[-1], f"f{f}_hi")]
+    return names, order, exact
+
+
+def forest_doc(rng: random.Random) -> gen.Doc:
+    """Two or three independent trees under distinct names."""
+    trees = [gen.tree_doc(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+    return (
+        [f"t{t}{n}" for t, (names, _, _) in enumerate(trees) for n in names],
+        [(f"t{t}{a}", f"t{t}{b}") for t, (_, order, _) in enumerate(trees) for a, b in order],
+        {f"t{t}{n}": v for t, (_, _, exact) in enumerate(trees) for n, v in exact.items()},
+    )
+
+
+class TestSelectedParts:
+    """u and global top-k walk only the parts that hold a selected
+    variable; their answers are those of the whole tie quotient's lattice
+    (``oracles.whole_set_topk``)."""
+
+    @staticmethod
+    def _battery() -> list:
+        """72 sets of two or more parts, each with a selection of 1-4
+        variables of one or two parts, pins among them at times."""
+        rng = random.Random(347)
+        out = []
+        while len(out) < 72:
+            kind = len(out) % 4
+            if kind == 0:
+                doc = forest_doc(rng)
+            elif kind == 1:
+                doc = gen.separator_doc(rng)
+            elif kind == 2:
+                doc = fence_doc(rng, rng.randint(2, 3), rng.randint(2, 4))
+            else:
+                doc = gen.mixed_doc(rng, rng.randint(3, 7), rng.randint(1, 3), 0.15)
+            cs = gen.to_cs(doc)
+            prepared = Prepared(cs)
+            try:  # two parts' pins may share a value, which ties them
+                prepared.reject_user_ties()
+            except PersistentTieError:
+                continue
+            d = prepared.decomposition
+            if len(d.parts) < 2:
+                continue
+            held = rng.sample(range(len(d.parts)), rng.randint(1, min(2, len(d.parts) - 1)))
+            pool = [v.name for no in held for v in d.classes[no]]
+            pool += [n for n in doc[2] if rng.random() < 0.2]
+            names = sorted(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            out.append((cs, names, rng.randint(1, len(names))))
+        return out
+
+    def test_answers_equal_the_whole_set_lattice(self):
+        for cs, names, k in self._battery():
+            u, in_top = oracles.whole_set_topk(cs, names, k)
+            assert u_sequence_probabilities(cs, names, k) == u, (cs, names, k)
+            prepared, chosen = topk._selection_vars(cs, names)
+            scored = topk._global_rankings(prepared, chosen, 10**12)[min(k, len(names)) - 1]
+            assert {v.name: p for v, p in scored} == in_top, (cs, names, k)
+            best = min(u, key=lambda seq: (-u[seq], seq))
+            assert u_topk(cs, names, k).names() == best
+
+    def test_other_parts_cost_nothing(self):
+        # three 8-unknown fences, 4 unknowns of the first selected: the
+        # walk holds only the first fence's downsets, so a budget the whole
+        # set's lattice overruns answers, and an error names the part
+        cs = gen.to_cs(fence_doc(random.Random(7), 3, 8))
+        assert len(Prepared(cs).decomposition.parts) == 3
+        names = ["f0_0", "f0_1", "f0_2", "f0_3"]
+        top = global_topk(cs, names, 2, budget=100)
+        assert len(top.entries) == 2
+        with pytest.raises(BudgetExceededError, match="general part containing 'f0_0'"):
+            u_topk(cs, names, 2, budget=5)
