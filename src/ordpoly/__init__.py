@@ -116,7 +116,6 @@ _EXPORTS = {
         "estimate_topk",
         "hit_and_run_sample",
         "interior_point",
-        "rejection_sample_mean",
         "sample_points",
     ),
 }

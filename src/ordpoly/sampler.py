@@ -62,7 +62,6 @@ __all__ = [
     "hit_and_run_sample",
     "estimate_expected_value",
     "estimate_topk",
-    "rejection_sample_mean",
 ]
 
 POINT_TOLERANCE = 1e-12
@@ -618,57 +617,3 @@ def estimate_topk(
     return TopKEstimate(
         tuple((v, est[v].value) for v in ranked[:k]), first.samples, first.sampler
     )
-
-
-def rejection_sample_mean(
-    cs: ConstraintSet | Prepared,
-    x,
-    accepted: int,
-    seed: int = 0,
-    max_proposals: int | None = None,
-) -> tuple[float, float, float]:
-    """Naive oracle: draw uniform cube points until ``accepted`` of them
-    satisfy the constraints, then average ``x`` over the accepted points.
-
-    Returns (mean, acceptance rate, standard error of the mean).  Only
-    usable when the polytope is a decent fraction of the cube;
-    ``max_proposals`` (default ``4096 * accepted``) caps the work, and a
-    too-thin polytope raises ``SamplerError`` instead of spinning.
-    """
-    if accepted <= 0:
-        raise MalformedInputError("accepted sample count must be positive")
-    if seed < 0:
-        raise MalformedInputError("seed must be >= 0")
-    walk = _Walk(cs)
-    cls = walk.prepared.target(x)
-    if cls.id in walk.quotient.exact_values:
-        return float(walk.quotient.exact_values[cls.id]), 1.0, 0.0
-    col = walk.column[cls.id]
-    rng = np.random.default_rng(seed)
-    d = walk.dimension
-    cap = 4096 * accepted if max_proposals is None else max_proposals
-    got = 0
-    total_drawn = 0
-    acc_sum = 0.0
-    acc_sq = 0.0
-    batch = 65536
-    while got < accepted:
-        take = min(batch, cap - total_drawn)
-        if take <= 0:
-            raise SamplerError(
-                f"rejection sampler found {got} feasible points in "
-                f"{total_drawn} proposals; the polytope is too thin"
-            )
-        pts = rng.random((take, d))
-        ok = np.ones(take, dtype=bool)
-        ok &= np.all(pts >= walk.box_lo, axis=1) & np.all(pts <= walk.box_hi, axis=1)
-        if walk.pair_a.shape[0]:
-            ok &= np.all(pts[:, walk.pair_a] <= pts[:, walk.pair_b], axis=1)
-        vals = pts[ok, col]
-        got += vals.size
-        acc_sum += float(vals.sum())
-        acc_sq += float(np.square(vals).sum())
-        total_drawn += take
-    mean = acc_sum / got
-    variance = max(acc_sq / got - mean * mean, 0.0) * got / (got - 1) if got > 1 else 0.0
-    return mean, got / total_drawn, math.sqrt(variance / got)

@@ -23,7 +23,6 @@ from ordpoly import (
     interpolate_exact,
     local_topk,
     part_skeleton,
-    rejection_sample_mean,
     sample_points,
     select,
 )
@@ -472,16 +471,12 @@ class TestBatchedWalk:
 
 
 class TestRejection:
-    def test_pinned_variable_short_circuits(self):
-        cs = ConstraintSet(["a", "b"], [("a", "b")], {"a": F(1, 5)})
-        assert rejection_sample_mean(cs, "a", 100) == (0.2, 1.0, 0.0)
-        assert rejection_sample_mean(Prepared(cs), "a", 100) == (0.2, 1.0, 0.0)
+    """Estimates against plain rejection sampling in the unit cube
+    (``oracles.rejection_mean``)."""
 
     def test_agrees_with_exact_value(self):
-        cs = two_chain()
-        mean, rate, se = rejection_sample_mean(cs, "x", 50_000, seed=23)
-        assert rejection_sample_mean(Prepared(cs), "x", 50_000, seed=23) == (mean, rate, se)
-        assert rate == pytest.approx(0.5, abs=0.02)
+        doc = two_chain().user_view()
+        mean, se = oracles.rejection_mean(*doc, "x", 50_000, seed=23)
         assert abs(mean - 2 / 3) <= 4 * se
 
     def test_agrees_with_hit_and_run(self, monkeypatch):
@@ -490,27 +485,9 @@ class TestRejection:
             doc = gen.mixed_doc(rng, rng.randint(2, 4), rng.randint(0, 1))
             cs = gen.to_cs(doc)
             var = sorted(v.name for v in cs.unknowns())[0]
-            r_mean, rate, r_se = rejection_sample_mean(cs, var, 30_000, seed=29)
-            assert rate > 1e-3
+            r_mean, r_se = oracles.rejection_mean(*doc, var, 30_000, seed=29)
             for name in each_sampler(monkeypatch):
                 est = estimate_expected_value(cs, var, SamplerConfig(seed=31))
                 assert est.sampler == name
                 # the estimate carries the Hoeffding epsilon, rejection its SE
                 assert abs(r_mean - est.value) <= 0.05 + 4 * r_se
-
-    def test_thin_polytope_raises(self):
-        cs = ConstraintSet(
-            ["p", "u", "q"],
-            [("p", "u"), ("u", "q")],
-            {"p": F(499, 1000), "q": F(501, 1000)},
-        )
-        with pytest.raises(SamplerError):
-            rejection_sample_mean(cs, "u", 10_000, seed=37, max_proposals=20_000)
-
-    def test_accepted_count_must_be_positive(self):
-        with pytest.raises(MalformedInputError):
-            rejection_sample_mean(two_chain(), "x", 0)
-
-    def test_seed_must_be_non_negative(self):
-        with pytest.raises(MalformedInputError):
-            rejection_sample_mean(two_chain(), "x", 10, seed=-1)
