@@ -36,10 +36,9 @@ et al., IJCAI 2016).
 Every walk carries with each downset D the variables that may join it,
 those outside D whose parents are all in D.  Placing v drops v and adds
 each child of v whose parents are then all placed (``_Prep.joinable``),
-so a step never rereads the rest of D.  The parents are those of a
-relation that generates the order, not necessarily its covers: a part's
-skeleton edges plus the chain of its pins (``_prepare``).  Each part's
-``_Prep`` is built once per request and kept with its skeleton
+so a step never rereads the rest of D.  Parents are those of a part's
+skeleton edges and its pins' chain (``_prepare``), which generate its
+order; each part's ``_Prep`` is built once per request
 (``model.PartSkeleton.prep``).
 
 Weights are integers.  With L the common denominator of the interval
@@ -140,23 +139,18 @@ class _Prep:
 
 def _prepare(skel: PartSkeleton, shape: str | None = None) -> _Prep:
     """The bitmask form of the closed, tie-free set of ``skel``, whose
-    ``shape`` the guards' errors name (None: "set").
-
-    The skeleton's edges and the chain of the pins in value order generate
-    the set's order.  That is all a walk reads: a variable may join a
-    downset when its parents under any generating relation are in it, and
-    is maximal in a downset when none of its children is, just as under
-    the covers."""
+    ``shape`` the guards' errors name (None: "set").  Its parents are
+    those of the skeleton's edges and of the pins' chain in value order,
+    which generate the order: under them, as under the covers, a variable
+    joins a downset once its parents are in, and is maximal in a downset
+    when none of its children is."""
     quotient = skel.quotient
     size = len(quotient.variables)
     parents = [0] * size
     child_bits = [0] * size
     chain = sorted(quotient.exact_values, key=lambda i: quotient.exact_values[i])
-    for a, kids in skel.children.items():
-        for b in kids:
-            parents[b] |= 1 << a
-            child_bits[a] |= 1 << b
-    for a, b in zip(chain, chain[1:]):
+    pairs = [(a, b) for a, kids in skel.children.items() for b in kids]
+    for a, b in pairs + list(zip(chain, chain[1:])):
         parents[b] |= 1 << a
         child_bits[a] |= 1 << b
     values = [quotient.exact_values[i] for i in chain]

@@ -603,14 +603,11 @@ def hasse(cs: ConstraintSet, include_bounds: bool = False) -> HasseDiagram:
     prep = Prepared(cs)
     prep.reject_user_ties()
     quotient = prep.ties.quotient
-    covers = prep.covers
     if include_bounds:
-        return HasseDiagram(quotient.variables, covers)
+        return HasseDiagram(quotient.variables, prep.covers)
     hidden = quotient.reserved
     nodes = tuple(v for v in quotient.variables if v.id not in hidden)
-    kept = frozenset(
-        (a, b) for a, b in covers if a not in hidden and b not in hidden
-    )
+    kept = frozenset((a, b) for a, b in prep.covers if a not in hidden and b not in hidden)
     return HasseDiagram(nodes, kept)
 
 
@@ -640,9 +637,7 @@ def decompose(cs: ConstraintSet) -> UninfluenceDecomposition:
 
 
 def _split(quotient: ConstraintSet, covers: Iterable[tuple[int, int]]) -> UninfluenceDecomposition:
-    """The decomposition of ``quotient`` (closed, tie-free), whose cover
-    pairs are ``covers``: each part's skeleton takes the covers with an
-    unknown end in the part's class (``_project``)."""
+    """The decomposition of ``quotient``, whose cover pairs are ``covers``."""
     unknown_ids = [v.id for v in quotient.variables if v.id not in quotient.exact_values]
     parent = {i: i for i in unknown_ids}
 
@@ -662,20 +657,18 @@ def _split(quotient: ConstraintSet, covers: Iterable[tuple[int, int]]) -> Uninfl
     for i in unknown_ids:
         groups.setdefault(find(i), []).append(i)
     ordered = sorted(groups.values(), key=lambda members: members[0])
-    # a cover with an unknown end joins its class to a pin or to the class
-    part_of = {find(members[0]): no for no, members in enumerate(ordered)}
+    part_of = {i: no for no, members in enumerate(ordered) for i in members}
     pairs: list[list[tuple[int, int]]] = [[] for _ in ordered]
-    for a, b in covers:
-        end = a if a in parent else b if b in parent else None
-        if end is not None:
-            pairs[part_of[find(end)]].append((a, b))
+    for a, b in covers:  # one with an unknown end joins its class to a pin or the class
+        if a in part_of or b in part_of:
+            pairs[part_of[a] if a in part_of else part_of[b]].append((a, b))
 
     classes = tuple(tuple(quotient.variables[i] for i in members) for members in ordered)
     skeletons = tuple(
         _project(quotient, sorted(set(members).union(quotient.exact_values)), own)
         for members, own in zip(ordered, pairs)
     )
-    part_index = {v.name: no for no, class_vars in enumerate(classes) for v in class_vars}
+    part_index = {quotient.variables[i].name: no for i, no in part_of.items()}
     return UninfluenceDecomposition(
         classes,
         tuple(skel.part for skel in skeletons),
@@ -688,17 +681,15 @@ def _project(
     quotient: ConstraintSet, ids: list[int], covers: Iterable[tuple[int, int]]
 ) -> PartSkeleton:
     """The skeleton of the closed, tie-free restriction of ``quotient`` to
-    ``ids``: classes of unknowns plus every pinned variable, bounds
-    included.  ``covers`` are the quotient's cover pairs with an unknown
-    end in those classes.
+    ``ids`` (classes of unknowns plus every pin, bounds included), from the
+    quotient's ``covers`` with an unknown end in those classes.
 
     Any order between members is witnessed by cover chains through the
-    classes and the chain of pinned variables, all inside the restriction,
-    so the quotient's closure is projected, never recomputed.  Its covers
-    with an unknown end are the quotient's: were z strictly between x and y
-    in the quotient but outside, z would be an unknown of another class,
-    and the cover chain between it and the unknown end would leave that
-    end's class through a pin strictly between x and y.
+    classes and the pins, so the quotient's closure is projected, never
+    recomputed.  Its covers with an unknown end are the quotient's: a z
+    strictly between x and y outside would be an unknown of another class,
+    and the cover chain from it to the unknown end would pass a pin
+    strictly between x and y.
     """
     if len(ids) == len(quotient.variables):
         return _skeleton(quotient, quotient, covers)
@@ -722,18 +713,13 @@ def _project(
 
 class Prepared:
     """One request's pipeline, each stage run at most once.  The input is
-    closed on construction; the rest is built on first use and cached:
-
-    * ``consistency``, the report the caller gates on (collapsing rejects
-      a contradiction with the same report);
-    * ``ties``, the tie quotient;
-    * ``covers``, the quotient's cover pairs, which the decomposition,
-      ``hasse`` and the sampler's chords read;
-    * ``decomposition``, the parts with their skeletons, built from
-      ``covers``.  Each skeleton builds its part's lattice form
-      (``PartSkeleton.prep``) once, for the pre-count, ``lattice.answer``,
-      top-k and the sampler's exact draws alike.
-
+    closed on construction; on first use come ``consistency`` (the report
+    the caller gates on, and collapsing rejects a contradiction with),
+    ``ties`` (the tie quotient), ``covers`` (its cover pairs, which the
+    decomposition, ``hasse`` and the sampler's chords read) and
+    ``decomposition`` (the parts and their skeletons, from ``covers``).
+    A skeleton builds its part's lattice form once (``PartSkeleton.prep``)
+    for the pre-count, ``lattice.answer``, top-k and exact draws alike.
     The CLI builds one per request and hands it to every engine it calls
     (``tree.solve``, the sampler and top-k), which prepare a bare
     ``ConstraintSet`` once, on entry."""
@@ -836,11 +822,7 @@ def _skeleton(
     exact_ids = set(quotient.exact_values)
     kept = [(a, b) for a, b in covers if not (a in exact_ids and b in exact_ids)]
     touched = {a for a, _ in kept} | {b for _, b in kept}
-    node_ids = sorted(
-        v.id
-        for v in quotient.variables
-        if v.id not in exact_ids or v.id in touched
-    )
+    node_ids = sorted(v.id for v in quotient.variables if v.id not in exact_ids or v.id in touched)
     children: dict[int, list[int]] = {i: [] for i in node_ids}
     parents: dict[int, list[int]] = {i: [] for i in node_ids}
     for a, b in kept:

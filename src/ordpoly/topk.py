@@ -183,14 +183,11 @@ def local_topk(
 def _lattice(
     prepared: Prepared, chosen: Sequence[VariableId]
 ) -> tuple[_Prep, list[int], list[VariableId]]:
-    """The lattice form of the parts that hold a ``chosen`` variable, their
-    classes plus every pin (persistent user ties refused); the ids of the
-    chosen in it; and the tie quotient's variable of each of its ids.
-
-    Given the pins, the other parts are independent of these, and u and
-    global answers read only the chosen variables' joint law.  One part
-    short of the whole quotient is that part's own lattice form, and its
-    guards' errors name it; else the errors name the set walked."""
+    """The lattice form of the parts that hold a ``chosen`` variable (their
+    classes plus every pin; persistent user ties refused), the ids of the
+    chosen in it and the tie quotient's variable of each of its ids.  Given
+    the pins, the other parts are independent of the chosen.  One part
+    short of the whole quotient walks its own form, and errors name it."""
     from .lattice import _prepare  # first use, as in tree.solve_part
     from .model import _project
 
@@ -212,10 +209,9 @@ def _lattice(
 
 def _sequences(
     prepared: Prepared, chosen: Sequence[VariableId], top: int, budget: int
-) -> tuple[list[VariableId], Fraction, dict[tuple[int, ...], Fraction]]:
-    """The quotient's variable of each id of the lattice walked, the
-    volume and the volume of every descending sequence of the ``top``
-    highest selected variables."""
+) -> tuple[Fraction, dict[tuple[VariableId, ...], Fraction]]:
+    """The volume and the volume of every descending sequence of the
+    ``top`` highest selected variables."""
     from .lattice import sequence_tally
 
     prep, ids, variables = _lattice(prepared, chosen)
@@ -228,18 +224,14 @@ def _sequences(
             f"more than {_SEQUENCE_TABLE_LIMIT} distinct top-k "
             "sequences; lower k or use estimate_topk"
         )
-    return variables, volume, sequences
+    return volume, {tuple(variables[i] for i in seq): x for seq, x in sequences.items()}
 
 
 def _sequence_argmax(
-    variables: list[VariableId], sequences: dict[tuple[int, ...], Fraction], volume: Fraction
+    sequences: dict[tuple[VariableId, ...], Fraction], volume: Fraction
 ) -> tuple[tuple[VariableId, ...], Fraction]:
-    def names_of(seq: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(variables[i].name for i in seq)
-
-    best_seq = min(sequences, key=lambda s: (-sequences[s], names_of(s)))
-    prob = sequences[best_seq] / volume
-    return tuple(variables[i] for i in best_seq), prob
+    best_seq = min(sequences, key=lambda s: (-sequences[s], [v.name for v in s]))
+    return best_seq, sequences[best_seq] / volume
 
 
 def u_topk(
@@ -251,8 +243,8 @@ def u_topk(
     """The most probable descending length-k sequence of selected variables."""
     _require_k(k)
     prepared, chosen = _selection_vars(cs, sel)
-    variables, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
-    seq, prob = _sequence_argmax(variables, sequences, volume)
+    volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
+    seq, prob = _sequence_argmax(sequences, volume)
     entries = tuple((v, prob) for v in seq)
     return TopKResult(SEMANTICS_U, k, entries)
 
@@ -271,9 +263,9 @@ def u_sequence_probabilities(
     """
     _require_k(k)
     prepared, chosen = _selection_vars(cs, sel)
-    variables, volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
+    volume, sequences = _sequences(prepared, chosen, min(k, len(chosen)), budget)
     return {
-        tuple(variables[i].name for i in seq): vol / volume
+        tuple(v.name for v in seq): vol / volume
         for seq, vol in sequences.items()
     }
 
@@ -333,14 +325,14 @@ def check_containment(
         full = local_topk(prepared, chosen, m, budget)
         answers = [full.names()[:k] for k in range(1, m + 1)]
     elif semantics == SEMANTICS_U:
-        variables, volume, sequences = _sequences(prepared, chosen, m, budget)
+        volume, sequences = _sequences(prepared, chosen, m, budget)
         answers = []
         for k in range(1, m + 1):
-            grouped: dict[tuple[int, ...], Fraction] = {}
+            grouped: dict[tuple[VariableId, ...], Fraction] = {}
             for seq, vol in sequences.items():
                 head = seq[:k]
                 grouped[head] = grouped.get(head, Fraction(0)) + vol
-            seq_vars, _ = _sequence_argmax(variables, grouped, volume)
+            seq_vars, _ = _sequence_argmax(grouped, volume)
             answers.append(tuple(v.name for v in seq_vars))
     elif semantics == SEMANTICS_GLOBAL:
         rankings = enumerate(_global_rankings(prepared, chosen, budget), start=1)
