@@ -12,7 +12,9 @@ reachability between pinned values), persistent-tie collapsing (strongly
 connected components), Hasse covers, polytope dimension, independence
 decomposition of the unknowns, and shape classification of the parts
 (total-order / tree / reverse-tree / general).  ``Prepared`` runs these
-stages once per request and hands their results to every engine.
+stages once per request and hands their results to every engine: the
+tie quotient's covers are found once, and every part's skeleton is cut
+from them.
 """
 
 from __future__ import annotations
@@ -786,9 +788,7 @@ class PartSkeleton:
     Cover edges between two pinned variables are dropped (they constrain
     nothing once both endpoints are pinned and consistency holds) and
     pinned variables isolated by the drop are removed.  What remains is the
-    structure the shape tags and the tree engine operate on; with the
-    chain of the pins it generates the part's order, which is all the
-    lattice needs (``prep``).
+    structure the shape tags, the tree engine and the lattice operate on.
     """
 
     part: ConstraintSet
@@ -800,8 +800,8 @@ class PartSkeleton:
 
     @cached_property
     def prep(self):
-        """The part's ``lattice._Prep``, built on first use: every walk of
-        the part's downsets in a request reads this one."""
+        """The part's ``lattice._Prep``, built on first use from the edges
+        and the pins' chain: every walk of the part's downsets reads it."""
         from .lattice import _prepare  # the lattice loads when a walk first needs it
 
         return _prepare(self, self.shape)
@@ -828,19 +828,14 @@ def _skeleton(
     for a, b in kept:
         children[a].append(b)
         parents[b].append(a)
-    name_of = {v.id: v.name for v in quotient.variables}
-    for i in node_ids:
-        children[i].sort(key=lambda j: name_of[j])
-        parents[i].sort(key=lambda j: name_of[j])
-
-    shape = _shape_of(node_ids, children, parents, exact_ids)
+    name_of = {v.id: v.name for v in quotient.variables}.get
     return PartSkeleton(
         part=part,
         quotient=quotient,
         nodes=tuple(quotient.variables[i] for i in node_ids),
-        children=MappingProxyType({i: tuple(c) for i, c in children.items()}),
-        parents=MappingProxyType({i: tuple(p) for i, p in parents.items()}),
-        shape=shape,
+        children=MappingProxyType({i: tuple(sorted(c, key=name_of)) for i, c in children.items()}),
+        parents=MappingProxyType({i: tuple(sorted(p, key=name_of)) for i, p in parents.items()}),
+        shape=_shape_of(node_ids, children, parents, exact_ids),
     )
 
 

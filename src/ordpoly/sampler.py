@@ -17,7 +17,9 @@ unknowns at sorted uniforms on the fragment's pinned interval.  The walk
 runs in numpy for a chunk of points at once: one comparison of picks with
 integer thresholds per level, then one sort per row that orders every
 fragment's uniforms.  A state's thresholds (``lattice.ExtensionDraw.ways``)
-are compiled into the part's arrays when a draw first reaches it.
+are compiled into the part's arrays when a draw first reaches it, from
+the part's lattice form (``model.PartSkeleton.prep``).  The walk below
+tests its chords on the request's covers (``model.Prepared.covers``).
 
 Beyond the bound, points come from hit-and-run, which is almost uniform
 and correlated, so the count above holds only up to the walk's mixing,

@@ -16,8 +16,9 @@ Within one linear extension's simplex fragment product the coordinate
 order is almost surely the extension order, so every extension gives
 its exact volume to one induced sequence and one rank per selected
 variable.  The u and global semantics sum those volumes over the lattice
-of downsets (``lattice``) instead of enumerating extensions; a budget
-error from it carries a hint to ``estimate_topk``.  The semantics
+of downsets (``lattice``) of the parts that hold a selected variable,
+instead of enumerating extensions; a budget error from it carries a hint
+to ``estimate_topk``.  The semantics
 genuinely disagree, and only the local one satisfies the containment
 property (each answer a strict prefix of the next longer one);
 ``check_containment`` tests that property for any semantics.
