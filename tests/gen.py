@@ -110,6 +110,40 @@ def tree_doc(rng: random.Random, n_unknown: int, extra_leaf_p: float = 0.25) -> 
     return names, edges, exact
 
 
+def forest_doc(rng: random.Random) -> Doc:
+    """Two or three independent ``tree_doc`` trees of 1-4 unknowns, the
+    names of tree t prefixed with "t<t>": a set of several parts."""
+    names: list[str] = []
+    edges: list[tuple[str, str]] = []
+    exact: dict[str, Fraction] = {}
+    for t in range(rng.randint(2, 3)):
+        tn, te, tx = tree_doc(rng, rng.randint(1, 4))
+        names += [f"t{t}{n}" for n in tn]
+        edges += [(f"t{t}{a}", f"t{t}{b}") for a, b in te]
+        exact.update((f"t{t}{n}", v) for n, v in tx.items())
+    return names, edges, exact
+
+
+def fence_doc(rng: random.Random, count: int, size: int) -> Doc:
+    """``count`` independent zigzag fences of ``size`` unknowns, fence f
+    between its own two pins drawn from (f/10, (6 + f)/10), so the pins'
+    intervals overlap."""
+    names: list[str] = []
+    edges: list[tuple[str, str]] = []
+    exact: dict[str, Fraction] = {}
+    for f in range(count):
+        lo, hi = distinct_fractions(rng, 2, Fraction(f, 10), Fraction(6 + f, 10))
+        fence = [f"f{f}_{i}" for i in range(size)]
+        names += fence + [f"f{f}_lo", f"f{f}_hi"]
+        exact.update({f"f{f}_lo": lo, f"f{f}_hi": hi})
+        for low, high in zip(fence[0::2], fence[1::2]):
+            edges += [(f"f{f}_lo", low), (low, high), (high, f"f{f}_hi")]
+        edges += list(zip(fence[2::2], fence[1::2]))
+        if size % 2:
+            edges += [(f"f{f}_lo", fence[-1]), (fence[-1], f"f{f}_hi")]
+    return names, edges, exact
+
+
 def chain_doc(rng: random.Random, n: int) -> Doc:
     """Pinned-endpoint chain: one fragment of n unknowns on [alpha, beta]."""
     alpha, beta = distinct_fractions(rng, 2)

@@ -55,20 +55,6 @@ def _doc_json(doc) -> dict:
     }
 
 
-def _forest(rng: random.Random):
-    """Two or three independent trees under distinct names: a multi-part set."""
-    import gen
-
-    names, order, exact = [], [], {}
-    for t in range(rng.randint(2, 3)):
-        tn, to, te = gen.tree_doc(rng, rng.randint(1, 4))
-        rename = {n: f"t{t}{n}" for n in tn}
-        names += [rename[n] for n in tn]
-        order += [(rename[a], rename[b]) for a, b in to]
-        exact.update((rename[n], v) for n, v in te.items())
-    return names, order, exact
-
-
 def gen_docs() -> dict[str, dict]:
     """``GEN_DOCS`` small documents of every generator, seed by seed."""
     import gen
@@ -81,7 +67,7 @@ def gen_docs() -> dict[str, dict]:
         lambda r: gen.tied_doc(r, r.randint(3, 6), r.randint(1, 2)),
         lambda r: gen.pure_order_doc(r, r.randint(2, 6)),
         gen.single_unknown_tree_doc,
-        _forest,
+        gen.forest_doc,
     ]
     docs = {}
     for seed in range(GEN_DOCS):

@@ -449,12 +449,7 @@ class TestShapes:
             elif kind == 3:
                 docs.append(gen.mixed_doc(rng, rng.randint(3, 9), rng.randint(0, 3), 0.1))
             else:
-                trees = [gen.tree_doc(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
-                docs.append((
-                    [f"{t}{n}" for t, (names, _, _) in enumerate(trees) for n in names],
-                    [(f"{t}{a}", f"{t}{b}") for t, (_, order, _) in enumerate(trees) for a, b in order],
-                    {f"{t}{n}": v for t, (_, _, exact) in enumerate(trees) for n, v in exact.items()},
-                ))
+                docs.append(gen.forest_doc(rng))
         return docs
 
     def test_skeletons_come_from_the_quotients_covers(self):

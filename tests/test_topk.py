@@ -178,33 +178,6 @@ class TestValidation:
         assert "estimate_topk" in str(exc_info.value)
 
 
-def fence_doc(rng: random.Random, count: int, size: int) -> gen.Doc:
-    """``count`` independent zigzag fences of ``size`` unknowns, each
-    between its own two pins, the pins' intervals overlapping."""
-    names, order, exact = [], [], {}
-    for f in range(count):
-        lo, hi = gen.distinct_fractions(rng, 2, F(f, 10), F(6 + f, 10))
-        fence = [f"f{f}_{i}" for i in range(size)]
-        names += fence + [f"f{f}_lo", f"f{f}_hi"]
-        exact.update({f"f{f}_lo": lo, f"f{f}_hi": hi})
-        for low, high in zip(fence[0::2], fence[1::2]):
-            order += [(f"f{f}_lo", low), (low, high), (high, f"f{f}_hi")]
-        order += list(zip(fence[2::2], fence[1::2]))
-        if size % 2:
-            order += [(f"f{f}_lo", fence[-1]), (fence[-1], f"f{f}_hi")]
-    return names, order, exact
-
-
-def forest_doc(rng: random.Random) -> gen.Doc:
-    """Two or three independent trees under distinct names."""
-    trees = [gen.tree_doc(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
-    return (
-        [f"t{t}{n}" for t, (names, _, _) in enumerate(trees) for n in names],
-        [(f"t{t}{a}", f"t{t}{b}") for t, (_, order, _) in enumerate(trees) for a, b in order],
-        {f"t{t}{n}": v for t, (_, _, exact) in enumerate(trees) for n, v in exact.items()},
-    )
-
-
 class TestSelectedParts:
     """u and global top-k walk only the parts that hold a selected
     variable; their answers are those of the whole tie quotient's lattice
@@ -219,11 +192,11 @@ class TestSelectedParts:
         while len(out) < 72:
             kind = len(out) % 4
             if kind == 0:
-                doc = forest_doc(rng)
+                doc = gen.forest_doc(rng)
             elif kind == 1:
                 doc = gen.separator_doc(rng)
             elif kind == 2:
-                doc = fence_doc(rng, rng.randint(2, 3), rng.randint(2, 4))
+                doc = gen.fence_doc(rng, rng.randint(2, 3), rng.randint(2, 4))
             else:
                 doc = gen.mixed_doc(rng, rng.randint(3, 7), rng.randint(1, 3), 0.15)
             cs = gen.to_cs(doc)
@@ -256,7 +229,7 @@ class TestSelectedParts:
         # three 8-unknown fences, 4 unknowns of the first selected: the
         # walk holds only the first fence's downsets, so a budget the whole
         # set's lattice overruns answers, and an error names the part
-        cs = gen.to_cs(fence_doc(random.Random(7), 3, 8))
+        cs = gen.to_cs(gen.fence_doc(random.Random(7), 3, 8))
         assert len(Prepared(cs).decomposition.parts) == 3
         names = ["f0_0", "f0_1", "f0_2", "f0_3"]
         top = global_topk(cs, names, 2, budget=100)
