@@ -14,12 +14,15 @@ et al., IJCAI 2016).
   prefix that reaches D with k unknowns in the open fragment.  Placing an
   unknown moves (D, k) to (D + u, k + 1); placing the next pin multiplies
   by w_j^k / k! and resets k.  The volume is F(full, 0).
-* The backward table B(D, k) sums the weights of every completion, the
-  open fragment's included, split by that fragment's final size n.  Each
-  transition's F * B is the volume of the extensions through it, which
-  gives, without enumerating, the volume each unknown takes per
-  (interval, rank, fragment size), hence its expected value and marginal,
-  and the rank buckets of u/global top-k.
+* The backward table c_m(D) sums the later fragments' weights over every
+  completion that puts m more unknowns into D's open fragment.  Placing
+  an unknown moves c_m(D + u) to c_{m+1}(D); placing pin p adds D + p's
+  whole completion weight, sum_m w^m / m! c_m(D + p), to c_0(D).  So the
+  completions of (D, k) whose open fragment ends with n unknowns weigh
+  B_n(D, k) = w^n / n! c_{n-k}(D), and each transition's F * B, the
+  volume of the extensions through it, gives without enumerating each
+  unknown's volume per (interval, rank, fragment size), hence its
+  expected value and marginal, and the rank buckets of u/global top-k.
 * A selected variable placed at D has |S \\ D| - 1 selected variables
   after it, which D fixes.  Carrying the selected variables placed once
   |S \\ D| <= K along with (D, k) gives the top-K sequence of every
@@ -43,10 +46,11 @@ order; each part's ``_Prep`` is built once per request
 
 Weights are integers.  With L the common denominator of the interval
 widths (w_j = c_j / L), N the number of unknowns and s the unknowns in
-closed fragments, F is stored times L^s s! and B times L^(N-s) (N-s)!;
-both stay integral (the factorials combine into binomials), F * B at any
-state is the volume times L^N N! / C(N, s), and one division at the end
-gives exact fractions.
+closed fragments, F is stored times L^s s! and c_m(D) times L^r r!,
+where r = N - |D ∩ U| - m counts the unknowns (U) from the next pin on,
+so B_n(D, k) carries L^(N-s) (N-s)!.  All stay integral (the factorials
+combine into binomials), F * B at any state is the volume times
+L^N N! / C(N, s), and one division at the end gives exact fractions.
 
 The tables are built level by level under two guards: a level with more
 distinct downsets than the budget raises ``BudgetExceededError`` (distinct
@@ -62,7 +66,7 @@ selection, and the sampler's exact draws each part's forward table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
@@ -109,6 +113,7 @@ class _Prep:
     unknowns: int
     scale: list[int]
     den: int
+    rows: dict[tuple[int, int], list[int]] = field(default_factory=dict)
 
     def joinable(self, ready: int, v: int, placed: int) -> int:
         """The variables that may join the downset ``placed``, which
@@ -125,12 +130,15 @@ class _Prep:
                 grown |= kid
         return grown
 
-    def pin_factor(self, j: int, k: int, m: int) -> int:
-        """The factor, w_j^k / k! in the tables' integer scale, by which
-        placing pin ``j`` closes an open fragment of ``k`` unknowns: m
-        counts the unknowns placed once it closes (forward table), or
-        those from its first on (backward table)."""
-        return self.scale[j - 1] ** k * comb(m, k)
+    def factors(self, j: int, free: int) -> list[int]:
+        """The factors w_j^k C(free, k), w_j^k / k! in the tables' scale, by
+        which pin ``j`` closes an open fragment of k = 0..free unknowns, for
+        ``free`` unknowns placed once it closes (forward) or from it on."""
+        row = self.rows.get((j, free))
+        if row is None:  # with free = 0, j may be one past the last pin
+            w = self.scale[j - 1] if free else 1
+            row = self.rows[j, free] = [w**k * comb(free, k) for k in range(free + 1)]
+        return row
 
     def where(self) -> str:
         """The set as the guards' errors name it."""
@@ -195,7 +203,6 @@ def _levels(
         nxt: dict = {}
         states = 0
         for placed, (ready, row) in level.items():
-            closing = (placed & unknowns).bit_count()
             rest = ready
             while rest:
                 low = rest & -rest
@@ -211,6 +218,7 @@ def _levels(
                     got = nxt[key] = (prep.joinable(ready, v, key), {})
                 out = got[1]
                 j = pin_index.get(v)
+                into = None if j is None else prep.factors(j, (placed & unknowns).bit_count())
                 carry = low & selected and (selected & ~placed).bit_count() <= top
                 for (k, tail), f in row.items():
                     if carry:
@@ -219,7 +227,7 @@ def _levels(
                         state = (k + 1, tail)
                     else:
                         if k:
-                            f *= prep.pin_factor(j, k, closing)
+                            f *= into[k]
                         state = (0, tail)
                     if state in out:
                         out[state] += f
@@ -245,49 +253,46 @@ def _backward(
     """Walk ``levels`` back with the backward table, tallying F * B (times
     L^N N!) per transition: (interval, rank, final size) buckets for the
     unknowns in ``track``, and descending-rank buckets for the variables
-    of the ``selected`` mask."""
+    of the ``selected`` mask.  Only their moves visit the states (D, k)
+    of a downset D, each B_n(D, k) read off D's row {m: c_m(D)}."""
     pin_index, unknowns, pins = prep.exact_index, prep.unknowns, prep.pins
     n = len(prep.unknown_ids)
     buckets: dict[int, dict] = {u: {} for u in track}
-    ranks: dict[int, dict[int, int]] = {}
-    # Per state (D, k): (total, {final size of the open fragment: part}).
-    after: dict = {prep.full: {0: (1, {0: 1})}}
+    ranks: dict[int, dict[int, int]] = {v: {} for v in _bits(selected)}
+    here: dict = {prep.full: {0: 1}}
     for t in range(len(levels) - 2, -1, -1):
-        here: dict = {}
+        after, here = here, {}
         for placed, (ready, row) in levels[t].items():
             in_placed = (placed & unknowns).bit_count()
             interval = (placed & pins).bit_count() - 1
             rank = (selected & ~placed).bit_count()
-            moves = [(v, 1 << v, after[placed | 1 << v]) for v in _bits(ready)]
-            back: dict = {}
-            for (k, _), f in row.items():
-                closed = in_placed - k
-                weight = f * comb(n, closed)
-                total, split = 0, {}
-                for v, low, nrow in moves:
-                    j = pin_index.get(v)
-                    if j is None:
-                        through, parts = nrow[k + 1]
-                        for size, b in parts.items():
-                            split[size] = split.get(size, 0) + b
-                        bucket = buckets.get(v)
+            back = here[placed] = {}
+            for v in _bits(ready):
+                nxt = after[placed | 1 << v]
+                j = pin_index.get(v)
+                if j is None:
+                    for m, x in nxt.items():
+                        back[m + 1] = back.get(m + 1, 0) + x
+                else:  # D + v's whole completion weight
+                    into = prep.factors(j + 1, n - in_placed)
+                    nxt = {0: sum(into[m] * x for m, x in nxt.items())}
+                    back[0] = back.get(0, 0) + nxt[0]
+                if not (v in buckets or selected >> v & 1):
+                    continue
+                bucket, shift = buckets.get(v), j is None
+                for (k, _), f in row.items():
+                    weight = f * comb(n, in_placed - k)
+                    sizes = prep.factors(interval + 1, n - in_placed + k)
+                    through = 0
+                    for m, x in nxt.items():
+                        b = sizes[k + shift + m] * x
+                        through += b
                         if bucket is not None:
-                            for size, b in parts.items():
-                                key = (interval, k + 1, size)
-                                bucket[key] = bucket.get(key, 0) + weight * b
-                    else:
-                        through = nrow[0][0]
-                        if k:
-                            through *= prep.pin_factor(j, k, n - closed)
-                        split[k] = split.get(k, 0) + through
-                    total += through
-                    if low & selected:
-                        by_rank = ranks.setdefault(v, {})
-                        by_rank[rank] = by_rank.get(rank, 0) + weight * through
-                back[k] = (total, split)
-            here[placed] = back
-        after = here
-    assert after[0][0][0] == levels[-1][prep.full][1][(0, ())], "F and B disagree"
+                            key = (interval, k + 1, k + 1 + m)
+                            bucket[key] = bucket.get(key, 0) + weight * b
+                    if selected >> v & 1:
+                        ranks[v][rank] = ranks[v].get(rank, 0) + weight * through
+    assert here[0][0] == levels[-1][prep.full][1][(0, ())], "F and B disagree"
     return buckets, ranks
 
 
@@ -388,7 +393,7 @@ class ExtensionDraw:
     A draw walks the forward table back from (full, 0).  Each step picks a
     predecessor state with probability F(pred) times the transition factor
     of ``_levels`` over F(here): 1 for placing an unknown, w_j^k / k!
-    (``_Prep.pin_factor``) for placing pin j.  ``ways`` gives a state's
+    (``_Prep.factors``) for placing pin j.  ``ways`` gives a state's
     predecessors as integer thresholds over picks uniform in [0, 2^53): a
     caller draws by comparing picks with thresholds, and may compile the
     states its draws reach into arrays that walk many draws at once (the
@@ -455,10 +460,10 @@ class ExtensionDraw:
                     variables.append(v)
                     pins.append(j)
             elif not k:
-                closing = (before & prep.unknowns).bit_count()
+                into = prep.factors(j, (before & prep.unknowns).bit_count())
                 for (open_, _), f in row.items():
                     if open_:
-                        f *= prep.pin_factor(j, open_, closing)
+                        f *= into[open_]
                     total += f
                     cum.append(total)
                     preds.append((before, open_))

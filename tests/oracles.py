@@ -6,10 +6,13 @@ volumes come from summing closed-form products over explicit gap
 assignments, feasibility goes through scipy's LP solver, and means come
 from plain rejection sampling in the unit cube.  Slow, small, and
 obviously correct — which is the point.  A downset's joinable variables
-follow their definition, over cover pairs found by brute force.  The one
-exception is the exact-draw reference at the end: it builds the
-package's forward tables and walks them back one point at a time with
-Python integers, the reference for the sampler's batched walk.
+follow their definition, over cover pairs found by brute force.  The
+exceptions are at the end, where the package's own tables are read: the
+exact-draw reference walks its forward tables back one point at a time
+with Python integers (the reference for the sampler's batched walk), the
+whole-set top-k walks the whole tie quotient's lattice, and the split
+backward pass keeps the backward table per state and final fragment size
+(the reference for the lattice's one row per downset).
 """
 from __future__ import annotations
 
@@ -511,3 +514,58 @@ def whole_set_topk(cs, names: Sequence[str], k: int):
         for n, i in zip(names, ids)
     }
     return u, in_top
+
+
+# ---------------------------------------------------------------------------
+# the lattice's backward pass split by final fragment size (for checking
+# the package's one-entry-per-downset pass)
+
+
+def split_backward(prep, levels: list[dict], track: Iterable[int], selected: int):
+    """The lattice's tallies from a backward table kept per state (D, k)
+    as a total and a split by the open fragment's final size n: per
+    tracked unknown, {(interval, rank, n): F * B}, and per selected
+    variable, {descending rank: F * B}, both times L^N N!."""
+    pin_index, unknowns, pins = prep.exact_index, prep.unknowns, prep.pins
+    n = len(prep.unknown_ids)
+    buckets: dict[int, dict] = {u: {} for u in track}
+    ranks: dict[int, dict[int, int]] = {}
+    # Per state (D, k): (total, {final size of the open fragment: part}).
+    after: dict = {prep.full: {0: (1, {0: 1})}}
+    for t in range(len(levels) - 2, -1, -1):
+        here: dict = {}
+        for placed, (ready, row) in levels[t].items():
+            in_placed = (placed & unknowns).bit_count()
+            interval = (placed & pins).bit_count() - 1
+            rank = (selected & ~placed).bit_count()
+            moves = [(v, 1 << v, after[placed | 1 << v]) for v in range(prep.size) if ready >> v & 1]
+            back: dict = {}
+            for (k, _), f in row.items():
+                closed = in_placed - k
+                weight = f * math.comb(n, closed)
+                total, split = 0, {}
+                for v, low, nrow in moves:
+                    j = pin_index.get(v)
+                    if j is None:
+                        through, parts = nrow[k + 1]
+                        for size, b in parts.items():
+                            split[size] = split.get(size, 0) + b
+                        bucket = buckets.get(v)
+                        if bucket is not None:
+                            for size, b in parts.items():
+                                key = (interval, k + 1, size)
+                                bucket[key] = bucket.get(key, 0) + weight * b
+                    else:
+                        through = nrow[0][0]
+                        if k:
+                            through *= prep.scale[j - 1] ** k * math.comb(n - closed, k)
+                        split[k] = split.get(k, 0) + through
+                    total += through
+                    if low & selected:
+                        by_rank = ranks.setdefault(v, {})
+                        by_rank[rank] = by_rank.get(rank, 0) + weight * through
+                back[k] = (total, split)
+            here[placed] = back
+        after = here
+    assert after[0][0][0] == levels[-1][prep.full][1][(0, ())], "F and B disagree"
+    return buckets, ranks

@@ -1,5 +1,7 @@
 """Cross-engine battery: the downset lattice against the brute-force
-world classes of ``oracles.brute_worlds``.
+world classes of ``oracles.brute_worlds``, and its backward pass against
+the reference kept per state and final fragment size
+(``oracles.split_backward``).
 
 Every answer is compared with ``==`` as exact fractions.  The exact
 engine's public folds (``volume_exact``, ``interpolate_all``,
@@ -25,13 +27,15 @@ from ordpoly import (
     u_sequence_probabilities,
     volume_exact,
 )
+from ordpoly import lattice
 from ordpoly.model import Prepared
 
 
-def pinned_doc(rng: random.Random) -> gen.Doc:
-    """A random DAG with pins, sometimes moving the lowest pin to 0 and
-    the highest to 1 (both stay consistent with the DAG)."""
-    names, order, pins = gen.mixed_doc(rng, rng.randint(1, 6), rng.randint(0, 3))
+def pinned_doc(rng: random.Random, unknowns: int = 6, most_pins: int = 3) -> gen.Doc:
+    """A random DAG with up to ``unknowns`` unknowns and ``most_pins`` pins,
+    sometimes moving the lowest pin to 0 and the highest to 1 (both stay
+    consistent with the DAG)."""
+    names, order, pins = gen.mixed_doc(rng, rng.randint(1, unknowns), rng.randint(0, most_pins))
     if pins and rng.random() < 0.4:
         pins[min(pins, key=pins.get)] = Fraction(0)
     if len(pins) > 1 and rng.random() < 0.4:
@@ -155,3 +159,23 @@ def test_topk_matches_enumeration():
             violated_at, shorter, longer = first_break(answers)
             assert (report.holds, report.violated_at) == (violated_at is None, violated_at)
             assert (report.shorter, report.longer) == (shorter, longer)
+
+
+def test_backward_pass_matches_the_split_reference():
+    """One row per downset gives the buckets and rank tallies of the
+    backward table split per state (D, k) by final fragment size, with
+    random tracked unknowns and selections that include pins."""
+    rng = random.Random(1104)
+    parts = pinned = 0
+    for _ in range(200):
+        doc = pinned_doc(rng, unknowns=10, most_pins=4)
+        for skel in Prepared(gen.to_cs(doc)).decomposition.skeletons:
+            prep = skel.prep
+            levels = list(lattice._levels(prep, 10**9))
+            track = [u for u in prep.unknown_ids if rng.random() < 0.5]
+            selected = sum(1 << v for v in range(prep.size) if rng.random() < 0.4)
+            got = lattice._backward(prep, levels, track, selected)
+            assert got == oracles.split_backward(prep, levels, track, selected), (doc, track)
+            parts += 1
+            pinned += bool(selected & prep.pins)
+    assert parts >= 300 and pinned >= 100, (parts, pinned)
