@@ -41,8 +41,9 @@ def _shifted_fill(fill):
         (tree, "volume_tree", lambda f: lambda t: f(t) + Fraction(1, 10**9)),
         (lattice, "_where", lambda f: lambda *args: f(*args).replace("the ", "a ", 1)),
         (sampler._PartDraw, "fill", _shifted_fill),
+        (lattice, "_expectation", lambda f: lambda *args: f(*args) + Fraction(1, 10**9)),
     ],
-    ids=["exact-fraction", "error-message", "draw-stream"],
+    ids=["exact-fraction", "error-message", "draw-stream", "lattice-value"],
 )
 def test_replay_notices_a_broken_copy(goldens, monkeypatch, target, name, broken):
     monkeypatch.setattr(target, name, broken(getattr(target, name)))
