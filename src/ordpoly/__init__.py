@@ -67,12 +67,10 @@ _EXPORTS = {
     "exact": (
         "count_extensions",
         "expected_rank",
-        "expected_val_frag",
         "interpolate_all",
         "interpolate_exact",
         "marginal_exact",
         "volume_exact",
-        "volume_frag",
     ),
     "tree": (
         "ConstraintTree",

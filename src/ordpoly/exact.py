@@ -31,48 +31,12 @@ memory.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from . import precount
 from .errors import DEFAULT_BUDGET, MalformedInputError
 from .model import ConstraintSet, Prepared
 from .poly import PiecewisePolynomial
 from .tree import MARGINAL, VALUES, VOLUME, solve
-
-
-# ---------------------------------------------------------------------------
-# fragment arithmetic
-
-
-def volume_frag(p: int, q: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """Volume (beta-alpha)^n / n! of a fragment of n = q-p-1 unknowns."""
-    if p >= q:
-        raise ValueError(f"fragment endpoints out of order: p={p}, q={q}")
-    if alpha > beta:
-        raise ValueError(f"fragment values out of order: alpha={alpha}, beta={beta}")
-    n = q - p - 1
-    return (Fraction(beta) - Fraction(alpha)) ** n / factorial(n)
-
-
-def expected_val_frag(
-    p: int, q: int, k: int, alpha: Fraction, beta: Fraction
-) -> Fraction:
-    """Expected value of the unknown at position k inside a fragment.
-
-    The fragment spans positions p..q with pinned values alpha, beta at the
-    ends; the n = q-p-1 unknowns in between are uniform order statistics,
-    so position k gets alpha + (k-p)/(n+1) * (beta-alpha).
-    """
-    if not p < k < q:
-        raise ValueError(f"position must satisfy p < k < q, got p={p}, k={k}, q={q}")
-    if alpha > beta:
-        raise ValueError(f"fragment values out of order: alpha={alpha}, beta={beta}")
-    n = q - p - 1
-    return Fraction(alpha) + Fraction(k - p, n + 1) * (Fraction(beta) - Fraction(alpha))
-
-
-# ---------------------------------------------------------------------------
-# public operations
 
 
 def count_extensions(cs: ConstraintSet, budget: int = DEFAULT_BUDGET) -> int:

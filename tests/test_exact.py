@@ -16,7 +16,6 @@ from ordpoly import (
     LimitExceededError,
     count_extensions,
     expected_rank,
-    expected_val_frag,
     global_topk,
     interpolate_all,
     interpolate_exact,
@@ -25,7 +24,6 @@ from ordpoly import (
     u_sequence_probabilities,
     u_topk,
     volume_exact,
-    volume_frag,
 )
 from ordpoly import lattice, precount
 from ordpoly.model import Prepared
@@ -40,22 +38,6 @@ def diamond(gamma) -> ConstraintSet:
         [("x", "y"), ("y", "z"), ("x", "yp"), ("yp", "z"), ("x", "z")],
         {"yp": gamma},
     )
-
-
-class TestFragments:
-    def test_volume_formula(self):
-        # 2 unknowns on [0, 1/2]: (1/2)^2 / 2! = 1/8
-        assert volume_frag(0, 3, F(0), F(1, 2)) == F(1, 8)
-
-    def test_empty_fragment(self):
-        assert volume_frag(0, 1, F(1, 4), F(1, 4)) == 1
-
-    def test_positional_mean(self):
-        # rank 2 of 2 on [0, g]: 2g/3
-        g = F(1, 3)
-        assert expected_val_frag(0, 3, 2, F(0), g) == 2 * g / 3
-        # rank 1 of 2 on [g, 1]: (1+2g)/3
-        assert expected_val_frag(0, 3, 1, g, F(1)) == (1 + 2 * g) / 3
 
 
 class TestEnumeration:
