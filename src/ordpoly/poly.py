@@ -1,4 +1,4 @@
-"""Exact rational, polynomial, and piecewise-polynomial arithmetic.
+"""Exact rational and polynomial arithmetic, and the marginal's result type.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator); ``Rational`` is exported as an alias.  A polynomial keeps
@@ -7,9 +7,12 @@ no trailing zero, the zero polynomial having no numerators: the exact
 answers of the engines share factorial-sized denominators, and one
 denominator per polynomial spares a gcd per coefficient operation, which
 is what makes 1000-node trees fast.  ``Polynomial.coeffs`` gives the
-coefficients as lowest-terms rationals.  A piecewise polynomial attaches
-one polynomial to each interval between consecutive breakpoints and is
-zero outside the covered span; all its arithmetic is exact.
+coefficients as lowest-terms rationals.  A marginal density comes back as
+a ``PiecewisePolynomial``: one polynomial per interval between consecutive
+breakpoints, zero outside the covered span.  It can be evaluated,
+integrated (``mass``, ``moment``) and brought to canonical form, which is
+how densities are compared; the engines build its pieces as plain
+polynomials.
 """
 
 from __future__ import annotations
@@ -213,7 +216,6 @@ class Polynomial:
         return acc
 
 
-POLY_ZERO = Polynomial()
 POLY_ONE = Polynomial.constant(1)
 POLY_T = Polynomial.of([0, 1])
 
@@ -258,18 +260,6 @@ class PiecewisePolynomial:
             if bps[0] < 0 or bps[-1] > 1:
                 raise ValueError("breakpoints must lie within [0, 1]")
 
-    @staticmethod
-    def of(
-        breakpoints: Iterable[RationalLike], pieces: Iterable[Polynomial]
-    ) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            tuple(parse_rational(b) for b in breakpoints), tuple(pieces)
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.pieces)
-
     def __call__(self, t: RationalLike) -> Fraction:
         t = parse_rational(t)
         bps = self.breakpoints
@@ -299,67 +289,6 @@ class PiecewisePolynomial:
             ),
             Fraction(0),
         )
-
-    def cumulative(self) -> "PiecewisePolynomial":
-        """t -> integral of f from the first breakpoint to t, over
-        [b0, 1]; beyond the last breakpoint it stays at the total mass."""
-        bps, pieces, acc = self.breakpoints, [], Fraction(0)
-        for p, a, b in zip(self.pieces, bps, bps[1:]):
-            anti = p.antideriv()
-            pieces.append(anti + Polynomial.constant(acc - anti(a)))
-            acc += anti(b) - anti(a)
-        if pieces and bps[-1] < 1:
-            pieces.append(Polynomial.constant(acc))
-            bps += (Fraction(1),)
-        return PiecewisePolynomial(bps, tuple(pieces))
-
-    def scale(self, k: RationalLike) -> "PiecewisePolynomial":
-        k = parse_rational(k)
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(p * k for p in self.pieces)
-        )
-
-    def _refined_with(
-        self, other: "PiecewisePolynomial"
-    ) -> tuple[tuple[Fraction, ...], list[Polynomial], list[Polynomial]]:
-        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
-
-        def piece_at(f: "PiecewisePolynomial", t: Fraction) -> Polynomial:
-            if not f.breakpoints or t < f.breakpoints[0] or t > f.breakpoints[-1]:
-                return POLY_ZERO
-            i = bisect.bisect_right(f.breakpoints, t) - 1
-            return f.pieces[min(i, len(f.pieces) - 1)]
-
-        return (
-            tuple(cuts),
-            [piece_at(self, m) for m in mids],
-            [piece_at(other, m) for m in mids],
-        )
-
-    def __add__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
-        if not self.pieces:
-            return other
-        if not other.pieces:
-            return self
-        cuts, mine, theirs = self._refined_with(other)
-        return PiecewisePolynomial(cuts, tuple(a + b for a, b in zip(mine, theirs)))
-
-    def __mul__(self, other: "PiecewisePolynomial | Polynomial | RationalLike"):
-        if isinstance(other, PiecewisePolynomial):
-            if not self.pieces or not other.pieces:
-                return PiecewisePolynomial()
-            cuts, mine, theirs = self._refined_with(other)
-            return PiecewisePolynomial(
-                cuts, tuple(a * b for a, b in zip(mine, theirs))
-            )
-        if isinstance(other, Polynomial):
-            return PiecewisePolynomial(
-                self.breakpoints, tuple(p * other for p in self.pieces)
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def canonical(self) -> "PiecewisePolynomial":
         """Merge adjacent equal pieces and trim zero pieces at both ends.

@@ -20,10 +20,13 @@ on x and its ancestors with one extra factor (1 - v) at x.
 
 Marginals factor as f_x(v) = Out_x(v) * prod_i V_{x_i}(v) / V, where
 Out_x(v) is the volume of the tree without x's subtree and x pinned at v.
-It is built exactly top-down from Out = 1 on [root value, 1] at the root
-child: Out_c(v) is the integral from the root value to v of Out_p(w)
-times the volumes of c's siblings at w (a pinned leaf caps w at its
-value), piecewise polynomial with breakpoints at pinned values.
+It is built exactly top-down along the root-to-x path as plain polynomial
+pieces, contiguous from the root value rho: Out = 1 on [rho, m_c] at the
+root child c, and for a child c of p, Out_c(v) is the integral from rho to
+min(v, m_p) of Out_p(w) times the volumes of c's unknown siblings at w,
+constant from m_p to m_c.  No sibling's cap falls inside [rho, m_p], m_p
+being the minimum over all of p's children, so the breakpoints are rho
+and pinned values.
 
 Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
 one path, ``solve``, which calls ``solve_part`` once per decomposition
@@ -224,13 +227,17 @@ def _top_down(root: VariableId, children) -> list[VariableId]:
     return order
 
 
-def _node_step(factors: Sequence[Polynomial], upper: Fraction) -> Polynomial:
-    """One node of the bottom-up pass: v' -> integral from v' to ``upper``
-    of the product of ``factors``."""
+def _product(factors: Sequence[Polynomial]) -> Polynomial:
     prod = factors[0] if factors else POLY_ONE
     for f in factors[1:]:
         prod = prod * f
-    anti = prod.antideriv()
+    return prod
+
+
+def _node_step(factors: Sequence[Polynomial], upper: Fraction) -> Polynomial:
+    """One node of the bottom-up pass: v' -> integral from v' to ``upper``
+    of the product of ``factors``."""
+    anti = _product(factors).antideriv()
     return Polynomial.constant(anti(upper)) - anti
 
 
@@ -300,34 +307,33 @@ def interpolate_tree(t: ConstraintTree, x) -> Fraction:
     return _expected_values(t, [x])[x]
 
 
-def _factor(t: ConstraintTree, polys: Mapping, nodes) -> PiecewisePolynomial:
-    """v -> product of the subtree volumes of ``nodes`` (unknowns, or pinned
-    leaves as indicators of v <= value), zero beyond the smallest cap."""
-    prod = POLY_ONE
-    cap = Fraction(1)
-    for c in nodes:
-        cap = min(cap, t.min_leaf_below[c])
-        if c in polys:
-            prod = prod * polys[c]
-    return PiecewisePolynomial((Fraction(0), cap), (prod,))
-
-
 def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
     """Exact marginal density of unknown node ``x``; mass exactly 1.
 
     Support is [root value, m_x]; the density is Out_x(v) times the
-    subtree volumes of x's children, over the volume, with the outside
-    factor Out_x integrated exactly top-down along the root-to-x path.
+    subtree volumes of x's children, over the volume.  Out's pieces are
+    integrated top-down along the root-to-x path: each step takes the
+    running integral of Out_p times the siblings' volumes up to m_p and
+    holds it constant from m_p to m_c.
     """
     path = _path_up(t, x)
-    polys = t._polys
-    total = volume_tree(t)
-    outside = PiecewisePolynomial((t.root_value, Fraction(1)), (POLY_ONE,))
+    polys, caps = t._polys, t.min_leaf_below
+    cuts, outside = [t.root_value, caps[path[-1]]], [POLY_ONE]
     for c in reversed(path[:-1]):
-        siblings = [s for s in t.children[t.parent[c]] if s != c]
-        outside = (outside * _factor(t, polys, siblings)).canonical().cumulative()
-    density = outside * _factor(t, polys, t.children[path[0]])
-    return density.scale(1 / total).canonical()
+        p = t.parent[c]
+        siblings = _product([polys[s] for s in t.children[p] if s != c and s in polys])
+        pieces, acc = [], Fraction(0)
+        for piece, a, b in zip(outside, cuts, cuts[1:]):
+            anti = (piece * siblings).antideriv()
+            pieces.append(anti + Polynomial.constant(acc - anti(a)))
+            acc += anti(b) - anti(a)
+        if caps[p] < caps[c]:
+            pieces.append(Polynomial.constant(acc))
+            cuts.append(caps[c])
+        outside = pieces
+    inside = _product([polys[c] for c in t.children[path[0]] if c in polys])
+    inside = inside * (1 / volume_tree(t))
+    return PiecewisePolynomial(tuple(cuts), tuple(o * inside for o in outside)).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import make_goldens
-from ordpoly import lattice, sampler, tree
+from ordpoly import PiecewisePolynomial, lattice, sampler, tree
 
 # The whole corpus (about 1,750 requests) replays in about 4 s on a 2-vCPU
 # host; the budget leaves room for a slow or busy one.
@@ -35,6 +35,15 @@ def _shifted_fill(fill):
     return shifted
 
 
+def _scaled_pieces(marginal_tree):
+    def scaled(t, x):
+        pw = marginal_tree(t, x)
+        k = 1 + Fraction(1, 10**9)
+        return PiecewisePolynomial(pw.breakpoints, tuple(p * k for p in pw.pieces))
+
+    return scaled
+
+
 @pytest.mark.parametrize(
     "target, name, broken",
     [
@@ -42,8 +51,9 @@ def _shifted_fill(fill):
         (lattice, "_where", lambda f: lambda *args: f(*args).replace("the ", "a ", 1)),
         (sampler._PartDraw, "fill", _shifted_fill),
         (lattice, "_expectation", lambda f: lambda *args: f(*args) + Fraction(1, 10**9)),
+        (tree, "marginal_tree", _scaled_pieces),
     ],
-    ids=["exact-fraction", "error-message", "draw-stream", "lattice-value"],
+    ids=["exact-fraction", "error-message", "draw-stream", "lattice-value", "tree-marginal"],
 )
 def test_replay_notices_a_broken_copy(goldens, monkeypatch, target, name, broken):
     monkeypatch.setattr(target, name, broken(getattr(target, name)))

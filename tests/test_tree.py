@@ -17,12 +17,13 @@ from ordpoly import (
     interpolate_tree,
     marginal_decomposed,
     marginal_tree,
+    pw_expectation,
     subtree_volume_fns,
     volume_tree,
 )
 from ordpoly import lattice
 from ordpoly.model import Prepared
-from ordpoly.tree import MARGINAL, VALUES, VOLUME
+from ordpoly.tree import MARGINAL, VALUES, VOLUME, solve
 
 F = Fraction
 
@@ -234,6 +235,35 @@ class TestMarginal:
             for name in names:
                 assert interpolate_decomposed(cs, name) == whole[name]
                 assert marginal_decomposed(cs, name).canonical() == marginals[name]
+
+    def test_every_marginal_matches_the_lattice(self):
+        # Out's pieces, integrated along each unknown's path, against the
+        # lattice on 120 trees of 1-10 unknowns and their mirror images.
+        rng = random.Random(24)
+        for _ in range(120):
+            cs = gen.to_cs(gen.tree_doc(rng, rng.randint(1, 10), extra_leaf_p=0.4))
+            for c in (cs, flip_constraints(cs)):
+                names = [u.name for u in c.unknowns()]
+                _, _, marginals = lattice_answers(c, names)
+                for name in names:
+                    assert marginal_decomposed(c, name) == marginals[name]
+
+    def test_large_marginals_have_the_path_redo_means(self):
+        # On 30-80 unknowns the lattice is out of reach; the marginals of 8
+        # unknowns per tree and per mirror must have the means the tree
+        # engine computes without Out, and their breakpoints must be pins.
+        rng = random.Random(2024)
+        for _ in range(20):
+            cs = gen.to_cs(gen.tree_doc(rng, rng.randint(30, 80)))
+            for c in (cs, flip_constraints(cs)):
+                prep = Prepared(c)
+                names = rng.sample([u.name for u in c.unknowns()], 8)
+                values = solve(prep, VALUES, names, engine="tree")
+                pins = {F(0), F(1), *c.user_view()[2].values()}
+                for name in names:
+                    pw = solve(prep, MARGINAL, [name], engine="tree")
+                    assert pw_expectation(pw) == values[name]
+                    assert set(pw.breakpoints) <= pins
 
     def test_breakpoints_are_pin_values(self):
         t = as_tree(lemma_tree())
