@@ -22,8 +22,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MalformedInputError
-from .model import VariableId, decompose
-from .tree import ConstraintTree, _validated_tree
+from .model import STABLE, Prepared, VariableId
+from .tree import ConstraintTree, solve
 
 __all__ = [
     "StableAssignment",
@@ -96,7 +96,8 @@ def stable_interpolate(t: ConstraintTree) -> StableAssignment:
 
 
 def check_stability(t: ConstraintTree, x) -> StabilityReport:
-    """Pin ``x`` at its stable value, re-solve each piece, compare exactly."""
+    """Pin ``x`` at its stable value, re-solve the other unknowns under
+    the stable scheme (``tree.solve``, part by part), compare exactly."""
     xid = t.node(x)
     if not t.is_unknown(xid):
         raise MalformedInputError(
@@ -105,13 +106,11 @@ def check_stability(t: ConstraintTree, x) -> StabilityReport:
     before = stable_interpolate(t)
     pin = before.values[xid]
     pinned = t.source.with_exact(xid.name, pin)
-    after: dict[str, Fraction] = {}
-    for skel in decompose(pinned).skeletons:
-        sub = stable_interpolate(_validated_tree(skel))
-        after.update((v.name, val) for v, val in sub.values.items())
+    others = sorted((v for v in t.unknown_nodes() if v != xid), key=lambda v: v.name)
+    after = solve(Prepared(pinned), STABLE, [v.name for v in others])
     mismatches = tuple(
-        (v.name, val, after[v.name])
-        for v, val in sorted(before.values.items(), key=lambda kv: kv[0].name)
-        if v != xid and v.name in after and after[v.name] != val
+        (v.name, before.values[v], after[v.name])
+        for v in others
+        if after[v.name] != before.values[v]
     )
     return StabilityReport(xid, pin, not mismatches, mismatches)
