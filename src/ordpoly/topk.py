@@ -43,8 +43,7 @@ from .errors import (
     LimitExceededError,
     MalformedInputError,
 )
-from .model import ConstraintSet, Prepared, VariableId
-from .tree import VALUES, solve
+from .model import VALUES, ConstraintSet, Prepared, VariableId
 
 if TYPE_CHECKING:  # the lattice's module loads only for u/global top-k
     from .lattice import _Prep
@@ -166,6 +165,8 @@ def local_topk(
 ) -> TopKResult:
     """The k selected variables with the highest expected values; tied
     variables share their tie class's value."""
+    from .tree import solve  # loaded by local top-k alone, as the lattice by u/global
+
     _require_k(k)
     prepared, chosen = _selection_vars(cs, sel)
     try:

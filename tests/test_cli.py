@@ -1220,3 +1220,7 @@ def test_engine_free_commands_leave_engines_unloaded(tmp_path):
         ["topk", path, "--semantics", "local", "--k", "1", "--select", "x_b,x_d"],
     ):
         assert _loaded_after(argv, general) == "0 []", argv
+    # sampled and u top-k never reach the tree engine
+    topk = ["topk", path, "--k", "1", "--select", "x_b,x_d", "--semantics"]
+    for argv in ([*topk, "local", "--engine", "sample"], [*topk, "u"]):
+        assert _loaded_after(argv, ["ordpoly.tree"]) == "0 []", argv
