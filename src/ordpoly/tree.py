@@ -332,8 +332,9 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
             cuts.append(caps[c])
         outside = pieces
     inside = _product([polys[c] for c in t.children[path[0]] if c in polys])
-    inside = inside * (1 / volume_tree(t))
-    return PiecewisePolynomial(tuple(cuts), tuple(o * inside for o in outside)).canonical()
+    scale = 1 / volume_tree(t)
+    pieces = tuple(o * inside * scale for o in outside)
+    return PiecewisePolynomial(tuple(cuts), pieces).canonical()
 
 
 # ---------------------------------------------------------------------------
