@@ -207,13 +207,19 @@ class Polynomial:
         return anti(b) - anti(a)
 
     def compose_affine(self, c0: RationalLike, c1: RationalLike) -> "Polynomial":
-        """The polynomial t -> p(c0 + c1*t)."""
+        """The polynomial t -> p(c0 + c1*t): with c0 = a/q and c1 = b/q,
+        Horner's rule on the numerators gives sum_i num_i (a + b*t)^i
+        q^(n-i), an integer polynomial over den * q^n."""
         c0, c1 = parse_rational(c0), parse_rational(c1)
-        arg = Polynomial.of([c0, c1])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Polynomial.constant(c)
-        return acc
+        q = lcm(c0.denominator, c1.denominator)
+        a, b = c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator)
+        acc: list[int] = []
+        qpow = 1
+        for c in reversed(self.num):
+            acc = [a * x + b * y for x, y in zip([*acc, 0], [0, *acc])]
+            acc[0] += c * qpow
+            qpow *= q
+        return Polynomial(acc, self.den * (qpow // q))  # den * q^n (1 for zero)
 
 
 POLY_ONE = Polynomial.constant(1)
