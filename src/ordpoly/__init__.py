@@ -74,13 +74,11 @@ _EXPORTS = {
     ),
     "tree": (
         "ConstraintTree",
-        "SubtreeVolumeFn",
         "as_tree",
         "interpolate_decomposed",
         "interpolate_tree",
         "marginal_decomposed",
         "marginal_tree",
-        "subtree_volume_fns",
         "tree_from_part",
         "volume_tree",
     ),

@@ -30,6 +30,7 @@ from .errors import (
     ContradictionError,
     MalformedInputError,
     PersistentTieError,
+    ShapeError,
 )
 from .poly import RationalLike, parse_rational
 
@@ -721,7 +722,9 @@ class Prepared:
     decomposition, ``hasse`` and the sampler's chords read) and
     ``decomposition`` (the parts and their skeletons, from ``covers``).
     A skeleton builds its part's lattice form once (``PartSkeleton.prep``)
-    for the pre-count, ``lattice.answer``, top-k and exact draws alike.
+    for the pre-count, ``lattice.answer``, top-k and exact draws alike, and
+    beside it the part's tree once (``PartSkeleton.tree``), with its volume
+    polynomials, for every tree-engine query on the part.
     The CLI builds one per request and hands it to every engine it calls
     (``tree.solve``, the sampler and top-k), which prepare a bare
     ``ConstraintSet`` once, on entry."""
@@ -789,6 +792,8 @@ class PartSkeleton:
     nothing once both endpoints are pinned and consistency holds) and
     pinned variables isolated by the drop are removed.  What remains is the
     structure the shape tags, the tree engine and the lattice operate on.
+    The part's lattice form (``prep``) and its tree (``tree``) are each
+    built from it at most once, on first use.
     """
 
     part: ConstraintSet
@@ -805,6 +810,21 @@ class PartSkeleton:
         from .lattice import _prepare  # the lattice loads when a walk first needs it
 
         return _prepare(self, self.shape)
+
+    @cached_property
+    def tree(self):
+        """The part's ``tree.ConstraintTree`` with its volume polynomials,
+        built once for every tree query on the part; for a reverse tree,
+        of its mirror image v -> 1 - v.  A general part, or a chain with a
+        pin inside (never a decomposition part), raises ``ShapeError``."""
+        from .tree import _build_tree  # the tree engine loads with its first tree
+
+        if self.shape not in (SHAPE_TREE, SHAPE_REVERSE_TREE):
+            exact_ids = set(self.quotient.exact_values)
+            node_ids = [v.id for v in self.nodes]
+            if violation := _tree_violation(node_ids, self.children, self.parents, exact_ids):
+                raise ShapeError(f"not tree-shaped: {violation}")
+        return _build_tree(self, mirrored=self.shape == SHAPE_REVERSE_TREE)
 
 
 def part_skeleton(part: ConstraintSet) -> PartSkeleton:

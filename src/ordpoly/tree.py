@@ -12,7 +12,8 @@ where the product runs over x's unknown children and m_x is the smallest
 pinned leaf value in x's subtree (the polynomial is valid on [0, m_x] and
 the true volume is zero beyond).  The whole volume V is the root child's
 polynomial evaluated at the root value — quadratic time overall, no
-extension enumeration.
+extension enumeration.  ``ConstraintTree.volume_polys`` holds every V_x,
+from one bottom-up pass per tree.
 
 Expected values are volume ratios: with a fresh unknown z <= 1 above x,
 E[x] = 1 - V'/V, where V' = vol(P and x <= z) redoes the bottom-up step
@@ -34,7 +35,9 @@ part; under ``exact`` it first pre-counts the linear extensions against
 the budget, part by part (``precount``).  ``solve_part`` picks the engine
 by shape: the tree engine on trees and on the mirror image v -> 1 - v of
 reverse trees, closed forms on total orders, the lattice of downsets
-(``lattice.answer``) on general parts.
+(``lattice.answer``) on general parts.  A part's tree is built at most
+once, beside its lattice form: ``PartSkeleton.tree`` decides whether and
+how the part is a tree, and every query on the part reads it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .model import (  # the query constants are re-exported for the engines' cal
     SHAPE_GENERAL,
     SHAPE_REVERSE_TREE,
     SHAPE_TOTAL_ORDER,
-    SHAPE_TREE,
     STABLE,
     VALUES,
     VOLUME,
@@ -60,7 +62,6 @@ from .model import (  # the query constants are re-exported for the engines' cal
     PartSkeleton,
     Prepared,
     VariableId,
-    _tree_violation,
     decompose,
     part_skeleton,
 )
@@ -112,25 +113,11 @@ class ConstraintTree:
         return self.children[self.root][0]
 
     @cached_property
-    def _polys(self) -> dict[VariableId, Polynomial]:
-        """V_x(v') for every unknown node: one bottom-up pass per tree,
-        shared by every query on it."""
+    def volume_polys(self) -> dict[VariableId, Polynomial]:
+        """V_x(v') for every unknown node x, valid on [0, m_x] (the true
+        subtree volume is zero beyond ``min_leaf_below[x]``): one bottom-up
+        pass per tree, shared by every query on it."""
         return _volume_polys(self)
-
-
-@dataclass(frozen=True)
-class SubtreeVolumeFn:
-    """Per-node volume polynomial V_x(v'), valid on [0, valid_to]."""
-
-    node: VariableId
-    poly: Polynomial
-    valid_to: Fraction
-
-    def __call__(self, v: Fraction) -> Fraction:
-        v = Fraction(v)
-        if v >= self.valid_to:
-            return Fraction(0)
-        return self.poly(v)
 
 
 def as_tree(cs: ConstraintSet) -> ConstraintTree:
@@ -150,26 +137,19 @@ def tree_from_part(part: ConstraintSet) -> ConstraintTree:
 
 
 def _validated_tree(skel: PartSkeleton) -> ConstraintTree:
-    if skel.shape == SHAPE_TREE:
-        return _build_tree(skel)
     if skel.shape == SHAPE_REVERSE_TREE:
         raise ShapeError(
             "reverse-tree-shaped: flip the constraints (v -> 1-v), solve "
             "on the flipped tree, and flip the results back"
         )
-    # A total order is a tree unless a pin sits inside it (not in a part).
-    node_ids = [v.id for v in skel.nodes]
-    exact_ids = set(skel.quotient.exact_values)
-    violation = _tree_violation(node_ids, skel.children, skel.parents, exact_ids)
-    if violation is None:
-        return _build_tree(skel)
-    raise ShapeError(f"not tree-shaped: {violation}")
+    return skel.tree
 
 
 def _build_tree(skel: PartSkeleton, mirrored: bool = False) -> ConstraintTree:
     """The tree of a tree-shaped skeleton, or with ``mirrored`` of the mirror
     image v -> 1 - v of a reverse-tree one (children and parents swap, each
-    pinned alpha becomes 1 - alpha; ``source`` stays the unmirrored part)."""
+    pinned alpha becomes 1 - alpha; ``source`` stays the unmirrored part).
+    ``PartSkeleton.tree`` validates the skeleton and calls this once."""
     down = skel.parents if mirrored else skel.children
     node_ids = [v.id for v in skel.nodes]
     by_id = {v.id: v for v in skel.nodes}
@@ -252,17 +232,9 @@ def _volume_polys(t: ConstraintTree) -> dict[VariableId, Polynomial]:
     return polys
 
 
-def subtree_volume_fns(t: ConstraintTree) -> dict[VariableId, SubtreeVolumeFn]:
-    """The per-node volume polynomials as public, exact-rational objects."""
-    return {
-        v: SubtreeVolumeFn(v, p, t.min_leaf_below[v])
-        for v, p in t._polys.items()
-    }
-
-
 def volume_tree(t: ConstraintTree) -> Fraction:
     """Exact polytope volume of the tree: root child's V evaluated at the root."""
-    return t._polys[t.root_child](t.root_value)
+    return t.volume_polys[t.root_child](t.root_value)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +258,7 @@ def _path_up(t: ConstraintTree, x) -> list[VariableId]:
 def _expected_values(t: ConstraintTree, names: Sequence) -> dict:
     """``{x: E[x]}`` as 1 - V'/V, V' being the volume with a fresh unknown
     z <= 1 above x: the bottom-up step redone on x and its ancestors."""
-    polys = t._polys
+    polys = t.volume_polys
     total = volume_tree(t)
     values = {}
     for x in names:
@@ -317,7 +289,7 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
     holds it constant from m_p to m_c.
     """
     path = _path_up(t, x)
-    polys, caps = t._polys, t.min_leaf_below
+    polys, caps = t.volume_polys, t.min_leaf_below
     cuts, outside = [t.root_value, caps[path[-1]]], [POLY_ONE]
     for c in reversed(path[:-1]):
         p = t.parent[c]
@@ -382,7 +354,7 @@ def solve_part(
         return {n: alpha + ranks[n] * step for n in names}
     if shape != SHAPE_GENERAL:
         mirrored = shape == SHAPE_REVERSE_TREE
-        t = _build_tree(skel, mirrored)
+        t = skel.tree
         if query == VOLUME:
             return volume_tree(t)
         if query == MARGINAL:
@@ -391,9 +363,7 @@ def solve_part(
                 return pw
             # density of 1-X: reflect each piece through t -> 1-t
             breakpoints = tuple(1 - b for b in reversed(pw.breakpoints))
-            pieces = tuple(
-                p.compose_affine(Fraction(1), Fraction(-1)) for p in reversed(pw.pieces)
-            )
+            pieces = tuple(p.compose_affine(1, -1) for p in reversed(pw.pieces))
             return PiecewisePolynomial(breakpoints, pieces).canonical()
         if query == STABLE:
             from .stable import stable_interpolate  # stable.py imports this module

@@ -18,7 +18,6 @@ from ordpoly import (
     marginal_decomposed,
     marginal_tree,
     pw_expectation,
-    subtree_volume_fns,
     volume_tree,
 )
 from ordpoly import lattice
@@ -115,8 +114,8 @@ class TestVolume:
                     sizes[v] = 1 + sum(size(c) for c in t.children[v])
                 return sizes[v]
 
-            for v, fn in subtree_volume_fns(t).items():
-                assert fn.poly.degree <= size(v)
+            for v, poly in t.volume_polys.items():
+                assert poly.degree <= size(v)
 
     def test_volume_polynomials_match_reference(self):
         # Trees and their mirror images (a reverse tree's polynomials come
@@ -133,7 +132,7 @@ class TestVolume:
                 t = tree_module._build_tree(skel, mirrored=True)
             else:
                 t = as_tree(cs)
-            got = {v.name: fn.poly.coeffs for v, fn in subtree_volume_fns(t).items()}
+            got = {v.name: poly.coeffs for v, poly in t.volume_polys.items()}
             assert got == {x: tuple(c) for x, c in want.items()}
             assert volume_tree(t) == sum(c * exact["r"] ** i for i, c in enumerate(want["u0"]))
 
@@ -180,7 +179,7 @@ class TestInterpolation:
             interpolate_tree(t, u)
         volume_tree(t)
         marginal_tree(t, unknowns[0])
-        subtree_volume_fns(t)
+        t.volume_polys
         assert calls == [t]
 
     def test_flip_identity(self):
