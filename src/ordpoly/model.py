@@ -410,44 +410,33 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """Decide whether the admissible polytope is non-empty.
 
     The polytope is empty exactly when some pinned variable reaches a
-    strictly smaller pinned value through the closed order.  Each pin is
-    tested against the mask of the strictly smaller pins, one integer AND
-    apiece.  The first failing pin i in (-value, name) order and the
-    smallest-valued j it reaches (later names first among equal values)
-    name the contradiction; the witness is the shortest chain from i to j
-    over the direct (pre-closure) edges.
+    strictly smaller pinned value through the closed order.  The pins are
+    chained in value order, so the smaller pin reaches it back: the two
+    share a tie class, and a tie-free closure is consistent.  The first
+    failing pin i in (-value, name) order and the smallest-valued pin j of
+    its class (later names first among equal values) name the
+    contradiction; the witness is the shortest chain from i to j over the
+    direct (pre-closure) edges.
     """
     closed = close_under_implication(cs)
-    succ = closed._succ
-    pinned = sorted(
-        closed.exact_values.items(), key=lambda kv: (-kv[1], closed.variables[kv[0]].name)
+    exact, variables = closed.exact_values, closed.variables
+    # each tie class's pins as (-value, name, id); a class whose values differ fails
+    tied = _tie_classes(closed) if closed.has_persistent_tie() else ()
+    pins = [[(-exact[m], variables[m].name, m) for m in c if m in exact] for c in tied if len(c) > 1]
+    failing = [(min(p), max(p)) for p in pins if len({value for value, _, _ in p}) > 1]
+    if not failing:
+        return ConsistencyReport(ok=True)
+    (_, _, i), (_, _, j) = min(failing)
+    chain = _witness_chain(closed, i, j)
+    names = " <= ".join(v.name for v in chain)
+    return ConsistencyReport(
+        ok=False,
+        witness=chain,
+        message=(
+            f"chain {names} forces {exact[i]} <= {exact[j]}, but "
+            f"{variables[i].name} = {exact[i]} and {variables[j].name} = {exact[j]}"
+        ),
     )
-    # the mask of the pins of strictly smaller value, per pin of ``pinned``
-    below: list[int] = []
-    smaller = equal = 0
-    last = None
-    for i, value in reversed(pinned):
-        if value != last:
-            smaller, equal, last = smaller | equal, 0, value
-        equal |= 1 << i
-        below.append(smaller)
-    for (i, vi), mask in zip(pinned, reversed(below)):
-        hit = succ[i] & mask
-        if not hit:
-            continue
-        j, vj = next((j, vj) for j, vj in reversed(pinned) if hit >> j & 1)
-        chain = _witness_chain(closed, i, j)
-        names = " <= ".join(v.name for v in chain)
-        return ConsistencyReport(
-            ok=False,
-            witness=chain,
-            message=(
-                f"chain {names} forces {vi} <= {vj}, but "
-                f"{closed.variables[i].name} = {vi} and "
-                f"{closed.variables[j].name} = {vj}"
-            ),
-        )
-    return ConsistencyReport(ok=True)
 
 
 def _witness_chain(closed: ConstraintSet, start: int, goal: int) -> tuple[VariableId, ...]:
@@ -486,6 +475,17 @@ class TieQuotient:
         return self.class_of[source.resolve(x).id]
 
 
+def _tie_classes(closed: ConstraintSet) -> list[list[int]]:
+    """The persistent-tie classes of a closed set (untied variables alone).
+    Tied variables reach each other, so a class is the set of variables
+    that reach themselves with one and the same successor set; an untied
+    variable i keys its own class as ~i < 0."""
+    groups: dict[int, list[int]] = {}
+    for i, mask in enumerate(closed._succ):
+        groups.setdefault(mask if mask >> i & 1 else ~i, []).append(i)
+    return list(groups.values())
+
+
 def collapse_ties(cs: ConstraintSet, report: ConsistencyReport | None = None) -> TieQuotient:
     """Merge every persistent-tie class into a single variable.
 
@@ -508,13 +508,7 @@ def collapse_ties(cs: ConstraintSet, report: ConsistencyReport | None = None) ->
         report = check_consistency(closed)
     if not report.ok:
         raise ContradictionError(report.message, tuple(v.name for v in report.witness))
-    # Tied variables reach each other, so a tie class is the set of
-    # variables that reach themselves with one and the same successor set
-    # (an untied variable i keys its own class as ~i < 0).
-    groups: dict[int, list[int]] = {}
-    for i, mask in enumerate(closed._succ):
-        groups.setdefault(mask if mask >> i & 1 else ~i, []).append(i)
-    classes = list(groups.values())
+    classes = _tie_classes(closed)
 
     member_class = {}
     for idx, members in enumerate(classes):
