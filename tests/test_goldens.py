@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import make_goldens
-from ordpoly import PiecewisePolynomial, lattice, sampler, tree
+from ordpoly import PiecewisePolynomial, lattice, model, sampler, tree
 
 # The whole corpus (about 1,750 requests) replays in about 4 s on a 2-vCPU
 # host; the budget leaves room for a slow or busy one.
@@ -52,8 +52,16 @@ def _scaled_pieces(marginal_tree):
         (sampler._PartDraw, "fill", _shifted_fill),
         (lattice, "_expectation", lambda f: lambda *args: f(*args) + Fraction(1, 10**9)),
         (tree, "marginal_tree", _scaled_pieces),
+        (model, "_witness_chain", lambda f: lambda *args: f(*args)[::-1]),
     ],
-    ids=["exact-fraction", "error-message", "draw-stream", "lattice-value", "tree-marginal"],
+    ids=[
+        "exact-fraction",
+        "error-message",
+        "draw-stream",
+        "lattice-value",
+        "tree-marginal",
+        "contradiction-witness",
+    ],
 )
 def test_replay_notices_a_broken_copy(goldens, monkeypatch, target, name, broken):
     monkeypatch.setattr(target, name, broken(getattr(target, name)))

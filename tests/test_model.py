@@ -1,5 +1,6 @@
 """Constraint-set model: closure, consistency, ties, decomposition, shapes."""
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,65 @@ class TestConsistencyWitness:
             failing += not want.ok
             several += _violations(cs) > 1
         assert failing > 150 and several > 100
+
+    def _large_doc(self, rng: random.Random):
+        # Names shuffled against ids, so breaking a tie by id is not by
+        # name; a few back edges tie unknowns; pins from few values, 0 and
+        # 1 among them, so equal pins tie too, and under ``monotone`` pins
+        # rise along the edges (consistent unless a back edge reverses).
+        n = rng.randint(20, 60)
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        order = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 2.5 / n
+        ]
+        order += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 3))]
+        pins = sorted(rng.sample(range(n), rng.randint(1, 20)))
+        values = [rng.choice([F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]) for _ in pins]
+        if rng.random() < 0.5:
+            values.sort()
+        return names, order, {names[i]: v for i, v in zip(pins, values)}
+
+    def test_larger_sets_agree_with_the_pairwise_scan(self):
+        rng = random.Random(4242)
+        failing = 0
+        for _ in range(200):
+            cs = gen.to_cs(self._large_doc(rng))
+            want = _pairwise_consistency(cs)
+            assert check_consistency(cs) == want
+            failing += not want.ok
+        assert 40 < failing < 180
+
+    def test_a_tie_free_closure_reads_no_pin(self):
+        class Counted(Mapping):
+            def __init__(self, inner):
+                self.inner, self.reads = inner, 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return self.inner[key]
+
+            def __iter__(self):
+                self.reads += 1
+                return iter(self.inner)
+
+            def __len__(self):
+                self.reads += 1
+                return len(self.inner)
+
+        cs = ConstraintSet(
+            ["a", "p", "b", "q"],
+            [("a", "p"), ("p", "b"), ("b", "q")],
+            {"p": F(1, 3), "q": F(2, 3)},
+        )
+        closed = close_under_implication(cs)
+        assert not closed.has_persistent_tie()
+        closed.exact_values = counted = Counted(closed.exact_values)
+        assert check_consistency(closed).ok
+        assert counted.reads == 0
 
     def test_prepared_reuses_its_report(self, monkeypatch):
         # the request's gate and the tie collapse share one check

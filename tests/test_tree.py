@@ -8,6 +8,8 @@ import gen
 import oracles
 import ordpoly.tree as tree_module
 from ordpoly import (
+    SHAPE_GENERAL,
+    SHAPE_TOTAL_ORDER,
     ConstraintSet,
     ShapeError,
     as_tree,
@@ -17,6 +19,7 @@ from ordpoly import (
     interpolate_tree,
     marginal_decomposed,
     marginal_tree,
+    part_skeleton,
     pw_expectation,
     volume_tree,
 )
@@ -76,6 +79,25 @@ class TestStructure:
         )
         with pytest.raises(ShapeError):
             as_tree(cs)
+
+    def test_a_skeleton_that_is_no_tree_is_refused(self):
+        # a general part, and a chain with a pin inside (which decomposes
+        # in two parts, so only its undecomposed skeleton is a chain)
+        general = ConstraintSet(
+            ["x", "y", "z", "g"],
+            [("x", "y"), ("y", "z"), ("x", "g"), ("g", "z")],
+            {"g": F(1, 2)},
+        )
+        chain = ConstraintSet(["a", "p", "b"], [("a", "p"), ("p", "b")], {"p": F(1, 2)})
+        cases = [
+            (general, "not tree-shaped: a non-root node has more than one parent"),
+            (chain, "not tree-shaped: an internal node is pinned to an exact value"),
+        ]
+        for cs, message in cases:
+            skel = part_skeleton(cs)
+            assert skel.shape == (SHAPE_GENERAL if cs is general else SHAPE_TOTAL_ORDER)
+            with pytest.raises(ShapeError, match=f"^{message}"):
+                skel.tree
 
     def test_generator_builds_large_trees(self):
         # 250 unknowns need more distinct leaf values than any drawn
@@ -181,6 +203,21 @@ class TestInterpolation:
         marginal_tree(t, unknowns[0])
         t.volume_polys
         assert calls == [t]
+
+    def test_one_pass_per_part_across_queries(self, monkeypatch):
+        # the part's tree lives on its skeleton: a marginal and a value on
+        # one Prepared, of a tree and of its mirror image, share one pass
+        calls = []
+        one_pass = tree_module._volume_polys
+        monkeypatch.setattr(tree_module, "_volume_polys", lambda t: calls.append(t) or one_pass(t))
+        cs = gen.to_cs(gen.tree_doc(random.Random(15), 30))
+        for c in (cs, flip_constraints(cs)):
+            prep = Prepared(c)
+            solve(prep, MARGINAL, ["u3"])
+            solve(prep, VALUES, ["u7"])
+            (skel,) = prep.decomposition.skeletons
+            assert len(calls) == 1 and calls[0] is skel.tree
+            calls.clear()
 
     def test_flip_identity(self):
         cs = lemma_tree()
