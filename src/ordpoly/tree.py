@@ -113,11 +113,11 @@ class ConstraintTree:
         return self.children[self.root][0]
 
     @cached_property
-    def volume_polys(self) -> dict[VariableId, Polynomial]:
+    def volume_polys(self) -> Mapping[VariableId, Polynomial]:
         """V_x(v') for every unknown node x, valid on [0, m_x] (the true
         subtree volume is zero beyond ``min_leaf_below[x]``): one bottom-up
         pass per tree, shared by every query on it."""
-        return _volume_polys(self)
+        return MappingProxyType(_volume_polys(self))
 
 
 def as_tree(cs: ConstraintSet) -> ConstraintTree:
