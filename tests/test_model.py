@@ -307,8 +307,9 @@ class TestConsistencyWitness:
     def _large_doc(self, rng: random.Random):
         # Names shuffled against ids, so breaking a tie by id is not by
         # name; a few back edges tie unknowns; pins from few values, 0 and
-        # 1 among them, so equal pins tie too, and under ``monotone`` pins
-        # rise along the edges (consistent unless a back edge reverses).
+        # 1 among them, so equal pins tie too; half the time the values
+        # rise with the ids, along the forward edges (consistent unless a
+        # back edge reverses them).
         n = rng.randint(20, 60)
         names = [f"v{i}" for i in range(n)]
         rng.shuffle(names)
