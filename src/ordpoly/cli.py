@@ -407,11 +407,7 @@ def run(argv: Sequence[str]) -> int:
                 # read pinned values directly cannot answer for an empty
                 # polytope.  `check` is exempt: reporting inconsistency is its
                 # result.
-                report = prep.consistency
-                if not report.ok:
-                    raise ContradictionError(
-                        report.message, tuple(v.name for v in report.witness)
-                    )
+                prep.consistency.raise_if_contradiction()
             # Every command takes the flag; closed forms and tree parts never
             # consult it, so a negative value is refused here, not by a guard.
             _check_budget(args.max_extensions)

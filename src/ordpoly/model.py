@@ -4,14 +4,16 @@ A constraint set holds order constraints ``x <= y`` and pinned exact values
 ``x = v`` with v rational in [0, 1].  Closing a set under implication
 materializes the global bounds as two reserved pinned variables (0 and 1),
 inserts the order edge between every comparable pinned pair, and stores the
-full transitive closure as per-variable bitsets.  The reserved bound
-variables are hidden from every user-facing view.
+full transitive closure as per-variable bitsets.  The one strong-components
+pass that finds it also finds the persistent-tie classes (variables forced
+equal) and the order between them.  The reserved bound variables are hidden
+from every user-facing view.
 
-On top of the closed form this module provides consistency checking (via
-reachability between pinned values), persistent-tie collapsing (strongly
-connected components), Hasse covers, polytope dimension, independence
-decomposition of the unknowns, and shape classification of the parts
-(total-order / tree / reverse-tree / general).  ``Prepared`` runs these
+On top of the closed form this module provides consistency checking (a tie
+class holding two pinned values), persistent-tie collapsing (the classes and
+their order as closing found them), Hasse covers, polytope dimension,
+independence decomposition of the unknowns, and shape classification of the
+parts (total-order / tree / reverse-tree / general).  ``Prepared`` runs these
 stages once per request and hands their results to every engine: the
 tie quotient's covers are found once, and every part's skeleton is cut
 from them.
@@ -88,6 +90,7 @@ class ConstraintSet:
         "_base_edges",
         "_succ",
         "_pred",
+        "_ties",
         "_order_edges",
         "_name_to_id",
     )
@@ -138,6 +141,7 @@ class ConstraintSet:
         self._base_edges = tuple(sorted(edges))
         self._succ = None
         self._pred = None
+        self._ties = None
         self._order_edges = frozenset(edges)
         self._name_to_id = lookup
 
@@ -151,6 +155,7 @@ class ConstraintSet:
         closed: bool,
         reserved: frozenset[int],
         succ: list[int] | None,
+        ties: _Ties | None = None,
     ) -> "ConstraintSet":
         obj = cls.__new__(cls)
         obj.variables = variables
@@ -160,6 +165,7 @@ class ConstraintSet:
         obj._base_edges = base_edges
         obj._succ = succ
         obj._pred = None
+        obj._ties = ties
         obj._order_edges = None
         obj._name_to_id = {v.name: v.id for v in variables}
         return obj
@@ -168,11 +174,13 @@ class ConstraintSet:
 
     def resolve(self, x: VarLike) -> VariableId:
         if isinstance(x, VariableId):
-            got = self.variables[x.id] if x.id < len(self.variables) else None
+            got = self.variables[x.id] if 0 <= x.id < len(self.variables) else None
             if got is None or got.name != x.name:
                 raise MalformedInputError(f"variable {x} does not belong to this set")
             return x
         if isinstance(x, int):
+            if not 0 <= x < len(self.variables):
+                raise MalformedInputError(f"variable id out of range: {x}")
             return self.variables[x]
         if x in self._name_to_id:
             return self.variables[self._name_to_id[x]]
@@ -220,7 +228,7 @@ class ConstraintSet:
 
     def has_persistent_tie(self) -> bool:
         self._require_closed()
-        return any(mask >> i & 1 for i, mask in enumerate(self._succ))
+        return self._ties is not None
 
     # -- user-facing re-construction -------------------------------------
 
@@ -319,22 +327,31 @@ def _strong_components(adj: Sequence[Sequence[int]]) -> Iterator[list[int]]:
                     yield comp
 
 
-def _reachability(n: int, edges: set[tuple[int, int]]) -> list[int]:
-    """Per-node successor bitsets for the transitive closure of ``edges``.
+# A closed set's tie classes, numbered by smallest member (members ascending,
+# an untied variable alone), each variable's class number, and each class's
+# successor bitset over class numbers: the tie quotient's order.
+_Ties = tuple[list[list[int]], list[int], list[int]]
+
+
+def _reachability(n: int, edges: set[tuple[int, int]]) -> tuple[list[int], _Ties | None]:
+    """Per-node successor bitsets for the transitive closure of ``edges``,
+    and its tie classes, or None when every component is a single node.
 
     Strongly connected components (cycles arise from equal pinned values
     or contradictory input) arrive after everything they reach, so each
     one's bitset is the union over its outgoing edges, and the cost is
     linear in the number of edges rather than cubic in the number of
     variables.  Members of a nontrivial component reach every co-member,
-    themselves included.
+    themselves included.  The components are the tie classes; the same
+    union over their numbers gives the classes' bitsets.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
     comp_of = [-1] * n
     succ = [0] * n
-    for number, comp in enumerate(_strong_components(adj)):
+    comps = list(_strong_components(adj))
+    for number, comp in enumerate(comps):
         for m in comp:
             comp_of[m] = number
         bits = 0
@@ -346,7 +363,19 @@ def _reachability(n: int, edges: set[tuple[int, int]]) -> list[int]:
             bits |= sum(1 << m for m in comp)
         for m in comp:
             succ[m] = bits
-    return succ
+    if len(comps) == n:
+        return succ, None
+    number_of = {c: k for k, c in enumerate(dict.fromkeys(comp_of))}  # by smallest member
+    of = [number_of[c] for c in comp_of]
+    classes: list[list[int]] = [[] for _ in comps]
+    for i, k in enumerate(of):
+        classes[k].append(i)
+    class_succ = [0] * len(comps)
+    for comp in comps:
+        k = of[comp[0]]
+        for w in (w for m in comp for w in adj[m] if of[w] != k):
+            class_succ[k] |= class_succ[of[w]] | 1 << of[w]
+    return succ, (classes, of, class_succ)
 
 
 def close_under_implication(cs: ConstraintSet) -> ConstraintSet:
@@ -355,21 +384,18 @@ def close_under_implication(cs: ConstraintSet) -> ConstraintSet:
     Adds two reserved pinned variables 0 and 1 below/above everything,
     inserts the edge between every comparable pinned pair (both directions
     when the values are equal, which later collapses to a tie class), and
-    stores full reachability.  Idempotent; never rejects an inconsistent
-    set (consistency is a separate check).
+    stores full reachability.  The same strong-components pass finds the
+    persistent-tie classes and their order, kept for the consistency check
+    and the collapse (None when nothing ties).  Idempotent; never rejects
+    an inconsistent set (consistency is a separate check).
     """
     if cs.closed:
         return cs
     n_user = len(cs.variables)
     bot_name, top_name = _fresh_bound_names(v.name for v in cs.variables)
     bot, top = n_user, n_user + 1
-    variables = cs.variables + (
-        VariableId(bot, bot_name),
-        VariableId(top, top_name),
-    )
-    exact = dict(cs.exact_values)
-    exact[bot] = Fraction(0)
-    exact[top] = Fraction(1)
+    variables = cs.variables + (VariableId(bot, bot_name), VariableId(top, top_name))
+    exact = {**cs.exact_values, bot: Fraction(0), top: Fraction(1)}
 
     base: set[tuple[int, int]] = set(cs._base_edges)
     for i in range(n_user):
@@ -384,8 +410,7 @@ def close_under_implication(cs: ConstraintSet) -> ConstraintSet:
         if va == vb:
             base.add((ib, ia))
 
-    n = n_user + 2
-    succ = _reachability(n, base)
+    succ, ties = _reachability(n_user + 2, base)
 
     return ConstraintSet._assemble(
         variables,
@@ -394,6 +419,7 @@ def close_under_implication(cs: ConstraintSet) -> ConstraintSet:
         closed=True,
         reserved=frozenset({bot, top}),
         succ=succ,
+        ties=ties,
     )
 
 
@@ -405,6 +431,12 @@ class ConsistencyReport:
     witness: tuple[VariableId, ...] | None = None
     message: str = "consistent"
 
+    def raise_if_contradiction(self) -> None:
+        """Raise ``ContradictionError`` with the witness chain's names
+        unless the set is consistent."""
+        if not self.ok:
+            raise ContradictionError(self.message, tuple(v.name for v in self.witness))
+
 
 def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     """Decide whether the admissible polytope is non-empty.
@@ -412,17 +444,17 @@ def check_consistency(cs: ConstraintSet) -> ConsistencyReport:
     The polytope is empty exactly when some pinned variable reaches a
     strictly smaller pinned value through the closed order.  The pins are
     chained in value order, so the smaller pin reaches it back: the two
-    share a tie class, and a tie-free closure is consistent.  The first
-    failing pin i in (-value, name) order and the smallest-valued pin j of
-    its class (later names first among equal values) name the
-    contradiction; the witness is the shortest chain from i to j over the
-    direct (pre-closure) edges.
+    share a tie class, and a tie-free closure is consistent.  The classes
+    are the ones closing found.  The first failing pin i in (-value, name)
+    order and the smallest-valued pin j of its class (later names first
+    among equal values) name the contradiction; the witness is the
+    shortest chain from i to j over the direct (pre-closure) edges.
     """
     closed = close_under_implication(cs)
     exact, variables = closed.exact_values, closed.variables
     # each tie class's pins as (-value, name, id); a class whose values differ fails
-    tied = _tie_classes(closed) if closed.has_persistent_tie() else ()
-    pins = [[(-exact[m], variables[m].name, m) for m in c if m in exact] for c in tied if len(c) > 1]
+    tied = [c for c in closed._ties[0] if len(c) > 1] if closed.has_persistent_tie() else ()
+    pins = [[(-exact[m], variables[m].name, m) for m in c if m in exact] for c in tied]
     failing = [(min(p), max(p)) for p in pins if len({value for value, _, _ in p}) > 1]
     if not failing:
         return ConsistencyReport(ok=True)
@@ -445,17 +477,13 @@ def _witness_chain(closed: ConstraintSet, start: int, goal: int) -> tuple[Variab
         adj.setdefault(a, []).append(b)
     parent = {start: start}
     frontier = [start]
-    while frontier:
+    while frontier and goal not in parent:  # breadth first: a shortest chain
         nxt: list[int] = []
         for u in frontier:
             for v in sorted(adj.get(u, ())):
                 if v not in parent:
                     parent[v] = u
                     nxt.append(v)
-            if goal in parent:
-                break
-        if goal in parent:
-            break
         frontier = nxt
     path = [goal]
     while path[-1] != start:
@@ -475,82 +503,53 @@ class TieQuotient:
         return self.class_of[source.resolve(x).id]
 
 
-def _tie_classes(closed: ConstraintSet) -> list[list[int]]:
-    """The persistent-tie classes of a closed set (untied variables alone).
-    Tied variables reach each other, so a class is the set of variables
-    that reach themselves with one and the same successor set; an untied
-    variable i keys its own class as ~i < 0."""
-    groups: dict[int, list[int]] = {}
-    for i, mask in enumerate(closed._succ):
-        groups.setdefault(mask if mask >> i & 1 else ~i, []).append(i)
-    return list(groups.values())
-
-
-def collapse_ties(cs: ConstraintSet, report: ConsistencyReport | None = None) -> TieQuotient:
+def collapse_ties(cs: ConstraintSet) -> TieQuotient:
     """Merge every persistent-tie class into a single variable.
 
     The quotient is closed, tie-free, and carries the class's unique exact
     value when one exists.  Interpolating a variable in the original set
     equals interpolating its class in the quotient (equal-value worlds
-    differ on a measure-zero set only).  Inconsistent input is rejected,
-    by ``report`` (the set's consistency report) when the caller has it.
+    differ on a measure-zero set only).  Inconsistent input is rejected
+    with ``ContradictionError``.  The classes, and the quotient's order,
+    are the ones closing found.
     """
-    closed = close_under_implication(cs)
-    if not closed.has_persistent_tie():
+    return Prepared(cs).ties
+
+
+def _quotient(closed: ConstraintSet) -> TieQuotient:
+    """The tie quotient of ``closed``, which the caller has checked."""
+    if closed._ties is None:
         # Already tie-free (a quotient, or a part split from one): the
-        # quotient is the set itself, at no further closure cost.  It is
-        # also consistent, since a contradiction closes a cycle through
-        # the chain of pinned values.
+        # quotient is the set itself.  It is also consistent, since a
+        # contradiction closes a cycle through the chain of pinned values.
         identity = {v.id: v for v in closed.variables}
         singletons = {v.id: (v,) for v in closed.variables}
         return TieQuotient(closed, MappingProxyType(identity), MappingProxyType(singletons))
-    if report is None:
-        report = check_consistency(closed)
-    if not report.ok:
-        raise ContradictionError(report.message, tuple(v.name for v in report.witness))
-    classes = _tie_classes(closed)
-
-    member_class = {}
-    for idx, members in enumerate(classes):
-        for m in members:
-            member_class[m] = idx
-
+    classes, of, class_succ = closed._ties
     variables = []
     exact: dict[int, Fraction] = {}
     reserved = set()
     for idx, members in enumerate(classes):
-        user_names = sorted(
-            closed.variables[m].name for m in members if m not in closed.reserved
-        )
-        if user_names:
-            name = user_names[0]
-        else:
-            name = closed.variables[members[0]].name
+        user_names = [closed.variables[m].name for m in members if m not in closed.reserved]
+        if not user_names:
             reserved.add(idx)
+        name = min(user_names, default=closed.variables[members[0]].name)
         variables.append(VariableId(idx, name))
         values = {closed.exact_values[m] for m in members if m in closed.exact_values}
         if values:
             assert len(values) == 1, "tie class with two exact values is inconsistent"
             exact[idx] = values.pop()
 
-    qbase = {
-        (member_class[a], member_class[b])
-        for a, b in closed._base_edges
-        if member_class[a] != member_class[b]
-    }
-    qsucc = _reachability(len(classes), qbase)
-
+    qbase = {(of[a], of[b]) for a, b in closed._base_edges if of[a] != of[b]}
     quotient = ConstraintSet._assemble(
         tuple(variables),
         tuple(qbase),
         exact,
         closed=True,
         reserved=frozenset(reserved),
-        succ=qsucc,
+        succ=class_succ,
     )
-    class_of = {
-        m: quotient.variables[idx] for idx, members in enumerate(classes) for m in members
-    }
+    class_of = {m: variables[idx] for m, idx in enumerate(of)}
     representatives = {
         idx: tuple(closed.variables[m] for m in members)
         for idx, members in enumerate(classes)
@@ -738,9 +737,10 @@ class Prepared:
 
     @cached_property
     def ties(self) -> TieQuotient:
-        # a tie-free set collapses to itself without the check
-        report = self.consistency if self.closed.has_persistent_tie() else None
-        return collapse_ties(self.closed, report)
+        # a tie-free set is consistent and collapses to itself unchecked
+        if self.closed.has_persistent_tie():
+            self.consistency.raise_if_contradiction()
+        return _quotient(self.closed)
 
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
@@ -773,9 +773,7 @@ class Prepared:
 
 def polytope_dimension(cs: ConstraintSet) -> int:
     """Number of genuinely free coordinates after collapsing ties."""
-    tq = collapse_ties(cs)  # rejects inconsistent input
-    q = tq.quotient
-    return sum(1 for v in q.variables if v.id not in q.exact_values)
+    return len(collapse_ties(cs).quotient.unknowns())  # rejects inconsistent input
 
 
 @dataclass(frozen=True)

@@ -800,15 +800,20 @@ GENERAL_AND_FREE = {
 
 
 class TestPipelineRunsOnce:
-    """A request closes and tie-collapses its input once: at most two
-    closure passes, the input's and its tie quotient's, and one
-    ``Prepared`` that every engine reads.  It finds the quotient's covers
-    once and builds each part's lattice form at most once."""
+    """A request closes and tie-collapses its input once: one closure
+    pass, which also finds the tie quotient's order, and one ``Prepared``
+    that every engine reads.  It finds the quotient's covers once and
+    builds each part's lattice form at most once."""
 
     @pytest.mark.parametrize(
         "doc, engine, var",
-        [(TREE_AND_MIRROR, "auto", "z"), (DIAMOND_HALF, "auto", "y"), (DIAMOND_HALF, "exact", "y")],
-        ids=["tree-and-mirror", "general-dag", "exact-engine"],
+        [
+            (TREE_AND_MIRROR, "auto", "z"),
+            (DIAMOND_HALF, "auto", "y"),
+            (DIAMOND_HALF, "exact", "y"),
+            (PINNED_AT_ZERO, "auto", "a"),
+        ],
+        ids=["tree-and-mirror", "general-dag", "exact-engine", "pinned-at-zero"],
     )
     @pytest.mark.parametrize("command", ["volume", "interpolate", "marginal"])
     def test_at_most_two_closure_passes(self, tmp_path, monkeypatch, doc, engine, var, command):
@@ -826,7 +831,7 @@ class TestPipelineRunsOnce:
             argv += ["--var", var]
         code, _, err = run_cli(argv)
         assert code == 0, err
-        assert len(passes) <= 2
+        assert len(passes) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -188,14 +188,37 @@ class TestStrongComponents:
         # reverse topological order: each component after all it reaches
         position = {m: k for k, comp in enumerate(comps) for m in comp}
         assert all(position[a] >= position[b] for a, b in edges)
-        assert _reachability(n, set(edges)) == _condensation_reachability(n, edges)
+        succ, ties = _reachability(n, set(edges))
+        assert succ == _condensation_reachability(n, edges)
+        # the tie classes: networkx's components by smallest member, and
+        # their bitsets the condensation's reachability, renumbered so
+        sccs = sorted((sorted(c) for c in nx.strongly_connected_components(g)), key=min)
+        if len(sccs) == n:
+            assert ties is None
+            return
+        classes, of, class_succ = ties
+        assert classes == sccs
+        assert of == [k for i in range(n) for k, c in enumerate(sccs) if i in c]
+        cond = nx.condensation(g, scc=[set(c) for c in sccs])  # node k is sccs[k]
+        assert class_succ == [sum(1 << d for d in nx.descendants(cond, k)) for k in range(len(sccs))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs)
+    def test_tie_flag_matches_the_bitset_scan(self, graph):
+        n, edges = graph
+        names = [f"v{i}" for i in range(n)]
+        closed = close_under_implication(ConstraintSet(names, [(names[a], names[b]) for a, b in edges]))
+        scan = any(mask >> i & 1 for i, mask in enumerate(closed._succ))
+        assert closed.has_persistent_tie() == scan
 
     def test_deep_cycle_needs_no_recursion(self):
         n = 5000
         edges = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}
         comps = list(_strong_components(_adjacency(n, edges)))
         assert len(comps) == 1 and sorted(comps[0]) == list(range(n))
-        assert _reachability(n, edges) == [(1 << n) - 1] * n
+        succ, ties = _reachability(n, edges)
+        assert succ == [(1 << n) - 1] * n
+        assert ties == ([list(range(n))], [0] * n, [0])
 
 
 class TestConsistency:
@@ -365,14 +388,19 @@ class TestConsistencyWitness:
         assert counted.reads == 0
 
     def test_prepared_reuses_its_report(self, monkeypatch):
-        # the request's gate and the tie collapse share one check
+        # the request's gate, the tie collapse and the decomposition share
+        # one strong-components pass and one check
         cs = ConstraintSet(["p", "u", "v"], [("p", "u"), ("u", "v")], {"p": F(0)})
-        calls = []
-        check = model.check_consistency
+        calls, passes = [], []
+        check, reachability = model.check_consistency, model._reachability
         monkeypatch.setattr(model, "check_consistency", lambda c: calls.append(c) or check(c))
+        monkeypatch.setattr(model, "_reachability", lambda *a: passes.append(a) or reachability(*a))
         prep = model.Prepared(cs)
+        assert prep.closed.has_persistent_tie()
+        prep.consistency.raise_if_contradiction()
         assert prep.consistency.ok and not prep.ties.quotient.has_persistent_tie()
-        assert len(calls) == 1
+        assert len(prep.decomposition.parts) == 1
+        assert len(calls) == 1 and len(passes) == 1
         # a tie-free set collapses to itself, unchecked
         free = model.Prepared(ConstraintSet(["u", "v"], [("u", "v")], {"v": F(1, 2)}))
         assert free.ties.quotient is free.closed
@@ -419,8 +447,36 @@ class TestTies:
 
     def test_collapse_rejects_contradiction(self):
         cs = ConstraintSet(["x", "y"], [("y", "x")], {"x": F(1, 10), "y": F(1, 5)})
-        with pytest.raises(ContradictionError):
+        with pytest.raises(ContradictionError) as err:
             collapse_ties(cs)
+        report = check_consistency(cs)
+        assert str(err.value) == report.message
+        assert err.value.witness == tuple(v.name for v in report.witness)
+
+    def test_quotient_order_comes_from_the_closure(self, monkeypatch):
+        # the collapse reads the classes and their order that closing
+        # found: no second pass, and the order a fresh one would give
+        rng = random.Random(27)
+        docs = [gen.tied_doc(rng, rng.randint(3, 10), rng.randint(1, 3)) for _ in range(25)]
+        docs += [gen.mixed_doc(rng, rng.randint(2, 10), rng.randint(1, 4)) for _ in range(25)]
+        docs += [gen.tree_doc(rng, rng.randint(3, 12)) for _ in range(10)]
+        passes = []
+        reachability = model._reachability
+        monkeypatch.setattr(model, "_reachability", lambda *a: passes.append(a) or reachability(*a))
+        tied = 0
+        for doc in docs:
+            closed = close_under_implication(gen.to_cs(doc))
+            if not check_consistency(closed).ok:
+                continue
+            passes.clear()
+            tq = collapse_ties(closed)
+            assert passes == []
+            q = tq.quotient
+            tied += closed.has_persistent_tie()
+            assert q._succ == reachability(len(q.variables), set(q._base_edges))[0]
+            for v in closed.variables:
+                assert v in tq.representatives[tq.class_of[v.id].id]
+        assert tied > 20
 
 
 class TestDecompose:
@@ -564,6 +620,18 @@ class TestVariableId:
         a, b = model.VariableId(3, "x"), model.VariableId(3, "y")
         assert a != b
         assert len({a, b}) == 2 and {a: 1}.get(b) is None
+
+    def test_resolve_refuses_ids_out_of_range(self):
+        from ordpoly import MalformedInputError, interpolate_exact
+
+        cs = ConstraintSet(["a", "b"], [("a", "b")])
+        assert cs.resolve(0).name == "a" and cs.resolve(1).name == "b"
+        for bad in (-1, -2, 2, 7, model.VariableId(-1, "b")):
+            with pytest.raises(MalformedInputError):
+                cs.resolve(bad)
+        with pytest.raises(MalformedInputError):
+            interpolate_exact(cs, -1)
+        assert interpolate_exact(cs, 1) == F(2, 3)
 
 
 class TestSerialization:
