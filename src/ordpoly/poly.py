@@ -5,9 +5,11 @@ denominator); ``Rational`` is exported as an alias.  A polynomial keeps
 integer numerators in ascending degree over one positive denominator, with
 no trailing zero, the zero polynomial having no numerators: the exact
 answers of the engines share factorial-sized denominators, and one
-denominator per polynomial spares a gcd per coefficient operation, which
-is what makes 1000-node trees fast.  ``Polynomial.coeffs`` gives the
-coefficients as lowest-terms rationals.  A marginal density comes back as
+denominator per polynomial spares a gcd per coefficient operation.  That,
+and the tree engine's integer coordinate s = Q*v (``tree``), which keeps
+the pins' shared denominator Q out of every numerator, is what makes
+1000-node trees fast.  ``Polynomial.coeffs`` gives the coefficients as
+lowest-terms rationals.  A marginal density comes back as
 a ``PiecewisePolynomial``: one polynomial per interval between consecutive
 breakpoints, zero outside the covered span.  It can be evaluated,
 integrated (``mass``, ``moment``) and brought to canonical form, which is

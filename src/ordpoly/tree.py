@@ -12,12 +12,25 @@ where the product runs over x's unknown children and m_x is the smallest
 pinned leaf value in x's subtree (the polynomial is valid on [0, m_x] and
 the true volume is zero beyond).  The whole volume V is the root child's
 polynomial evaluated at the root value — quadratic time overall, no
-extension enumeration.  ``ConstraintTree.volume_polys`` holds every V_x,
-from one bottom-up pass per tree.
+extension enumeration.
+
+The pass runs in integer coordinates.  When the pins share a denominator
+Q (``ConstraintTree.scale``: the largest denominator among the root value
+and the caps m_x, if every other one divides it, else 1), every polynomial
+lives over s = Q*v as W_x(s) = Q^d V_x(s/Q), d being its degree.  The
+recurrence is the same, W_x(s) = integral from s to Q*m_x of prod_i
+W_{x_i}, with an integer limit Q*m_x, and V = W(Q*rho) / Q^N over the N
+unknowns.  Over v, a polynomial whose limits have denominator q keeps a
+factor q^k in coefficient k that its value does not need; over s those
+bits are gone.  Coprime denominators keep Q = 1, the pass over v itself:
+their lcm would only make the numbers longer.
+``ConstraintTree.volume_polys`` holds every W_x, from one bottom-up pass
+per tree.
 
 Expected values are volume ratios: with a fresh unknown z <= 1 above x,
 E[x] = 1 - V'/V, where V' = vol(P and x <= z) redoes the bottom-up step
-on x and its ancestors with one extra factor (1 - v) at x.
+on x and its ancestors with one extra factor (1 - v) at x, which is
+(Q - s) over s.
 
 Marginals factor as f_x(v) = Out_x(v) * prod_i V_{x_i}(v) / V, where
 Out_x(v) is the volume of the tree without x's subtree and x pinned at v.
@@ -27,7 +40,8 @@ root child c, and for a child c of p, Out_c(v) is the integral from rho to
 min(v, m_p) of Out_p(w) times the volumes of c's unknown siblings at w,
 constant from m_p to m_c.  No sibling's cap falls inside [rho, m_p], m_p
 being the minimum over all of p's children, so the breakpoints are rho
-and pinned values.
+and pinned values.  The pieces are built over s and mapped back to v at
+the end.
 
 Every query of the exact engines ``auto``, ``tree`` and ``exact`` takes
 one path, ``solve``, which calls ``solve_part`` once per decomposition
@@ -113,10 +127,23 @@ class ConstraintTree:
         return self.children[self.root][0]
 
     @cached_property
+    def scale(self) -> int:
+        """Q, the pins' shared denominator: the largest denominator among
+        the root value and the caps ``min_leaf_below`` when each of the
+        others divides it, else 1.  Every pin and cap is then an integer
+        multiple of 1/Q, and the engine works in s = Q*v."""
+        dens = {self.root_value.denominator}
+        dens.update(m.denominator for m in self.min_leaf_below.values())
+        q = max(dens)
+        return q if all(q % d == 0 for d in dens) else 1
+
+    @cached_property
     def volume_polys(self) -> Mapping[VariableId, Polynomial]:
-        """V_x(v') for every unknown node x, valid on [0, m_x] (the true
-        subtree volume is zero beyond ``min_leaf_below[x]``): one bottom-up
-        pass per tree, shared by every query on it."""
+        """W_x(s) = Q^d V_x(s/Q) for every unknown node x, d being its
+        degree and Q the ``scale``: the subtree volume V_x(v') in the
+        integer coordinate s = Q*v', valid on [0, Q*m_x] with m_x =
+        ``min_leaf_below[x]`` (the true subtree volume is zero beyond).
+        One bottom-up pass per tree, shared by every query on it."""
         return MappingProxyType(_volume_polys(self))
 
 
@@ -214,33 +241,49 @@ def _product(factors: Sequence[Polynomial]) -> Polynomial:
     return prod
 
 
-def _node_step(factors: Sequence[Polynomial], upper: Fraction) -> Polynomial:
-    """One node of the bottom-up pass: v' -> integral from v' to ``upper``
+def _in_s(t: ConstraintTree, value: Fraction) -> int | Fraction:
+    """``value`` (a pin, a cap or a point between them) in s = Q*v: an int
+    when Q > 1, which ``value``'s denominator divides; ``value`` itself when
+    Q = 1."""
+    q = t.scale
+    return value.numerator * (q // value.denominator) if q > 1 else value
+
+
+def _node_step(factors: Sequence[Polynomial], upper: int | Fraction) -> Polynomial:
+    """One node of the bottom-up pass: s -> integral from s to ``upper``
     of the product of ``factors``."""
     anti = _product(factors).antideriv()
+    if isinstance(upper, int):
+        # anti(upper) is Horner's rule on anti's numerators over its own
+        # denominator: no Fraction to reduce and no lcm in the difference
+        top = 0
+        for c in reversed(anti.num):
+            top = top * upper + c
+        return Polynomial((top,), anti.den) - anti
     return Polynomial.constant(anti(upper)) - anti
 
 
 def _volume_polys(t: ConstraintTree) -> dict[VariableId, Polynomial]:
-    """Bottom-up V_x(v') for every unknown node, children before parents."""
+    """Bottom-up W_x(s) for every unknown node, children before parents:
+    the integral from s to Q*m_x of the children's product."""
+    caps = t.min_leaf_below
     polys: dict[VariableId, Polynomial] = {}
     for v in reversed(_top_down(t.root, t.children)):
         if t.is_unknown(v):
-            polys[v] = _node_step(
-                [polys[c] for c in t.children[v] if c in polys], t.min_leaf_below[v]
-            )
+            factors = [polys[c] for c in t.children[v] if c in polys]
+            polys[v] = _node_step(factors, _in_s(t, caps[v]))
     return polys
 
 
 def volume_tree(t: ConstraintTree) -> Fraction:
-    """Exact polytope volume of the tree: root child's V evaluated at the root."""
-    return t.volume_polys[t.root_child](t.root_value)
+    """Exact polytope volume of the tree: the root child's W at Q*rho over
+    Q^N, N (W's degree) being the number of unknowns."""
+    poly = t.volume_polys[t.root_child]
+    return poly(_in_s(t, t.root_value)) / t.scale**poly.degree
 
 
 # ---------------------------------------------------------------------------
 # expected values and marginals
-
-_ONE_MINUS_V = Polynomial([1, -1])
 
 
 def _path_up(t: ConstraintTree, x) -> list[VariableId]:
@@ -257,18 +300,21 @@ def _path_up(t: ConstraintTree, x) -> list[VariableId]:
 
 def _expected_values(t: ConstraintTree, names: Sequence) -> dict:
     """``{x: E[x]}`` as 1 - V'/V, V' being the volume with a fresh unknown
-    z <= 1 above x: the bottom-up step redone on x and its ancestors."""
-    polys = t.volume_polys
-    total = volume_tree(t)
+    z <= 1 above x: the bottom-up step redone on x and its ancestors.  In
+    s = Q*v, z's factor is Q - s and E[x] = 1 - W'(Q*rho) / (Q*W(Q*rho))."""
+    q, polys, caps = t.scale, t.volume_polys, t.min_leaf_below
+    start = _in_s(t, t.root_value)
+    total = q * polys[t.root_child](start)
+    fresh = Polynomial((q, -1))
     values = {}
     for x in names:
         path = _path_up(t, x)
-        # (1 - v) joins x's own factors; above x it replaces the path child's.
-        poly, below = _ONE_MINUS_V, None
+        # (Q - s) joins x's own factors; above x it replaces the path child's.
+        poly, below = fresh, None
         for v in path:
             factors = [polys[c] for c in t.children[v] if c in polys and c != below]
-            poly, below = _node_step([*factors, poly], t.min_leaf_below[v]), v
-        value = 1 - poly(t.root_value) / total
+            poly, below = _node_step([*factors, poly], _in_s(t, caps[v])), v
+        value = 1 - poly(start) / total
         assert t.root_value < value < t.min_leaf_below[path[0]], "expected value off support"
         values[x] = value
     return values
@@ -286,11 +332,13 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
     subtree volumes of x's children, over the volume.  Out's pieces are
     integrated top-down along the root-to-x path: each step takes the
     running integral of Out_p times the siblings' volumes up to m_p and
-    holds it constant from m_p to m_c.
+    holds it constant from m_p to m_c.  The pieces are built in s = Q*v,
+    as g(s) = Out_x(s) prod_i W_{x_i}(s) / W(Q*rho), and the density is
+    f(v) = Q*g(Q*v): breakpoints over Q, coefficient k times Q^k.
     """
     path = _path_up(t, x)
-    polys, caps = t.volume_polys, t.min_leaf_below
-    cuts, outside = [t.root_value, caps[path[-1]]], [POLY_ONE]
+    q, polys, caps = t.scale, t.volume_polys, t.min_leaf_below
+    cuts, outside = [_in_s(t, t.root_value), _in_s(t, caps[path[-1]])], [POLY_ONE]
     for c in reversed(path[:-1]):
         p = t.parent[c]
         siblings = _product([polys[s] for s in t.children[p] if s != c and s in polys])
@@ -301,12 +349,24 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
             acc += anti(b) - anti(a)
         if caps[p] < caps[c]:
             pieces.append(Polynomial.constant(acc))
-            cuts.append(caps[c])
+            cuts.append(_in_s(t, caps[c]))
         outside = pieces
     inside = _product([polys[c] for c in t.children[path[0]] if c in polys])
-    scale = 1 / volume_tree(t)
-    pieces = tuple(o * inside * scale for o in outside)
-    return PiecewisePolynomial(tuple(cuts), pieces).canonical()
+    scale = q / polys[t.root_child](cuts[0])
+    pieces = [o * inside * scale for o in outside]
+    if q > 1:
+        cuts = [Fraction(b, q) for b in cuts]
+        pieces = [_dilated(p, q) for p in pieces]
+    return PiecewisePolynomial(tuple(cuts), tuple(pieces)).canonical()
+
+
+def _dilated(p: Polynomial, q: int) -> Polynomial:
+    """v -> p(q*v): numerator k times q^k."""
+    num, qk = [], 1
+    for c in p.num:
+        num.append(c * qk)
+        qk *= q
+    return Polynomial(num, p.den)
 
 
 # ---------------------------------------------------------------------------

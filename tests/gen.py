@@ -110,6 +110,56 @@ def tree_doc(rng: random.Random, n_unknown: int, extra_leaf_p: float = 0.25) -> 
     return names, edges, exact
 
 
+# Pin families for the tree engine's integer coordinates: one shared prime
+# grid and 3-digit decimals give a shared denominator (997 and 1000), while
+# coprime small primes and dyadic values with one leaf at 1/997 give none.
+PIN_FAMILIES = ("grid", "decimal", "coprime", "dyadic")
+_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def family_tree_doc(rng: random.Random, n_unknown: int, family: str) -> Doc:
+    """``tree_doc``'s shape with distinct pins from ``family`` (see
+    PIN_FAMILIES): "grid" k/997; "decimal" k/1000, one of them at exactly
+    that denominator; "coprime" k/p over primes p >= 5 above a root at 1/3;
+    "dyadic" k/2^j (j <= 9) and one leaf at 1/997 above a root at 1/1024.  A
+    grid or decimal root is at 0 in about half the trees, and about a third
+    of the trees have a leaf at 1.  Leaf values increase with their hosts'
+    index, so no leaf is implied by another and every pin stays in the
+    tree's skeleton."""
+    names, edges, exact = tree_doc(rng, n_unknown, extra_leaf_p=0.4)
+    host = {leaf: u for u, leaf in edges if leaf in exact}
+    leaves = sorted(host, key=lambda leaf: int(host[leaf][1:]))
+    root = {"coprime": Fraction(1, 3), "dyadic": Fraction(1, 1024)}.get(family)
+
+    def draw(k: int) -> Fraction:
+        if family == "grid":
+            return Fraction(rng.randint(1, 996), 997)
+        if family == "decimal":
+            return Fraction(rng.randint(1, 999), 1000)
+        if family == "coprime":
+            p = _PRIMES[k % len(_PRIMES)]
+            return Fraction(rng.randint(p // 3 + 1, p - 1), p)
+        j = rng.randint(1, 9)
+        return Fraction(2 * rng.randrange(2 ** (j - 1)) + 1, 2**j)
+
+    pins = {
+        "decimal": {Fraction(rng.choice([k for k in range(1000) if k % 2 and k % 5]), 1000)},
+        "dyadic": {Fraction(1, 997)},
+    }.get(family, set())
+    if len(pins) < len(leaves) and rng.random() < 0.3:
+        pins.add(Fraction(1))
+    tries = 0
+    while len(pins) < len(leaves):
+        pins.add(draw(tries))
+        tries += 1
+    exact.update(zip(leaves, sorted(pins)))
+    if root is None:
+        below = draw(0)
+        root = below if rng.random() < 0.5 and below < min(pins) else Fraction(0)
+    exact["r"] = root
+    return names, edges, exact
+
+
 def forest_doc(rng: random.Random) -> Doc:
     """Two or three independent ``tree_doc`` trees of 1-4 unknowns, the
     names of tree t prefixed with "t<t>": a set of several parts."""

@@ -53,6 +53,8 @@ def _scaled_pieces(marginal_tree):
         (lattice, "_expectation", lambda f: lambda *args: f(*args) + Fraction(1, 10**9)),
         (tree, "marginal_tree", _scaled_pieces),
         (model, "_witness_chain", lambda f: lambda *args: f(*args)[::-1]),
+        # W(Q*rho) over Q^(N-1), not Q^N: a tree volume off by its scale Q
+        (tree, "volume_tree", lambda f: lambda t: f(t) * t.scale),
     ],
     ids=[
         "exact-fraction",
@@ -61,6 +63,7 @@ def _scaled_pieces(marginal_tree):
         "lattice-value",
         "tree-marginal",
         "contradiction-witness",
+        "tree-scale",
     ],
 )
 def test_replay_notices_a_broken_copy(goldens, monkeypatch, target, name, broken):

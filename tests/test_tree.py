@@ -154,7 +154,12 @@ class TestVolume:
                 t = tree_module._build_tree(skel, mirrored=True)
             else:
                 t = as_tree(cs)
-            got = {v.name: poly.coeffs for v, poly in t.volume_polys.items()}
+            # W_x(s) = Q^d V_x(s/Q): coefficient k of V_x is W_x's over Q^(d-k)
+            q = t.scale
+            got = {
+                v.name: tuple(c / q ** (poly.degree - k) for k, c in enumerate(poly.coeffs))
+                for v, poly in t.volume_polys.items()
+            }
             assert got == {x: tuple(c) for x, c in want.items()}
             assert volume_tree(t) == sum(c * exact["r"] ** i for i, c in enumerate(want["u0"]))
 
@@ -305,3 +310,42 @@ class TestMarginal:
         t = as_tree(lemma_tree())
         pw = marginal_tree(t, "x_a").canonical()
         assert set(pw.breakpoints) <= {F(0), F(1, 2), F(1)}
+
+
+class TestScale:
+    """The engine runs in s = Q*v when the pins share a denominator Q, and
+    in v itself (Q = 1) when they do not; both must answer exactly."""
+
+    SCALES = {"grid": 997, "decimal": 1000, "coprime": 1, "dyadic": 1}
+
+    @pytest.mark.parametrize("family", gen.PIN_FAMILIES)
+    def test_pin_families_match_the_lattice(self, family):
+        # Trees of 1-10 unknowns and their mirror images: the volume, every
+        # value and every canonical marginal against the lattice.
+        rng = random.Random(gen.PIN_FAMILIES.index(family))
+        for _ in range(15):
+            cs = gen.to_cs(gen.family_tree_doc(rng, rng.randint(1, 10), family))
+            for c in (cs, flip_constraints(cs)):
+                prep = Prepared(c)
+                (skel,) = prep.decomposition.skeletons
+                assert skel.tree.scale == self.SCALES[family]
+                names = [u.name for u in c.unknowns()]
+                volume, values, marginals = lattice_answers(c, names)
+                assert solve(prep, VOLUME) == volume
+                assert solve(prep, VALUES, names) == values
+                for name in names:
+                    assert solve(prep, MARGINAL, [name]) == marginals[name]
+
+    def test_scale_needs_every_denominator_to_divide_the_largest(self):
+        cases = [
+            ({"r": F(1, 4), "l": F(3, 8)}, 8),
+            ({"r": F(0), "l": F(1)}, 1),
+            ({"r": F(1, 3), "l": F(1, 2)}, 1),
+            ({"r": F(1, 6), "l": F(1, 4)}, 1),
+            ({"r": F(1, 5), "l": F(7, 10)}, 10),
+        ]
+        for exact, scale in cases:
+            cs = ConstraintSet(["r", "u", "l"], [("r", "u"), ("u", "l")], exact)
+            t = as_tree(cs)
+            assert t.scale == scale
+            assert volume_tree(t) == exact["l"] - exact["r"]
