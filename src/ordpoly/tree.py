@@ -352,8 +352,8 @@ def marginal_tree(t: ConstraintTree, x) -> PiecewisePolynomial:
             cuts.append(_in_s(t, caps[c]))
         outside = pieces
     inside = _product([polys[c] for c in t.children[path[0]] if c in polys])
-    scale = q / polys[t.root_child](cuts[0])
-    pieces = [o * inside * scale for o in outside]
+    norm = q / polys[t.root_child](cuts[0])
+    pieces = [o * inside * norm for o in outside]
     if q > 1:
         cuts = [Fraction(b, q) for b in cuts]
         pieces = [_dilated(p, q) for p in pieces]
